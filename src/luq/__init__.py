@@ -5,7 +5,24 @@ conditional normalizing flow) and an output prior on training-set features,
 then scores new feature vectors with the surprisal -log p(z) (epistemic
 uncertainty) and the entropy of the Bayes posterior over outputs
 (aleatoric uncertainty).
+
+``LUQ_THREADS`` caps the BLAS thread pools.  It is copied into their
+environment variables here, before numpy is first imported, because the
+pools read them once at start-up; explicitly set pool variables win.
 """
+
+import os
+
+
+def _apply_thread_cap():
+    cap = os.environ.get("LUQ_THREADS")
+    if cap:
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS"):
+            os.environ.setdefault(var, cap)
+
+
+_apply_thread_cap()
 
 from .engine import (
     ConfidenceRegion,
@@ -25,8 +42,6 @@ from .flow import (
     FlowArchitecture,
     FlowTrainConfig,
     build_flow,
-    coupling_forward,
-    coupling_inverse,
     flow_forward,
     flow_gradients,
     flow_inverse,
@@ -80,7 +95,6 @@ from .priors import (
     betaprime_fit_mom,
     fit_categorical,
     fit_histogram,
-    prior_log_pdf,
 )
 from .toy import (
     EnsembleModel,

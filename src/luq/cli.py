@@ -6,27 +6,15 @@ calibration metrics), ``toy`` (self-contained desk-scale experiments), and
 ``pca`` (standalone dimensionality reduction).
 
 Exit codes: 0 success, 2 usage error, 3 data error.  ``LUQ_THREADS`` caps
-internal parallelism (applied to the BLAS thread pools; the toolkit's own
-code is single-threaded and deterministic).
+internal parallelism: ``luq/__init__.py`` copies it into the BLAS
+thread-pool variables before numpy is first imported (the toolkit's own code
+is single-threaded and deterministic).
 """
 
 from __future__ import annotations
 
-import os
-import sys
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("LUQ_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                    "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-
-
-_apply_thread_cap()
-
 import argparse
+import sys
 
 import numpy as np
 
@@ -116,7 +104,42 @@ def _parse_range(text: str, flag: str):
 # --- fit -------------------------------------------------------------------
 
 
+def _fit_options(args):
+    """``EmOptions`` for gmm, ``(FlowTrainConfig, FlowArchitecture)`` for
+    flow.  Out-of-range flag values are usage errors."""
+    try:
+        if args.model == "gmm":
+            return EmOptions(
+                n_components=args.components,
+                max_iter=args.max_iter,
+                tol=args.tol,
+                cov_reg=args.cov_reg,
+                covariance_mode=(
+                    "tied_across_components" if args.covariance == "tied"
+                    else "full_per_component"
+                ),
+                seed=args.seed,
+            )
+        cfg = FlowTrainConfig(
+            learning_rate=args.learning_rate,
+            weight_decay=args.weight_decay,
+            batch_size=args.batch_size,
+            max_epochs=args.max_epochs,
+            patience=args.patience,
+            val_fraction=args.val_fraction,
+            seed=args.seed,
+        )
+        arch = FlowArchitecture(
+            n_layers=args.flow_layers,
+            hidden=(args.flow_hidden, args.flow_hidden),
+        )
+        return cfg, arch
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def cmd_fit(args) -> int:
+    options = _fit_options(args)
     features = fileio.read_features(args.features)
     x = features.data
     predictions = fileio.read_values(args.predictions)
@@ -137,37 +160,14 @@ def cmd_fit(args) -> int:
 
     if args.model == "gmm":
         labels = predictions.astype(np.int64)
-        opts = EmOptions(
-            n_components=args.components,
-            max_iter=args.max_iter,
-            tol=args.tol,
-            cov_reg=args.cov_reg,
-            covariance_mode=(
-                "tied_across_components" if args.covariance == "tied"
-                else "full_per_component"
-            ),
-            seed=args.seed,
-        )
-        density = fit_class_conditional(x, labels, opts)
+        density = fit_class_conditional(x, labels, options)
         prior = _parse_prior_spec(args.prior or "categorical", predictions)
         for c in density.classes:
             _emit(f"class_{c}_count", int(np.sum(labels == c)))
             _emit(f"class_{c}_final_ll", density.per_class[c].em_log[-1])
         bundle = fileio.ModelBundle(prior=prior, class_gmms=density, pca=pca)
     else:
-        cfg = FlowTrainConfig(
-            learning_rate=args.learning_rate,
-            weight_decay=args.weight_decay,
-            batch_size=args.batch_size,
-            max_epochs=args.max_epochs,
-            patience=args.patience,
-            val_fraction=args.val_fraction,
-            seed=args.seed,
-        )
-        arch = FlowArchitecture(
-            n_layers=args.flow_layers,
-            hidden=(args.flow_hidden, args.flow_hidden),
-        )
+        cfg, arch = options
         flow, log = flow_train(x, predictions, cfg, arch=arch)
         prior = _parse_prior_spec(args.prior or "uniform:-10:10", predictions)
         _emit("epochs_run", len(log.train_nll))

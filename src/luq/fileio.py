@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError
-from .flow import CondNet, ConditionalFlow, CouplingLayer, Subnet
+from .flow import ConditionalFlow, CouplingLayer, ReluNet
 from .gmm import ClassConditionalGmm, GaussianComponent, Gmm
 from .linalg import CholeskyFactor, FeatureMatrix, PcaModel
 from .priors import (
@@ -232,14 +232,14 @@ def _unpack_net(r: _Reader):
     return weights, biases
 
 
-def _pack_subnet(s: Subnet) -> bytes:
+def _pack_subnet(s: ReluNet) -> bytes:
     return _pack_net(s.weights, s.biases) + _pack_array(s.lift)
 
 
-def _unpack_subnet(r: _Reader) -> Subnet:
+def _unpack_subnet(r: _Reader) -> ReluNet:
     weights, biases = _unpack_net(r)
     lift = _unpack_array(r)
-    return Subnet(weights=weights, biases=biases, lift=lift)
+    return ReluNet(weights=weights, biases=biases, lift=lift)
 
 
 def _pack_flow(f: ConditionalFlow) -> bytes:
@@ -271,7 +271,7 @@ def _unpack_flow(r: _Reader) -> ConditionalFlow:
         layers.append(
             CouplingLayer(
                 part1=parts[0], part2=parts[1], scale_net=scale,
-                translate_net=translate, cond_net=CondNet(cw, cb),
+                translate_net=translate, cond_net=ReluNet(cw, cb),
                 scale_clamp=float(clamp),
             )
         )
@@ -465,18 +465,4 @@ def parse_config(path) -> list[tuple[int, str, str]]:
                 raise DataFormatError(f"{path}: line {i}: expected `key = value`")
             key, value = line.split("=", 1)
             out.append((i, key.strip(), value.strip()))
-    return out
-
-
-def load_config(path, allowed_keys) -> dict[str, str]:
-    """Config dict validated against the known flag set.
-
-    Unknown keys are rejected with the offending line number.
-    """
-    allowed = set(allowed_keys)
-    out = {}
-    for lineno, key, value in parse_config(path):
-        if key not in allowed:
-            raise DataFormatError(f"{path}: line {lineno}: unknown key {key!r}")
-        out[key] = value
     return out

@@ -19,84 +19,44 @@ import numpy as np
 
 from .errors import DimMismatchError, DivergedError
 from .linalg import as_matrix
-from .mlp import Adam, glorot_uniform
+from .mlp import Adam, glorot_uniform, relu_backward, relu_forward
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-class CondNet:
-    """Plain ReLU MLP mapping the condition to the feature added into the
-    coupling subnets."""
+class ReluNet:
+    """ReLU MLP used inside the coupling layers.
 
-    def __init__(self, weights, biases):
-        self.weights = weights
-        self.biases = biases
+    Without ``lift`` it is the condition net, mapping the condition to the
+    feature shared by a layer's subnets.  With ``lift`` it is a coupling
+    subnet: it maps the copied coordinates to the transformed ones, with the
+    conditioning feature lifted additively into the first hidden
+    pre-activation.
+    """
 
-    def params(self):
-        return [*self.weights, *self.biases]
-
-    def forward(self, c):
-        acts = []
-        a = c
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = np.maximum(a @ w + b, 0.0)
-            acts.append(a)
-        out = a @ self.weights[-1] + self.biases[-1]
-        return out, (c, acts)
-
-    def backward(self, cache, dout):
-        c, acts = cache
-        gw = [None] * len(self.weights)
-        gb = [None] * len(self.biases)
-        upstream = dout
-        for l in range(len(self.weights) - 1, -1, -1):
-            a_in = acts[l - 1] if l > 0 else c
-            gw[l] = a_in.T @ upstream
-            gb[l] = upstream.sum(axis=0)
-            if l > 0:
-                upstream = (upstream @ self.weights[l].T) * (acts[l - 1] > 0)
-        return [*gw, *gb]
-
-
-class Subnet:
-    """ReLU MLP from the copied coordinates to the transformed ones, with
-    the conditioning feature lifted additively into the first hidden
-    pre-activation."""
-
-    def __init__(self, weights, biases, lift):
+    def __init__(self, weights, biases, lift=None):
         self.weights = weights
         self.biases = biases
         self.lift = lift
 
     def params(self):
-        return [*self.weights, *self.biases, self.lift]
+        extra = [] if self.lift is None else [self.lift]
+        return [*self.weights, *self.biases, *extra]
 
-    def forward(self, u1, feat):
-        pre0 = u1 @ self.weights[0] + self.biases[0] + feat @ self.lift
-        a = np.maximum(pre0, 0.0)
-        acts = [a]
-        for w, b in zip(self.weights[1:-1], self.biases[1:-1]):
-            a = np.maximum(a @ w + b, 0.0)
-            acts.append(a)
-        out = a @ self.weights[-1] + self.biases[-1]
-        return out, (u1, feat, acts)
+    def forward(self, x, feat=None):
+        lifted = None if self.lift is None else feat @ self.lift
+        out, acts = relu_forward(self.weights, self.biases, x, lifted)
+        return out, (x, feat, acts)
 
     def backward(self, cache, dout):
-        u1, feat, acts = cache
-        n_layers = len(self.weights)
-        gw = [None] * n_layers
-        gb = [None] * n_layers
-        upstream = dout
-        for l in range(n_layers - 1, 0, -1):
-            gw[l] = acts[l - 1].T @ upstream
-            gb[l] = upstream.sum(axis=0)
-            upstream = (upstream @ self.weights[l].T) * (acts[l - 1] > 0)
-        gw[0] = u1.T @ upstream
-        gb[0] = upstream.sum(axis=0)
-        g_lift = feat.T @ upstream
-        du1 = upstream @ self.weights[0].T
-        dfeat = upstream @ self.lift.T
-        return [*gw, *gb, g_lift], du1, dfeat
+        """Returns (param grads, gradient w.r.t. the input, gradient w.r.t.
+        the lifted feature or None)."""
+        x, feat, acts = cache
+        gw, gb, dpre = relu_backward(self.weights, x, acts, dout)
+        dx = dpre @ self.weights[0].T
+        if self.lift is None:
+            return [*gw, *gb], dx, None
+        return [*gw, *gb, feat.T @ dpre], dx, dpre @ self.lift.T
 
 
 @dataclass
@@ -111,9 +71,9 @@ class CouplingLayer:
 
     part1: np.ndarray
     part2: np.ndarray
-    scale_net: Subnet
-    translate_net: Subnet
-    cond_net: CondNet
+    scale_net: ReluNet
+    translate_net: ReluNet
+    cond_net: ReluNet
     scale_clamp: float = 2.0
 
     def params(self):
@@ -167,7 +127,7 @@ class CouplingLayer:
         ds_raw = ds * (1.0 - (s / self.scale_clamp) ** 2)
         g_scale, du1_s, dfeat_s = self.scale_net.backward(s_cache, ds_raw)
         g_trans, du1_t, dfeat_t = self.translate_net.backward(t_cache, dt)
-        g_cond = self.cond_net.backward(cond_cache, dfeat_s + dfeat_t)
+        g_cond, _, _ = self.cond_net.backward(cond_cache, dfeat_s + dfeat_t)
         din = np.empty_like(dout)
         din[:, self.part1] = dout[:, self.part1] + du1_s + du1_t
         din[:, self.part2] = du2
@@ -181,6 +141,14 @@ class FlowArchitecture:
     cond_hidden: tuple[int, ...] = (64,)
     cond_feat_dim: int = 64
     scale_clamp: float = 2.0
+
+    def __post_init__(self):
+        if self.n_layers < 1:
+            raise ValueError("n_layers must be >= 1")
+        if not self.hidden:
+            raise ValueError("coupling subnets need at least one hidden layer")
+        if min(self.hidden) < 1:
+            raise ValueError("hidden layer widths must be >= 1")
 
 
 @dataclass
@@ -219,24 +187,22 @@ def _make_subnet(rng, in_dim, out_dim, hidden, cond_feat_dim):
     weights[-1] = np.zeros_like(weights[-1])  # identity map at initialization
     biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
     lift = glorot_uniform(rng, cond_feat_dim, dims[1])
-    return Subnet(weights, biases, lift)
+    return ReluNet(weights, biases, lift)
 
 
 def _make_cond_net(rng, cond_dim, hidden, out_dim):
     dims = (cond_dim, *hidden, out_dim)
     weights = [glorot_uniform(rng, dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
     biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
-    return CondNet(weights, biases)
+    return ReluNet(weights, biases)
 
 
 def build_flow(dim: int, cond_dim: int, arch: FlowArchitecture | None = None,
                seed: int = 0) -> ConditionalFlow:
     """Construct a flow that is the identity map at initialization."""
     arch = arch or FlowArchitecture()
-    if dim < 1 or cond_dim < 1 or arch.n_layers < 1:
-        raise ValueError("dim, cond_dim and n_layers must be >= 1")
-    if not arch.hidden:
-        raise ValueError("coupling subnets need at least one hidden layer")
+    if dim < 1 or cond_dim < 1:
+        raise ValueError("dim and cond_dim must be >= 1")
     rng = np.random.default_rng(seed)
     layers = []
     for l in range(arch.n_layers):
@@ -281,14 +247,25 @@ def _as_batch(flow, z, c):
     return z, c, single
 
 
-def flow_forward(flow: ConditionalFlow, z, c):
-    """Map data to the base space; returns (u, log_det)."""
-    z, c, single = _as_batch(flow, z, c)
+def _forward_layers(flow: ConditionalFlow, z, c, caches=None):
+    """Push a batch through every coupling layer; returns (u, log_det).
+
+    Appends each layer's backward cache to ``caches`` when given.
+    """
     u = z
     log_det = np.zeros(z.shape[0])
     for layer in flow.layers:
-        u, ld, _ = layer.forward(u, c)
+        u, ld, cache = layer.forward(u, c)
         log_det = log_det + ld
+        if caches is not None:
+            caches.append(cache)
+    return u, log_det
+
+
+def flow_forward(flow: ConditionalFlow, z, c):
+    """Map data to the base space; returns (u, log_det)."""
+    z, c, single = _as_batch(flow, z, c)
+    u, log_det = _forward_layers(flow, z, c)
     if single:
         return u[0], float(log_det[0])
     return u, log_det
@@ -307,39 +284,10 @@ def flow_inverse(flow: ConditionalFlow, u, c):
     return z, log_det
 
 
-def coupling_forward(layer: CouplingLayer, u_in, c):
-    """Single-layer forward map; returns (u_out, log_det)."""
-    u = np.asarray(u_in, dtype=np.float64)
-    single = u.ndim == 1
-    if single:
-        u = u[None, :]
-        c = np.asarray(c, dtype=np.float64).reshape(1, -1)
-    out, log_det, _ = layer.forward(u, np.asarray(c, dtype=np.float64))
-    if single:
-        return out[0], float(log_det[0])
-    return out, log_det
-
-
-def coupling_inverse(layer: CouplingLayer, u_out, c):
-    u = np.asarray(u_out, dtype=np.float64)
-    single = u.ndim == 1
-    if single:
-        u = u[None, :]
-        c = np.asarray(c, dtype=np.float64).reshape(1, -1)
-    z, log_det = layer.inverse(u, np.asarray(c, dtype=np.float64))
-    if single:
-        return z[0], float(log_det[0])
-    return z, log_det
-
-
 def flow_log_prob(flow: ConditionalFlow, z, c):
     """Conditional log density log p(z | c) in nats, by change of variables."""
     z, c, single = _as_batch(flow, z, c)
-    u = z
-    log_det = np.zeros(z.shape[0])
-    for layer in flow.layers:
-        u, ld, _ = layer.forward(u, c)
-        log_det = log_det + ld
+    u, log_det = _forward_layers(flow, z, c)
     base = -0.5 * (flow.dim * LOG_2PI + np.sum(u * u, axis=1))
     out = base + log_det
     return float(out[0]) if single else out
@@ -359,13 +307,8 @@ def flow_gradients(flow: ConditionalFlow, z, c):
     n = z.shape[0]
     if n == 0:
         raise ValueError("flow_gradients needs a non-empty batch")
-    u = z
-    log_det = np.zeros(n)
     caches = []
-    for layer in flow.layers:
-        u, ld, cache = layer.forward(u, c)
-        log_det = log_det + ld
-        caches.append(cache)
+    u, log_det = _forward_layers(flow, z, c, caches)
     nll = float(np.mean(0.5 * (flow.dim * LOG_2PI + np.sum(u * u, axis=1)) - log_det))
 
     du = u / n
@@ -400,6 +343,10 @@ class FlowTrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if not 0.0 < self.val_fraction < 1.0:

@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import (
     DimMismatchError,
@@ -80,10 +79,6 @@ class CholeskyFactor:
         if self.dim > 1 and np.any(lo[np.triu_indices(self.dim, 1)] != 0.0):
             raise ValueError("factor must be lower-triangular")
         object.__setattr__(self, "lower", lo)
-
-    def solve_lower(self, b: np.ndarray) -> np.ndarray:
-        """Solve L x = b (b may be a vector or a matrix of columns)."""
-        return solve_triangular(self.lower, b, lower=True, check_finite=False)
 
     def reconstruct(self) -> np.ndarray:
         return self.lower @ self.lower.T

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import EmptyInputError, NotNormalizedError, OneClassOnlyError
 
@@ -37,7 +36,9 @@ def auroc(scores, labels) -> float:
     scores, pos = _binary_set(scores, labels)
     n_pos = int(pos.sum())
     n_neg = scores.size - n_pos
-    ranks = rankdata(scores, method="average")
+    # average ranks: a tied group spanning ranks [first, last] gets their mean
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 

@@ -1,7 +1,8 @@
 """Small fully-connected networks with hand-rolled reverse-mode gradients.
 
 Used by the toy lab for prediction and latent extraction, and reused by the
-flow module for its optimizer and initialization helpers.  Hidden layers are
+flow module for its optimizer, initialization helpers and the dense ReLU
+forward and backward passes of its coupling nets.  Hidden layers are
 ReLU; the head is either an identity map (regression) or softmax over K
 classes (classification).
 """
@@ -86,15 +87,44 @@ def mlp_init(layer_dims, head=REGRESSION, seed=0) -> MlpModel:
     return MlpModel(layer_dims=dims, weights=weights, biases=biases, head=head)
 
 
-def _forward(model: MlpModel, x: np.ndarray):
-    """Returns (raw output, list of post-activation hidden layers)."""
+def relu_forward(weights, biases, x, pre0_extra=None):
+    """Dense ReLU stack: every layer but the last is followed by a ReLU.
+
+    Parameters may carry a leading member axis (weights ``(m, i, o)``,
+    biases ``(m, o)``) against a 2-D input, for stacked training.
+    ``pre0_extra`` is added to the first pre-activation after the bias.
+    Returns (raw output, list of post-activation hidden layers).
+    """
     acts = []
     a = x
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        a = np.maximum(a @ w + b, 0.0)
+    last = len(weights) - 1
+    for l, (w, b) in enumerate(zip(weights, biases)):
+        pre = a @ w + b[..., None, :]
+        if l == 0 and pre0_extra is not None:
+            pre = pre + pre0_extra
+        if l == last:
+            return pre, acts
+        a = np.maximum(pre, 0.0)
         acts.append(a)
-    out = a @ model.weights[-1] + model.biases[-1]
-    return out, acts
+
+
+def relu_backward(weights, x, acts, grad_out):
+    """Reverse pass of ``relu_forward``.
+
+    Returns (weight grads, bias grads, gradient w.r.t. the first
+    pre-activation).  With stacked parameters the gradients keep the member
+    axis.
+    """
+    grads_w = [None] * len(weights)
+    grads_b = [None] * len(weights)
+    upstream = grad_out
+    for l in range(len(weights) - 1, -1, -1):
+        a_in = acts[l - 1] if l > 0 else x
+        grads_w[l] = np.swapaxes(a_in, -1, -2) @ upstream
+        grads_b[l] = upstream.sum(axis=-2)
+        if l > 0:
+            upstream = (upstream @ np.swapaxes(weights[l], -1, -2)) * (acts[l - 1] > 0)
+    return grads_w, grads_b, upstream
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -105,7 +135,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def mlp_predict(model: MlpModel, x) -> np.ndarray:
     """Network output: raw values (regression) or softmax probabilities."""
-    out, _ = _forward(model, as_matrix(x))
+    out, _ = relu_forward(model.weights, model.biases, as_matrix(x))
     if model.head == CLASSIFICATION:
         return softmax(out)
     return out
@@ -118,7 +148,7 @@ def latent_extract(model: MlpModel, layer_index: int, inputs, source: str = "") 
         raise BadLayerIndexError(
             f"layer_index {layer_index} outside [0, {model.n_hidden})"
         )
-    _, acts = _forward(model, as_matrix(inputs))
+    _, acts = relu_forward(model.weights, model.biases, as_matrix(inputs))
     return FeatureMatrix(acts[layer_index], layer=layer_index, source=source)
 
 
@@ -137,26 +167,12 @@ def _loss_and_grad_out(model, out, y):
     return loss, 2.0 * diff / diff.size
 
 
-def _backward(model, x, acts, grad_out):
-    """Gradients of the loss w.r.t. every weight and bias."""
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
-    upstream = grad_out
-    for l in range(len(model.weights) - 1, -1, -1):
-        a_in = acts[l - 1] if l > 0 else x
-        grads_w[l] = a_in.T @ upstream
-        grads_b[l] = upstream.sum(axis=0)
-        if l > 0:
-            upstream = (upstream @ model.weights[l].T) * (acts[l - 1] > 0)
-    return grads_w, grads_b
-
-
 def mlp_loss_gradients(model: MlpModel, x, y):
     """(loss, weight grads, bias grads) for a batch; reverse mode."""
     x = as_matrix(x)
-    out, acts = _forward(model, x)
+    out, acts = relu_forward(model.weights, model.biases, x)
     loss, grad_out = _loss_and_grad_out(model, out, y)
-    grads_w, grads_b = _backward(model, x, acts, grad_out)
+    grads_w, grads_b, _ = relu_backward(model.weights, x, acts, grad_out)
     return loss, grads_w, grads_b
 
 
@@ -253,15 +269,8 @@ def mlp_train_many(x, y, layer_dims, head, cfg: MlpTrainConfig, seeds):
     params = weights + biases
     opt = Adam(params, cfg.learning_rate, cfg.weight_decay)
 
-    x_stacked = np.ascontiguousarray(np.broadcast_to(x, (m,) + x.shape))
-
     def stacked_loss_grads():
-        acts = []
-        a = x_stacked
-        for w, b in zip(weights[:-1], biases[:-1]):
-            a = np.maximum(a @ w + b[:, None, :], 0.0)
-            acts.append(a)
-        out = (acts[-1] if acts else a) @ weights[-1] + biases[-1][:, None, :]
+        out, acts = relu_forward(weights, biases, x)
         n = x.shape[0]
         if head == CLASSIFICATION:
             shifted = out - out.max(axis=2, keepdims=True)
@@ -276,15 +285,7 @@ def mlp_train_many(x, y, layer_dims, head, cfg: MlpTrainConfig, seeds):
             diff = out - y[None, :, :]
             loss = float(np.mean(diff**2))
             grad = 2.0 * diff / (n * y.shape[1])
-        gw = [None] * len(weights)
-        gb = [None] * len(biases)
-        upstream = grad
-        for l in range(len(weights) - 1, -1, -1):
-            a_in = acts[l - 1] if l > 0 else x_stacked
-            gw[l] = a_in.transpose(0, 2, 1) @ upstream
-            gb[l] = upstream.sum(axis=1)
-            if l > 0:
-                upstream = (upstream @ weights[l].transpose(0, 2, 1)) * (acts[l - 1] > 0)
+        gw, gb, _ = relu_backward(weights, x, acts, grad)
         return loss, gw + gb
 
     losses = []

@@ -144,15 +144,6 @@ def fit_categorical(predicted_labels, classes=None, smoothing: float = 1.0) -> C
     return CategoricalPrior(classes=classes, log_probs=log_probs)
 
 
-def prior_log_pdf(prior: OutputPrior, y) -> float:
-    """Log density (continuous) or log mass (categorical) of ``y``.
-
-    Out-of-support points return -inf rather than raising: they carry zero
-    mass.
-    """
-    return prior.log_pdf(y)
-
-
 def betaprime_fit_mom(samples) -> BetaPrimePrior:
     """Method-of-moments beta-prime fit.
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from luq.flow import CondNet, ConditionalFlow, CouplingLayer, Subnet
+from luq.flow import ConditionalFlow, CouplingLayer, ReluNet
 from luq.gmm import ClassConditionalGmm, GaussianComponent, Gmm
 from luq.linalg import cholesky
 from luq.priors import CategoricalPrior
@@ -48,13 +48,13 @@ def gaussian_conditional_flow(scale_log=0.0):
     relu(-y); the scale net is constant via its output bias.
     """
     alpha = 2.0
-    cond = CondNet(weights=[np.array([[1.0, -1.0]])], biases=[np.zeros(2)])
-    translate = Subnet(
+    cond = ReluNet(weights=[np.array([[1.0, -1.0]])], biases=[np.zeros(2)])
+    translate = ReluNet(
         weights=[np.zeros((0, 2)), np.array([[-1.0], [1.0]])],
         biases=[np.zeros(2), np.zeros(1)],
         lift=np.eye(2),
     )
-    scale = Subnet(
+    scale = ReluNet(
         weights=[np.zeros((0, 2)), np.zeros((2, 1))],
         biases=[np.zeros(2), np.array([alpha * np.arctanh(scale_log / alpha)])],
         lift=np.zeros((2, 2)),

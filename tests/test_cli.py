@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -106,6 +107,27 @@ class TestFit:
 
     def test_missing_flag_exit_2(self):
         assert run_cli("fit", "--features", "x") == 2
+
+    @pytest.mark.parametrize("model, flag, value", [
+        ("gmm", "--components", "0"),
+        ("gmm", "--tol", "0"),
+        ("gmm", "--cov-reg", "-1"),
+        ("flow", "--val-fraction", "2"),
+        ("flow", "--patience", "0"),
+        ("flow", "--learning-rate", "0"),
+        ("flow", "--flow-layers", "0"),
+        ("flow", "--max-epochs", "0"),
+        ("flow", "--batch-size", "0"),
+        ("flow", "--flow-hidden", "0"),
+    ])
+    def test_bad_option_value_exit_2(self, tmp_path, blob_files, capsys, model, flag, value):
+        fpath, ppath = blob_files
+        model_path = tmp_path / "m.luqm"
+        code = run_cli("fit", "--features", str(fpath), "--predictions", str(ppath),
+                       "--model", model, flag, value, "--output", str(model_path))
+        assert code == 2
+        assert "usage error" in capsys.readouterr().err
+        assert not model_path.exists()
 
 
 class TestScore:
@@ -307,12 +329,17 @@ class TestPca:
         assert "eigenvalue_sum=" in capsys.readouterr().out
 
 
+def subprocess_env(**extra):
+    """The test process environment with ``src`` on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    env.update(extra)
+    return env
+
+
 class TestSubprocessEntry:
     def test_module_entry_and_exit_codes(self, tmp_path):
-        env = dict(PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        import os
-
-        env.update({k: v for k, v in os.environ.items() if k not in env})
+        env = subprocess_env()
         proc = subprocess.run(
             [sys.executable, "-m", "luq", "eval", "--mode", "bogus",
              "--input", "x", "--output", "y"],
@@ -328,3 +355,26 @@ class TestSubprocessEntry:
         )
         assert proc.returncode == 0
         assert b"auroc=1" in proc.stdout
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="thread count is read from /proc")
+    def test_luq_threads_caps_blas_pool(self):
+        env = subprocess_env(LUQ_THREADS="1")
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS"):
+            env.pop(var, None)
+        code = ("import luq.cli\n"
+                "for line in open('/proc/self/status'):\n"
+                "    if line.startswith('Threads:'):\n"
+                "        print(line.split()[1])\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              env=env, text=True, check=True)
+        assert proc.stdout.strip() == "1"
+
+    def test_import_leaves_scipy_out(self):
+        code = ("import sys, luq, luq.cli\n"
+                "print(sorted(m for m in sys.modules\n"
+                "             if m == 'scipy' or m.startswith('scipy.')))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              env=subprocess_env(), text=True, check=True)
+        assert proc.stdout.strip() == "[]"

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from luq import cli
 from luq.errors import DataFormatError
 from luq.fileio import (
     ModelBundle,
     format_float,
-    load_config,
     parse_config,
     read_csv_columns,
     read_features,
@@ -205,14 +205,19 @@ class TestRunConfig:
         entries = parse_config(p)
         assert entries == [(2, "components", "5"), (3, "seed", "7"),
                            (5, "prior", "uniform:-10:10")]
-        cfg = load_config(p, ["components", "seed", "prior"])
-        assert cfg == {"components": "5", "seed": "7", "prior": "uniform:-10:10"}
+        parser = cli.build_parser()
+        argv = cli._merge_config(["fit", "--features", "f", "--predictions", "p",
+                                  "--model", "gmm", "--output", "o",
+                                  "--config", str(p)], parser)
+        args = parser.parse_args(argv)
+        assert (args.components, args.seed, args.prior) == (5, 7, "uniform:-10:10")
 
-    def test_unknown_key_cites_line(self, tmp_path):
+    def test_unknown_key_cites_line(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
         p.write_text("components = 5\nbogus = 1\n")
-        with pytest.raises(DataFormatError, match="line 2"):
-            load_config(p, ["components"])
+        assert parse_config(p)[1] == (2, "bogus", "1")
+        assert cli.main(["fit", "--config", str(p)]) == 3
+        assert "line 2" in capsys.readouterr().err
 
     def test_malformed_line(self, tmp_path):
         p = tmp_path / "bad2.cfg"

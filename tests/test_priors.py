@@ -12,7 +12,6 @@ from luq.priors import (
     betaprime_fit_mom,
     fit_categorical,
     fit_histogram,
-    prior_log_pdf,
 )
 
 
@@ -55,20 +54,20 @@ class TestFitCategorical:
 class TestPriorLogPdf:
     def test_uniform(self):
         p = UniformPrior(-10.0, 10.0)
-        assert prior_log_pdf(p, 0.0) == pytest.approx(math.log(1 / 20), abs=1e-12)
-        assert prior_log_pdf(p, 0.0) == pytest.approx(-2.995732, abs=1e-6)
-        assert prior_log_pdf(p, 11.0) == -np.inf
+        assert p.log_pdf(0.0) == pytest.approx(math.log(1 / 20), abs=1e-12)
+        assert p.log_pdf(0.0) == pytest.approx(-2.995732, abs=1e-6)
+        assert p.log_pdf(11.0) == -np.inf
 
     def test_betaprime_1_1(self):
         # pdf at 1 with alpha = beta = 1 is 1/(1+1)^2 = 0.25
         p = BetaPrimePrior(1.0, 1.0)
-        assert prior_log_pdf(p, 1.0) == pytest.approx(math.log(0.25), abs=1e-12)
-        assert prior_log_pdf(p, -0.5) == -np.inf
+        assert p.log_pdf(1.0) == pytest.approx(math.log(0.25), abs=1e-12)
+        assert p.log_pdf(-0.5) == -np.inf
 
     def test_categorical(self):
         p = CategoricalPrior(classes=(0, 1), log_probs=np.log([0.75, 0.25]))
-        assert prior_log_pdf(p, 1) == pytest.approx(math.log(0.25), abs=1e-12)
-        assert prior_log_pdf(p, 7) == -np.inf
+        assert p.log_pdf(1) == pytest.approx(math.log(0.25), abs=1e-12)
+        assert p.log_pdf(7) == -np.inf
 
     def test_finite_inside_support(self):
         hist = fit_histogram(np.random.default_rng(1).uniform(2, 5, size=500), bins=8)
