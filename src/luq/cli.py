@@ -39,6 +39,7 @@ from .toy import (
     ToyRegressionSpec,
     gen_ood_data,
     perturb,
+    regression_eval_x,
     run_classification_study,
     run_regression_study,
 )
@@ -50,6 +51,12 @@ EXIT_DATA = 3
 
 class UsageError(Exception):
     """Bad flag combination or value; maps to exit code 2."""
+
+
+def _require(ok: bool, flag: str, rule: str, value) -> None:
+    """Commands check option values before they read a file or train."""
+    if not ok:
+        raise UsageError(f"{flag} must be {rule}, got {value}")
 
 
 def _emit(key, value):
@@ -107,6 +114,7 @@ def _parse_range(text: str, flag: str):
 def _fit_options(args):
     """``EmOptions`` for gmm, ``(FlowTrainConfig, FlowArchitecture)`` for
     flow.  Out-of-range flag values are usage errors."""
+    _require(args.pca is None or args.pca >= 1, "--pca", "at least 1", args.pca)
     try:
         if args.model == "gmm":
             return EmOptions(
@@ -199,6 +207,7 @@ def _grid_for(bundle: fileio.ModelBundle, args) -> SupportGrid:
 
 
 def cmd_score(args) -> int:
+    _require(args.grid >= 2, "--grid", "at least 2", args.grid)
     bundle = fileio.read_model(args.model)
     features = fileio.read_features(args.features)
     x = features.data
@@ -226,6 +235,14 @@ def cmd_score(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _require(0.0 < args.percentile_step <= 100.0, "--percentile-step", "in (0, 100]",
+             args.percentile_step)
+    thresholds = None
+    if args.thresholds:
+        try:
+            thresholds = np.array([float(t) for t in args.thresholds.split(",")])
+        except ValueError as exc:
+            raise UsageError(f"--thresholds: {exc}") from exc
     if args.mode == "ood":
         if args.plot:
             raise UsageError("--plot applies to calibration and rmse modes")
@@ -257,9 +274,7 @@ def cmd_eval(args) -> int:
         _emit("final_accuracy", float(curve.accuracies[-1]))
     else:  # rmse
         cols = fileio.read_csv_columns(args.input, ["error", "uncertainty"])
-        if args.thresholds:
-            thresholds = np.array([float(t) for t in args.thresholds.split(",")])
-        else:
+        if thresholds is None:
             thresholds = np.percentile(cols["uncertainty"], np.arange(5, 101, 5))
         values = rmse_below_uncertainty(cols["error"], cols["uncertainty"], thresholds)
         fileio.write_csv(args.output, ["threshold", "rmse"], [thresholds, values])
@@ -277,13 +292,24 @@ def cmd_eval(args) -> int:
 # --- toy -------------------------------------------------------------------
 
 
-def _toy_regression(args, out) -> int:
-    spec = ToyRegressionSpec(
-        n_train=args.n_train,
-        gap=_parse_range(args.gap, "--gap"),
-        noise_sigma=args.noise,
-        seed=args.seed,
-    )
+def _toy_spec(args):
+    """The toy study's spec from the flags; bad values are usage errors."""
+    try:
+        if args.kind == "classification":
+            return ToyClassificationSpec(
+                sigma=args.cluster_sigma, n_per_class=args.per_class, seed=args.seed
+            )
+        _require(args.grid >= 2, "--grid", "at least 2", args.grid)
+        _require(0.0 < args.mass < 1.0, "--mass", "in (0, 1)", args.mass)
+        spec = ToyRegressionSpec(n_train=args.n_train, gap=_parse_range(args.gap, "--gap"),
+                                 noise_sigma=args.noise, seed=args.seed)
+        regression_eval_x(spec, args.eval_points)
+        return spec
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _toy_regression(args, spec, out) -> int:
     study = run_regression_study(
         spec,
         eval_points=args.eval_points,
@@ -337,12 +363,7 @@ def _toy_regression(args, out) -> int:
     return EXIT_OK
 
 
-def _toy_classification(args, out) -> int:
-    spec = ToyClassificationSpec(
-        sigma=args.cluster_sigma,
-        n_per_class=args.per_class,
-        seed=args.seed,
-    )
+def _toy_classification(args, spec, out) -> int:
     study = run_classification_study(
         spec, em_opts=EmOptions(n_components=args.components, cov_reg=args.cov_reg,
                                 seed=args.seed),
@@ -392,6 +413,7 @@ def _toy_classification(args, out) -> int:
 def cmd_toy(args) -> int:
     from pathlib import Path
 
+    spec = _toy_spec(args)
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -401,14 +423,15 @@ def cmd_toy(args) -> int:
     except OSError as exc:
         raise fileio.DataFormatError(f"{out}: not writable: {exc}") from exc
     if args.kind == "regression":
-        return _toy_regression(args, out)
-    return _toy_classification(args, out)
+        return _toy_regression(args, spec, out)
+    return _toy_classification(args, spec, out)
 
 
 # --- pca -------------------------------------------------------------------
 
 
 def cmd_pca(args) -> int:
+    _require(args.out_dim >= 1, "--out-dim", "at least 1", args.out_dim)
     features = fileio.read_features(args.features)
     model = pca_fit(features.data, args.out_dim, whiten=args.whiten)
     transformed = pca_transform(model, features.data)

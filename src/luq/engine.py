@@ -1,11 +1,13 @@
 """Core uncertainty scoring.
 
 Epistemic uncertainty is the surprisal -log p(z) of a latent vector under
-the training-set latent density, obtained by marginalizing the
-output-conditional density over the output prior (summation for classes,
-trapezoid quadrature on a support grid for scalar outputs).  Aleatoric
-uncertainty is the entropy of the Bayes posterior over outputs given z.
-All mixing of log-densities happens in log space with max-shifted sums.
+the training-set latent density p(z) = sum_y w_y p(z|y) p(y); aleatoric
+uncertainty is the entropy of the Bayes posterior p(y|z).  One kernel,
+``_posterior_scores``, computes both from log p(z|y) + log p(y) and the
+quadrature weights w_y: 1 for classes, trapezoid weights on a support grid
+for scalar outputs.  The single-row ``epistemic_*`` and ``aleatoric_*``
+functions are views of ``score_classification`` and ``score_regression``.
+All sums of densities run in log space with a max shift.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from .errors import GridTooCoarseWarning, MassUnreachableError, MissingClassDensityError
 from .flow import ConditionalFlow, flow_log_prob
 from .gmm import ClassConditionalGmm, gmm_log_prob
-from .linalg import logsumexp
+from .linalg import as_matrix, logsumexp
 from .priors import CategoricalPrior, OutputPrior
 
 
@@ -44,6 +46,8 @@ class SupportGrid:
     def from_range(cls, lo: float, hi: float, n: int) -> "SupportGrid":
         if not lo < hi:
             raise ValueError("need lo < hi")
+        if n < 2:
+            raise ValueError(f"support grid needs at least 2 points, got {n}")
         pts = np.linspace(lo, hi, n)
         return cls(points=pts, spacing=(hi - lo) / (n - 1))
 
@@ -80,16 +84,19 @@ class UncertaintyScores:
             raise ValueError("score vectors must have equal length")
 
 
-def _posterior_scores(log_joint: np.ndarray):
-    """Scores from a (n, K) matrix of log p(z|k) + log p(k).
+def _posterior_scores(log_joint: np.ndarray, weights=1.0):
+    """Scores from a (n, K) matrix of log p(z|y_k) + log p(y_k).
 
-    Returns (-log marginal, posterior entropy, posterior) per row.
+    ``weights`` are the quadrature weights of the K outputs: 1 for classes,
+    the trapezoid weights for a support grid.  Returns, per row, -log p(z),
+    the posterior entropy, and the posterior (a probability over classes,
+    a density on a grid).
     """
-    log_mass = logsumexp(log_joint, axis=1)
+    log_mass = logsumexp(log_joint + np.log(weights), axis=1)
     log_post = log_joint - log_mass[:, None]
     post = np.exp(log_post)
     with np.errstate(invalid="ignore"):
-        ent = -np.sum(np.where(post > 0.0, post * log_post, 0.0), axis=1) + 0.0
+        ent = -np.sum(np.where(post > 0.0, weights * post * log_post, 0.0), axis=1) + 0.0
     return -log_mass, ent, post
 
 
@@ -98,9 +105,7 @@ def class_log_joint(d: ClassConditionalGmm, prior: CategoricalPrior, z) -> np.nd
     missing = [c for c in prior.classes if c not in d.per_class]
     if missing:
         raise MissingClassDensityError(f"no density for classes {missing}")
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim == 1:
-        z = z[None, :]
+    z = as_matrix(z)
     cols = [
         gmm_log_prob(d.per_class[c], z) + prior.log_probs[i]
         for i, c in enumerate(prior.classes)
@@ -112,17 +117,17 @@ def epistemic_classification(d: ClassConditionalGmm, prior: CategoricalPrior, z)
     """-log p(z) by summing the class-conditional densities against the
     class prior."""
     single = np.asarray(z).ndim == 1
-    epi, _, _ = _posterior_scores(class_log_joint(d, prior, z))
+    epi = score_classification(d, prior, z).epistemic
     return float(epi[0]) if single else epi
 
 
 def aleatoric_classification(d: ClassConditionalGmm, prior: CategoricalPrior, z):
     """Entropy of the Bayes posterior over classes, plus that posterior."""
     single = np.asarray(z).ndim == 1
-    _, ent, post = _posterior_scores(class_log_joint(d, prior, z))
+    s = score_classification(d, prior, z)
     if single:
-        return float(ent[0]), post[0]
-    return ent, post
+        return float(s.aleatoric[0]), s.posterior[0]
+    return s.aleatoric, s.posterior
 
 
 def score_classification(d: ClassConditionalGmm, prior: CategoricalPrior, z) -> UncertaintyScores:
@@ -133,46 +138,6 @@ def score_classification(d: ClassConditionalGmm, prior: CategoricalPrior, z) -> 
 
 def _grid_log_prior(prior: OutputPrior, grid: SupportGrid) -> np.ndarray:
     return np.array([prior.log_pdf(float(y)) for y in grid.points])
-
-
-def _regression_log_joint(flow: ConditionalFlow, grid: SupportGrid, z,
-                          log_prior_grid: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64).ravel()
-    g = grid.points.size
-    z_tiled = np.broadcast_to(z, (g, z.size))
-    cond = grid.points[:, None]
-    return flow_log_prob(flow, z_tiled, cond) + log_prior_grid
-
-
-def _log_trapz(log_values: np.ndarray, grid: SupportGrid) -> float:
-    """log of the trapezoid integral of exp(log_values) over the grid."""
-    with np.errstate(divide="ignore"):
-        log_w = np.log(grid.trapezoid_weights())
-    return logsumexp(log_values + log_w)
-
-
-def epistemic_regression(flow: ConditionalFlow, prior: OutputPrior, grid: SupportGrid,
-                         z, self_check: bool = False) -> float:
-    """-log p(z) by trapezoid quadrature of p(z|y) p(y) over the grid.
-
-    The integrand is combined in log space via a max-shifted sum.  With
-    ``self_check`` the quadrature is repeated at half the spacing and a
-    GridTooCoarseWarning is emitted if the value moves by more than 1e-3.
-    """
-    log_prior_grid = _grid_log_prior(prior, grid)
-    value = -_log_trapz(_regression_log_joint(flow, grid, z, log_prior_grid), grid)
-    if self_check:
-        fine = grid.refined()
-        fine_value = -_log_trapz(
-            _regression_log_joint(flow, fine, z, _grid_log_prior(prior, fine)), fine
-        )
-        if abs(fine_value - value) > 1e-3:
-            warnings.warn(
-                f"halving the grid spacing moved -log p(z) by "
-                f"{abs(fine_value - value):.3e}",
-                GridTooCoarseWarning,
-            )
-    return value
 
 
 @dataclass(frozen=True)
@@ -188,54 +153,55 @@ class RegressionPosterior:
     density: np.ndarray
     log_marginal: float
 
-    def mean(self) -> float:
-        w = self.grid.trapezoid_weights()
-        return float(np.sum(w * self.density * self.grid.points))
-
-
-def aleatoric_regression(flow: ConditionalFlow, prior: OutputPrior, grid: SupportGrid, z):
-    """Differential entropy of the posterior over outputs, plus the
-    posterior itself.
-
-    The entropy of a density may be negative; it is reported as-is.
-    """
-    log_prior_grid = _grid_log_prior(prior, grid)
-    log_joint = _regression_log_joint(flow, grid, z, log_prior_grid)
-    log_mass = _log_trapz(log_joint, grid)
-    log_q = log_joint - log_mass
-    q = np.exp(log_q)
-    w = grid.trapezoid_weights()
-    with np.errstate(invalid="ignore"):
-        ent = -float(np.sum(np.where(q > 0.0, w * q * log_q, 0.0)))
-    return ent, RegressionPosterior(grid=grid, density=q, log_marginal=float(log_mass))
-
 
 def score_regression(flow: ConditionalFlow, prior: OutputPrior, grid: SupportGrid,
                      z, keep_posteriors: bool = False) -> UncertaintyScores:
     """Both regression scores for a batch of latent vectors.
 
-    One quadrature pass per row; pass ``keep_posteriors`` to retain the
-    (n, grid) posterior densities.
+    Each row is scored on the whole grid with one flow call; pass
+    ``keep_posteriors`` to retain the (n, grid) posterior densities.
     """
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim == 1:
-        z = z[None, :]
+    z = as_matrix(z)
+    (n, d), g = z.shape, grid.points.size
     log_prior_grid = _grid_log_prior(prior, grid)
+    cond = grid.points[:, None]
     w = grid.trapezoid_weights()
-    epi = np.empty(z.shape[0])
-    ale = np.empty(z.shape[0])
-    post = np.empty((z.shape[0], grid.points.size)) if keep_posteriors else None
-    for i in range(z.shape[0]):
-        log_joint = _regression_log_joint(flow, grid, z[i], log_prior_grid)
-        log_mass = _log_trapz(log_joint, grid)
-        log_q = log_joint - log_mass
-        q = np.exp(log_q)
-        epi[i] = -log_mass
-        with np.errstate(invalid="ignore"):
-            ale[i] = -float(np.sum(np.where(q > 0.0, w * q * log_q, 0.0)))
+    epi, ale = np.empty(n), np.empty(n)
+    post = np.empty((n, g)) if keep_posteriors else None
+    for i in range(n):
+        log_joint = flow_log_prob(flow, np.broadcast_to(z[i], (g, d)), cond) + log_prior_grid
+        epi[i:i + 1], ale[i:i + 1], q = _posterior_scores(log_joint[None, :], w)
         if post is not None:
-            post[i] = q
+            post[i] = q[0]
     return UncertaintyScores(epistemic=epi, aleatoric=ale, posterior=post)
+
+
+def epistemic_regression(flow: ConditionalFlow, prior: OutputPrior, grid: SupportGrid,
+                         z, self_check: bool = False) -> float:
+    """-log p(z) of one latent vector by trapezoid quadrature of
+    p(z|y) p(y) over the grid.
+
+    With ``self_check`` the quadrature is repeated at half the spacing and
+    a GridTooCoarseWarning is emitted if the value moves by more than 1e-3.
+    """
+    z = np.reshape(z, (1, -1))
+    value = float(score_regression(flow, prior, grid, z).epistemic[0])
+    if self_check:
+        moved = abs(score_regression(flow, prior, grid.refined(), z).epistemic[0] - value)
+        if moved > 1e-3:
+            warnings.warn(f"halving the grid spacing moved -log p(z) by {moved:.3e}",
+                          GridTooCoarseWarning)
+    return value
+
+
+def aleatoric_regression(flow: ConditionalFlow, prior: OutputPrior, grid: SupportGrid, z):
+    """Differential entropy of the posterior over outputs for one latent
+    vector, plus the posterior itself.
+
+    The entropy of a density may be negative; it is reported as-is.
+    """
+    s = score_regression(flow, prior, grid, np.reshape(z, (1, -1)), keep_posteriors=True)
+    return float(s.aleatoric[0]), RegressionPosterior(grid, s.posterior[0], float(-s.epistemic[0]))
 
 
 def confidence_region(posterior: RegressionPosterior, prediction: float,

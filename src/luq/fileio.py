@@ -80,10 +80,9 @@ def _unpack_array(r: _Reader) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
 
 
-def write_matrix(path, data, layer: int | None = None) -> None:
+def write_matrix(path, data) -> None:
     """Write a feature matrix in the binary container."""
     if isinstance(data, FeatureMatrix):
-        layer = data.layer if layer is None else layer
         data = data.data
     arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
     if arr.ndim == 1:
@@ -113,7 +112,7 @@ def read_matrix(path) -> FeatureMatrix:
             f"(offset {r.pos})"
         )
     data = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
-    return FeatureMatrix(data, source=str(path))
+    return FeatureMatrix(data)
 
 
 def _read_csv_matrix(path) -> FeatureMatrix:
@@ -139,16 +138,21 @@ def _read_csv_matrix(path) -> FeatureMatrix:
             raise DataFormatError(
                 f"{path}: row {i} has {len(rows[-1])} columns, expected {len(rows[0])}"
             )
-    return FeatureMatrix(np.asarray(rows, dtype=np.float64), source=str(path))
+    return FeatureMatrix(np.asarray(rows, dtype=np.float64))
 
 
 def read_features(path) -> FeatureMatrix:
-    """Read features from either the binary container or a CSV file."""
+    """Read features from either the binary container or a CSV file; a NaN
+    or infinite entry is a data error naming the first data row holding one."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
-    if magic == MATRIX_MAGIC:
-        return read_matrix(path)
-    return _read_csv_matrix(path)
+    fm = read_matrix(path) if magic == MATRIX_MAGIC else _read_csv_matrix(path)
+    bad = ~np.isfinite(fm.data).all(axis=1)
+    if bad.any():
+        raise DataFormatError(
+            f"{path}: data row {int(np.argmax(bad)) + 1} holds a NaN or infinite value"
+        )
+    return fm
 
 
 def read_values(path) -> np.ndarray:

@@ -22,16 +22,9 @@ from .errors import (
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """n x d matrix of latent vectors with provenance metadata.
-
-    ``data`` is row-major float64; ``layer`` records which network layer the
-    rows were extracted from and ``source`` tags their origin (file path,
-    generator name, ...).
-    """
+    """n x d matrix of latent vectors; ``data`` is row-major float64."""
 
     data: np.ndarray
-    layer: int | None = None
-    source: str = ""
 
     def __post_init__(self):
         arr = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))

@@ -141,7 +141,7 @@ def mlp_predict(model: MlpModel, x) -> np.ndarray:
     return out
 
 
-def latent_extract(model: MlpModel, layer_index: int, inputs, source: str = "") -> FeatureMatrix:
+def latent_extract(model: MlpModel, layer_index: int, inputs) -> FeatureMatrix:
     """Post-activation outputs of hidden layer ``layer_index``, one row per
     input.  The penultimate layer is ``model.n_hidden - 1``."""
     if not 0 <= layer_index < model.n_hidden:
@@ -149,7 +149,7 @@ def latent_extract(model: MlpModel, layer_index: int, inputs, source: str = "") 
             f"layer_index {layer_index} outside [0, {model.n_hidden})"
         )
     _, acts = relu_forward(model.weights, model.biases, as_matrix(inputs))
-    return FeatureMatrix(acts[layer_index], layer=layer_index, source=source)
+    return FeatureMatrix(acts[layer_index])
 
 
 def _loss_and_grad_out(model, out, y):

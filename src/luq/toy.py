@@ -88,6 +88,8 @@ class ToyClassificationSpec:
     def __post_init__(self):
         if self.n_classes < 2:
             raise ValueError("need at least 2 classes")
+        if self.n_per_class < 1:
+            raise ValueError(f"need at least 1 sample per class, got {self.n_per_class}")
 
     def centers(self) -> np.ndarray:
         corners = np.array(
@@ -238,6 +240,16 @@ class RegressionStudy:
 REGRESSION_MLP_DIMS = (1, 50, 50, 50, 50, 1)
 
 
+def regression_eval_x(spec: ToyRegressionSpec, eval_points: int) -> np.ndarray:
+    """``eval_points`` evenly spaced inputs over the x range, some inside the
+    gap and some outside it."""
+    x = np.linspace(spec.x_lo, spec.x_hi, eval_points)
+    in_gap = (x > spec.gap[0]) & (x < spec.gap[1])
+    if in_gap.all() or not in_gap.any():
+        raise ValueError(f"{eval_points} evaluation points miss the gap or the training region")
+    return x
+
+
 def run_regression_study(
     spec: ToyRegressionSpec | None = None,
     eval_points: int = 201,
@@ -261,12 +273,13 @@ def run_regression_study(
     uncertainties plus a predictive confidence band.
     """
     spec = spec or ToyRegressionSpec()
+    eval_x = regression_eval_x(spec, eval_points)
     train_x, train_y = gen_regression_data(spec)
 
     mlp_cfg = mlp_cfg or MlpTrainConfig(seed=spec.seed)
     model, losses = mlp_train(train_x, train_y, REGRESSION_MLP_DIMS, REGRESSION, mlp_cfg)
 
-    train_latents = latent_extract(model, model.n_hidden - 1, train_x, source="toy-train").data
+    train_latents = latent_extract(model, model.n_hidden - 1, train_x).data
     pca = None
     if pca_dim is not None:
         pca = pca_fit(train_latents, pca_dim)
@@ -283,7 +296,6 @@ def run_regression_study(
     prior = UniformPrior(prior_lo, prior_hi)
     grid = SupportGrid.from_range(prior_lo, prior_hi, grid_points)
 
-    eval_x = np.linspace(spec.x_lo, spec.x_hi, eval_points)
     eval_latents = latent_extract(model, model.n_hidden - 1, eval_x[:, None]).data
     if pca is not None:
         eval_latents = pca_transform(pca, eval_latents)
@@ -384,7 +396,7 @@ def run_classification_study(
     mlp_cfg = mlp_cfg or MlpTrainConfig(max_epochs=800, seed=spec.seed)
     model, _ = mlp_train(train_x, train_labels, dims, CLASSIFICATION, mlp_cfg)
 
-    latents = latent_extract(model, latent_layer, train_x, source="toy-train").data
+    latents = latent_extract(model, latent_layer, train_x).data
     pca = None
     if pca_dim is not None:
         pca = pca_fit(latents, pca_dim)

@@ -112,6 +112,7 @@ class TestFit:
         ("gmm", "--components", "0"),
         ("gmm", "--tol", "0"),
         ("gmm", "--cov-reg", "-1"),
+        ("gmm", "--pca", "0"),
         ("flow", "--val-fraction", "2"),
         ("flow", "--patience", "0"),
         ("flow", "--learning-rate", "0"),
@@ -128,6 +129,78 @@ class TestFit:
         assert code == 2
         assert "usage error" in capsys.readouterr().err
         assert not model_path.exists()
+
+
+class TestOptionValues:
+    """Out-of-range option values exit 2 before any file is read or any
+    directory made: the inputs named here do not exist."""
+
+    @pytest.mark.parametrize("argv", [
+        ["score", "--grid", "1"],
+        ["score", "--grid", "0"],
+        ["toy", "regression", "--grid", "1"],
+        ["toy", "regression", "--mass", "1.5"],
+        ["toy", "regression", "--eval-points", "0"],
+        ["toy", "regression", "--eval-points", "2"],
+        ["toy", "regression", "--gap", "0.5:2"],
+        ["toy", "classification", "--per-class", "0"],
+        ["pca", "--out-dim", "0"],
+        ["eval", "--mode", "calibration", "--percentile-step", "0"],
+        ["eval", "--mode", "rmse", "--thresholds", "a,b"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_exit_2_before_any_work(self, tmp_path, capsys, argv):
+        missing = str(tmp_path / "missing")
+        files = {
+            "score": ["--model", missing, "--features", missing],
+            "toy": ["--out", str(tmp_path / "out")],
+            "pca": ["--features", missing],
+            "eval": ["--input", missing],
+        }[argv[0]]
+        output = [] if argv[0] == "toy" else ["--output", str(tmp_path / "o")]
+        assert run_cli(*argv, *files, *output) == 2
+        assert "usage error" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == []
+
+
+class TestNonFiniteFeatures:
+    @staticmethod
+    def write_features(path, data, kind):
+        if kind == "csv":
+            lines = [",".join(f"f{j}" for j in range(data.shape[1]))]
+            lines += [",".join(repr(float(v)) for v in row) for row in data]
+            path.write_text("\n".join(lines) + "\n")
+        else:
+            write_matrix(path, data)
+
+    @pytest.mark.parametrize("kind", ["luq1", "csv"])
+    def test_fit_exit_3_names_file_and_row(self, tmp_path, blob_files, capsys, kind):
+        _, ppath = blob_files
+        features = np.random.default_rng(0).normal(size=(120, 2))
+        features[6, 1] = np.nan
+        fpath = tmp_path / f"features.{kind}"
+        self.write_features(fpath, features, kind)
+        model_path = tmp_path / "m.luqm"
+        code = run_cli("fit", "--features", str(fpath), "--predictions", str(ppath),
+                       "--model", "gmm", "--output", str(model_path))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(fpath) in err and "data row 7" in err
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize("kind", ["luq1", "csv"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_score_exit_3_names_file_and_row(self, tmp_path, capsys, kind, bad):
+        model_path = tmp_path / "ref.luqm"
+        write_model(model_path, two_class_reference_model())
+        fpath = tmp_path / f"z.{kind}"
+        self.write_features(fpath, np.array([[0.0], [bad], [1.0]]), kind)
+        out = tmp_path / "s.csv"
+        code = run_cli("score", "--model", str(model_path), "--features", str(fpath),
+                       "--output", str(out))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(fpath) in err and "data row 2" in err
+        assert not out.exists()
 
 
 class TestScore:

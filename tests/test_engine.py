@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -138,6 +139,22 @@ class TestClassificationScores:
             np.testing.assert_allclose(post, post_ref, atol=1e-10)
             np.testing.assert_allclose(ent, ent_ref, atol=1e-10)
 
+    def test_weighted_matches_brute_force(self):
+        # quadrature weights: p(z) = sum w exp(lj), entropy -sum w q log q
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            n = int(rng.integers(1, 6))
+            k = int(rng.integers(2, 30))
+            log_joint = rng.normal(scale=3.0, size=(n, k))
+            w = rng.uniform(0.01, 2.0, size=k)
+            epi, ent, post = _posterior_scores(log_joint, w)
+            p_z = np.sum(w * np.exp(log_joint), axis=1)
+            q = np.exp(log_joint) / p_z[:, None]
+            np.testing.assert_allclose(epi, -np.log(p_z), atol=1e-10)
+            np.testing.assert_allclose(post, q, rtol=1e-10)
+            np.testing.assert_allclose(np.sum(w * post, axis=1), 1.0, atol=1e-12)
+            np.testing.assert_allclose(ent, -np.sum(w * q * np.log(q), axis=1), atol=1e-10)
+
     def test_constant_shift_invariance(self):
         rng = np.random.default_rng(1)
         log_joint = rng.normal(size=(8, 4))
@@ -215,6 +232,17 @@ class TestRegressionScores:
         with pytest.warns(GridTooCoarseWarning):
             epistemic_regression(flow, prior, coarse, np.zeros(1), self_check=True)
 
+    def test_self_check_is_silent_on_fine_grid(self):
+        flow = gaussian_conditional_flow(math.log(2.0))
+        prior = UniformPrior(-10.0, 10.0)
+        grid = SupportGrid.from_range(-10.0, 10.0, 1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", GridTooCoarseWarning)
+            checked = epistemic_regression(flow, prior, grid, np.array([0.3]),
+                                           self_check=True)
+        batch = score_regression(flow, prior, grid, np.array([[0.3]]))
+        assert checked == batch.epistemic[0]
+
     def test_posterior_integrates_to_one(self):
         flow = gaussian_conditional_flow(math.log(2.0))
         grid = SupportGrid.from_range(-10.0, 10.0, 500)
@@ -259,6 +287,7 @@ class TestRegressionScores:
             ent, post = aleatoric_regression(flow, prior, grid, zs[i])
             assert scores.aleatoric[i] == pytest.approx(ent, abs=1e-12)
             np.testing.assert_allclose(scores.posterior[i], post.density, atol=1e-12)
+            assert post.log_marginal == pytest.approx(-scores.epistemic[i], abs=1e-12)
 
 
 def normal_posterior_on(grid):

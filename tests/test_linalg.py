@@ -201,10 +201,9 @@ class TestPca:
 
 
 class TestFeatureMatrix:
-    def test_wraps_and_records_provenance(self):
-        fm = FeatureMatrix(np.arange(6.0).reshape(2, 3), layer=1, source="unit")
+    def test_wraps_rows_and_cols(self):
+        fm = FeatureMatrix(np.arange(6.0).reshape(2, 3))
         assert fm.rows == 2 and fm.cols == 3
-        assert fm.layer == 1 and fm.source == "unit"
 
     def test_rejects_bad_shape(self):
         with pytest.raises(DimMismatchError):

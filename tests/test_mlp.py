@@ -126,7 +126,6 @@ class TestLatentExtract:
         fm = latent_extract(model, model.n_hidden - 1, x)
         assert fm.data.shape == (2, 50)
         np.testing.assert_array_equal(fm.data[0], fm.data[1])
-        assert fm.layer == model.n_hidden - 1
 
     def test_zero_weight_network_gives_zero_features(self):
         model = mlp_init((2, 4, 4, 1), seed=0)
