@@ -42,6 +42,7 @@ from .flow import (
     FlowArchitecture,
     FlowTrainConfig,
     build_flow,
+    flow_condition,
     flow_forward,
     flow_gradients,
     flow_inverse,

@@ -159,7 +159,7 @@ def cmd_fit(args) -> int:
 
     pca = None
     if args.pca is not None:
-        pca = pca_fit(x, args.pca, whiten=args.whiten)
+        pca = _pca_fit(x, args.pca, args.whiten, "--pca")
         x = pca_transform(pca, x)
         _emit("pca_dim", args.pca)
 
@@ -430,10 +430,19 @@ def cmd_toy(args) -> int:
 # --- pca -------------------------------------------------------------------
 
 
+def _pca_fit(x, out_dim: int, whiten: bool, flag: str):
+    """``pca_fit`` with its bounds, which depend on the file read, as
+    usage errors."""
+    try:
+        return pca_fit(x, out_dim, whiten=whiten)
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from exc
+
+
 def cmd_pca(args) -> int:
     _require(args.out_dim >= 1, "--out-dim", "at least 1", args.out_dim)
     features = fileio.read_features(args.features)
-    model = pca_fit(features.data, args.out_dim, whiten=args.whiten)
+    model = _pca_fit(features.data, args.out_dim, args.whiten, "--out-dim")
     transformed = pca_transform(model, features.data)
     fileio.write_matrix(args.output, transformed)
     total = float(np.sum(model.eigenvalues))

@@ -7,7 +7,9 @@ uncertainty is the entropy of the Bayes posterior p(y|z).  One kernel,
 quadrature weights w_y: 1 for classes, trapezoid weights on a support grid
 for scalar outputs.  The single-row ``epistemic_*`` and ``aleatoric_*``
 functions are views of ``score_classification`` and ``score_regression``.
-All sums of densities run in log space with a max shift.
+Regression scoring conditions the flow on the support grid once per call
+(``flow.flow_condition``) and runs each latent row against that shared
+conditioning.  All sums of densities run in log space with a max shift.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooCoarseWarning, MassUnreachableError, MissingClassDensityError
-from .flow import ConditionalFlow, flow_log_prob
+from .flow import ConditionalFlow, flow_condition, flow_log_prob
 from .gmm import ClassConditionalGmm, gmm_log_prob
 from .linalg import as_matrix, logsumexp
 from .priors import CategoricalPrior, OutputPrior
@@ -136,10 +138,6 @@ def score_classification(d: ClassConditionalGmm, prior: CategoricalPrior, z) -> 
     return UncertaintyScores(epistemic=epi, aleatoric=ent, posterior=post)
 
 
-def _grid_log_prior(prior: OutputPrior, grid: SupportGrid) -> np.ndarray:
-    return np.array([prior.log_pdf(float(y)) for y in grid.points])
-
-
 @dataclass(frozen=True)
 class RegressionPosterior:
     """Bayes posterior density over the support grid for one latent vector.
@@ -158,18 +156,19 @@ def score_regression(flow: ConditionalFlow, prior: OutputPrior, grid: SupportGri
                      z, keep_posteriors: bool = False) -> UncertaintyScores:
     """Both regression scores for a batch of latent vectors.
 
-    Each row is scored on the whole grid with one flow call; pass
-    ``keep_posteriors`` to retain the (n, grid) posterior densities.
+    The flow is conditioned on the grid once; each row is then scored
+    against the whole grid with one flow call.  Pass ``keep_posteriors``
+    to retain the (n, grid) posterior densities.
     """
     z = as_matrix(z)
-    (n, d), g = z.shape, grid.points.size
-    log_prior_grid = _grid_log_prior(prior, grid)
-    cond = grid.points[:, None]
+    n, g = z.shape[0], grid.points.size
+    log_prior_grid = prior.log_pdf(grid.points)
+    cond = flow_condition(flow, grid.points[:, None])
     w = grid.trapezoid_weights()
     epi, ale = np.empty(n), np.empty(n)
     post = np.empty((n, g)) if keep_posteriors else None
     for i in range(n):
-        log_joint = flow_log_prob(flow, np.broadcast_to(z[i], (g, d)), cond) + log_prior_grid
+        log_joint = flow_log_prob(flow, z[i:i + 1], cond) + log_prior_grid
         epi[i:i + 1], ale[i:i + 1], q = _posterior_scores(log_joint[None, :], w)
         if post is not None:
             post[i] = q[0]

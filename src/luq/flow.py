@@ -6,6 +6,15 @@ from the copied half and a conditioning input.  Likelihoods come from the
 change-of-variables formula; gradients for training are computed by
 hand-rolled reverse mode, no autodiff framework involved.
 
+The conditioning half of every layer (the condition net's feature and its
+lift into the first hidden pre-activation of both subnets) depends on the
+condition alone.  ``flow_condition`` computes it once for a batch of
+conditions; the result stands in for ``c`` in ``flow_log_prob``,
+``flow_forward`` and ``flow_inverse``, and a single row of ``z`` is then
+run against every condition row.  Regression scoring conditions on the
+support grid this way once per score call and reuses it for every latent
+row.
+
 The raw scale output is soft-clamped to s = clamp * tanh(raw / clamp)
 before exponentiation, which keeps the map invertible and the
 log-determinant bounded regardless of what the subnets produce.
@@ -13,15 +22,18 @@ log-determinant bounded regardless of what the subnets produce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimMismatchError, DivergedError
+from .errors import DimMismatchError, DivergedError, TooFewSamplesError
 from .linalg import as_matrix
 from .mlp import Adam, glorot_uniform, relu_backward, relu_forward
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+
+MIN_TRAIN_ROWS = 10  # flow_train's minimum
 
 
 class ReluNet:
@@ -29,9 +41,9 @@ class ReluNet:
 
     Without ``lift`` it is the condition net, mapping the condition to the
     feature shared by a layer's subnets.  With ``lift`` it is a coupling
-    subnet: it maps the copied coordinates to the transformed ones, with the
-    conditioning feature lifted additively into the first hidden
-    pre-activation.
+    subnet: it maps the copied coordinates to the transformed ones, with
+    the lifted conditioning feature ``feat @ lift`` added into the first
+    hidden pre-activation.
     """
 
     def __init__(self, weights, biases, lift=None):
@@ -43,20 +55,31 @@ class ReluNet:
         extra = [] if self.lift is None else [self.lift]
         return [*self.weights, *self.biases, *extra]
 
-    def forward(self, x, feat=None):
-        lifted = None if self.lift is None else feat @ self.lift
+    def forward(self, x, lifted=None):
         out, acts = relu_forward(self.weights, self.biases, x, lifted)
-        return out, (x, feat, acts)
+        return out, (x, acts)
 
-    def backward(self, cache, dout):
+    def backward(self, cache, dout, feat=None):
         """Returns (param grads, gradient w.r.t. the input, gradient w.r.t.
-        the lifted feature or None)."""
-        x, feat, acts = cache
+        the feature or None).  A subnet needs the feature ``feat`` its lift
+        was applied to."""
+        x, acts = cache
         gw, gb, dpre = relu_backward(self.weights, x, acts, dout)
         dx = dpre @ self.weights[0].T
         if self.lift is None:
             return [*gw, *gb], dx, None
         return [*gw, *gb, feat.T @ dpre], dx, dpre @ self.lift.T
+
+
+class LayerCondition(NamedTuple):
+    """One coupling layer's conditioning for a batch of conditions: the
+    condition-net feature with its backward cache, and the feature lifted
+    into the scale and translate subnets."""
+
+    feat: np.ndarray
+    cache: tuple
+    scale_lift: np.ndarray
+    translate_lift: np.ndarray
 
 
 @dataclass
@@ -66,7 +89,9 @@ class CouplingLayer:
     ``part1`` is copied unchanged and drives the transform of ``part2``:
     out2 = (in2 + translate) * exp(s) with s the soft-clamped scale output;
     the log-determinant is sum(s).  For dim 1 ``part1`` is empty and both
-    subnets see only the condition.
+    subnets see only the condition.  ``forward`` and ``inverse`` take the
+    layer's ``condition`` of the batch; an input of one row is transformed
+    under every condition row.
     """
 
     part1: np.ndarray
@@ -83,33 +108,35 @@ class CouplingLayer:
             + self.cond_net.params()
         )
 
-    def forward(self, u, c):
-        u1 = u[:, self.part1]
-        u2 = u[:, self.part2]
-        feat, cond_cache = self.cond_net.forward(c)
-        s_raw, s_cache = self.scale_net.forward(u1, feat)
-        s = self.scale_clamp * np.tanh(s_raw / self.scale_clamp)
-        t, t_cache = self.translate_net.forward(u1, feat)
-        exp_s = np.exp(s)
-        v2 = (u2 + t) * exp_s
-        out = np.empty_like(u)
-        out[:, self.part1] = u1
-        out[:, self.part2] = v2
-        log_det = s.sum(axis=1)
-        cache = (u2, feat, cond_cache, s_cache, t_cache, s, exp_s, v2)
-        return out, log_det, cache
+    def condition(self, c) -> LayerCondition:
+        feat, cache = self.cond_net.forward(c)
+        return LayerCondition(feat, cache, feat @ self.scale_net.lift,
+                              feat @ self.translate_net.lift)
 
-    def inverse(self, v, c):
-        v1 = v[:, self.part1]
-        v2 = v[:, self.part2]
-        feat, _ = self.cond_net.forward(c)
-        s_raw, _ = self.scale_net.forward(v1, feat)
+    def _scale_translate(self, x1, cond):
+        s_raw, s_cache = self.scale_net.forward(x1, cond.scale_lift)
         s = self.scale_clamp * np.tanh(s_raw / self.scale_clamp)
-        t, _ = self.translate_net.forward(v1, feat)
-        u = np.empty_like(v)
-        u[:, self.part1] = v1
-        u[:, self.part2] = v2 * np.exp(-s) - t
-        return u, -s.sum(axis=1)
+        t, t_cache = self.translate_net.forward(x1, cond.translate_lift)
+        return s, t, s_cache, t_cache
+
+    def _join(self, x1, x2):
+        out = np.empty((x2.shape[0], x1.shape[1] + x2.shape[1]))
+        out[:, self.part1] = x1
+        out[:, self.part2] = x2
+        return out
+
+    def forward(self, u, cond: LayerCondition):
+        u1 = u[:, self.part1]
+        s, t, s_cache, t_cache = self._scale_translate(u1, cond)
+        exp_s = np.exp(s)
+        v2 = (u[:, self.part2] + t) * exp_s
+        cache = (cond.feat, cond.cache, s_cache, t_cache, s, exp_s, v2)
+        return self._join(u1, v2), s.sum(axis=1), cache
+
+    def inverse(self, v, cond: LayerCondition):
+        v1 = v[:, self.part1]
+        s, t, _, _ = self._scale_translate(v1, cond)
+        return self._join(v1, v[:, self.part2] * np.exp(-s) - t), -s.sum(axis=1)
 
     def backward(self, cache, dout, ds_extra):
         """Chain upstream gradients through the coupling transform.
@@ -119,14 +146,14 @@ class CouplingLayer:
         log-determinant term.  Returns (param grads, gradient w.r.t. the
         layer input).
         """
-        u2, feat, cond_cache, s_cache, t_cache, s, exp_s, v2 = cache
+        feat, cond_cache, s_cache, t_cache, s, exp_s, v2 = cache
         dv2 = dout[:, self.part2]
         ds = dv2 * v2 + ds_extra
         dt = dv2 * exp_s
         du2 = dv2 * exp_s
         ds_raw = ds * (1.0 - (s / self.scale_clamp) ** 2)
-        g_scale, du1_s, dfeat_s = self.scale_net.backward(s_cache, ds_raw)
-        g_trans, du1_t, dfeat_t = self.translate_net.backward(t_cache, dt)
+        g_scale, du1_s, dfeat_s = self.scale_net.backward(s_cache, ds_raw, feat)
+        g_trans, du1_t, dfeat_t = self.translate_net.backward(t_cache, dt, feat)
         g_cond, _, _ = self.cond_net.backward(cond_cache, dfeat_s + dfeat_t)
         din = np.empty_like(dout)
         din[:, self.part1] = dout[:, self.part1] + du1_s + du1_t
@@ -223,13 +250,47 @@ def build_flow(dim: int, cond_dim: int, arch: FlowArchitecture | None = None,
     return ConditionalFlow(dim=dim, cond_dim=cond_dim, layers=layers)
 
 
+@dataclass(frozen=True)
+class FlowCondition:
+    """Every coupling layer's conditioning for one batch of ``rows``
+    conditions, from ``flow_condition``."""
+
+    flow: ConditionalFlow = field(repr=False)
+    layers: tuple[LayerCondition, ...]
+    rows: int
+
+
+def flow_condition(flow: ConditionalFlow, c) -> FlowCondition:
+    """Condition every layer of ``flow`` on the rows of ``c``, shape
+    (n, cond_dim), once; pass the result as ``c`` to score any number of
+    inputs against the same conditions.  Stale once the parameters
+    change."""
+    c = np.asarray(c, dtype=np.float64)
+    if c.ndim != 2 or c.shape[1] != flow.cond_dim:
+        raise DimMismatchError(f"conditions must be (n, {flow.cond_dim}), got {c.shape}")
+    return FlowCondition(flow, tuple(layer.condition(c) for layer in flow.layers),
+                         c.shape[0])
+
+
 def _as_batch(flow, z, c):
+    """(rows of z, their FlowCondition, whether z was one vector).
+
+    ``c`` is either a FlowCondition of this flow, whose rows a single row
+    of z is run against, or condition values: a scalar or one condition
+    for every row, one per row, or a column of scalars when cond_dim is 1.
+    """
     z = np.asarray(z, dtype=np.float64)
     single = z.ndim == 1
     if single:
         z = z[None, :]
     if z.ndim != 2 or z.shape[1] != flow.dim:
         raise DimMismatchError(f"expected vectors of length {flow.dim}, got {z.shape}")
+    if isinstance(c, FlowCondition):
+        if c.flow is not flow:
+            raise ValueError("the conditioning was computed for another flow")
+        if z.shape[0] not in (1, c.rows):
+            raise DimMismatchError(f"{z.shape[0]} rows against {c.rows} conditions")
+        return z, c, single and c.rows == 1
     c = np.asarray(c, dtype=np.float64)
     if c.ndim == 0:
         c = np.full((z.shape[0], flow.cond_dim), float(c))
@@ -244,28 +305,29 @@ def _as_batch(flow, z, c):
         raise DimMismatchError(
             f"condition shape {c.shape}, expected ({z.shape[0]}, {flow.cond_dim})"
         )
-    return z, c, single
+    return z, flow_condition(flow, c), single
 
 
-def _forward_layers(flow: ConditionalFlow, z, c, caches=None):
+def _forward_layers(flow: ConditionalFlow, z, cond: FlowCondition, caches=None):
     """Push a batch through every coupling layer; returns (u, log_det).
 
     Appends each layer's backward cache to ``caches`` when given.
     """
     u = z
     log_det = np.zeros(z.shape[0])
-    for layer in flow.layers:
-        u, ld, cache = layer.forward(u, c)
+    for layer, layer_cond in zip(flow.layers, cond.layers):
+        u, ld, cache = layer.forward(u, layer_cond)
         log_det = log_det + ld
         if caches is not None:
             caches.append(cache)
+        del cache  # else this layer's activations live through the next layer
     return u, log_det
 
 
 def flow_forward(flow: ConditionalFlow, z, c):
     """Map data to the base space; returns (u, log_det)."""
-    z, c, single = _as_batch(flow, z, c)
-    u, log_det = _forward_layers(flow, z, c)
+    z, cond, single = _as_batch(flow, z, c)
+    u, log_det = _forward_layers(flow, z, cond)
     if single:
         return u[0], float(log_det[0])
     return u, log_det
@@ -273,11 +335,11 @@ def flow_forward(flow: ConditionalFlow, z, c):
 
 def flow_inverse(flow: ConditionalFlow, u, c):
     """Map base-space points back to data space; returns (z, log_det)."""
-    u, c, single = _as_batch(flow, u, c)
+    u, cond, single = _as_batch(flow, u, c)
     z = u
     log_det = np.zeros(u.shape[0])
-    for layer in reversed(flow.layers):
-        z, ld = layer.inverse(z, c)
+    for layer, layer_cond in zip(reversed(flow.layers), reversed(cond.layers)):
+        z, ld = layer.inverse(z, layer_cond)
         log_det = log_det + ld
     if single:
         return z[0], float(log_det[0])
@@ -286,8 +348,8 @@ def flow_inverse(flow: ConditionalFlow, u, c):
 
 def flow_log_prob(flow: ConditionalFlow, z, c):
     """Conditional log density log p(z | c) in nats, by change of variables."""
-    z, c, single = _as_batch(flow, z, c)
-    u, log_det = _forward_layers(flow, z, c)
+    z, cond, single = _as_batch(flow, z, c)
+    u, log_det = _forward_layers(flow, z, cond)
     base = -0.5 * (flow.dim * LOG_2PI + np.sum(u * u, axis=1))
     out = base + log_det
     return float(out[0]) if single else out
@@ -303,12 +365,15 @@ def flow_gradients(flow: ConditionalFlow, z, c):
 
     Gradient order matches ``flow.params()``.
     """
-    z, c, _ = _as_batch(flow, z, c)
+    z, cond, _ = _as_batch(flow, z, c)
     n = z.shape[0]
     if n == 0:
         raise ValueError("flow_gradients needs a non-empty batch")
+    if cond.rows != n:
+        raise DimMismatchError(f"{n} rows against {cond.rows} conditions")
     caches = []
-    u, log_det = _forward_layers(flow, z, c, caches)
+    u, log_det = _forward_layers(flow, z, cond, caches)
+    del cond  # the lift terms; the backward pass needs only what the caches hold
     nll = float(np.mean(0.5 * (flow.dim * LOG_2PI + np.sum(u * u, axis=1)) - log_det))
 
     du = u / n
@@ -378,8 +443,8 @@ def flow_train(z, c, cfg: FlowTrainConfig | None = None,
     if c.shape[0] != z.shape[0]:
         raise DimMismatchError("z and c row counts differ")
     n = z.shape[0]
-    if n < 10:
-        raise ValueError("flow_train needs at least 10 rows")
+    if n < MIN_TRAIN_ROWS:
+        raise TooFewSamplesError(f"flow_train needs at least {MIN_TRAIN_ROWS} rows, got {n}")
 
     flow = build_flow(z.shape[1], c.shape[1], arch=arch, seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed + 1)

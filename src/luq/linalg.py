@@ -16,6 +16,7 @@ from .errors import (
     DimMismatchError,
     EmptyInputError,
     NotPositiveDefiniteError,
+    TooFewSamplesError,
     RankDeficientWarning,
 )
 
@@ -107,10 +108,11 @@ def logsumexp(v, axis: int | None = None):
     """log(sum(exp(v))) computed with a max shift so large-magnitude
     log-weights cannot overflow.
 
-    Entries may be -inf (zero weight); an all -inf slice yields -inf.
+    Entries may be -inf (zero weight); an all -inf slice yields -inf.  An
+    empty batch of slices yields an empty result.
     """
     v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
+    if v.size == 0 and (axis is None or v.shape[axis] == 0):
         raise EmptyInputError("logsumexp of an empty vector")
     vmax = np.max(v, axis=axis, keepdims=True)
     vmax = np.where(np.isfinite(vmax), vmax, 0.0)
@@ -157,7 +159,7 @@ def pca_fit(x, out_dim: int, whiten: bool = False) -> PcaModel:
     x = as_matrix(x)
     n, d = x.shape
     if n < 2:
-        raise ValueError("pca_fit needs at least 2 rows")
+        raise TooFewSamplesError(f"pca_fit needs at least 2 rows, got {n}")
     if not 1 <= out_dim <= min(n, d):
         raise ValueError(f"out_dim {out_dim} not in [1, min(rows, cols)={min(n, d)}]")
     if not np.all(np.isfinite(x)):

@@ -99,12 +99,13 @@ def relu_forward(weights, biases, x, pre0_extra=None):
     a = x
     last = len(weights) - 1
     for l, (w, b) in enumerate(zip(weights, biases)):
-        pre = a @ w + b[..., None, :]
+        pre = a @ w
+        pre += b[..., None, :]
         if l == 0 and pre0_extra is not None:
-            pre = pre + pre0_extra
+            pre = pre + pre0_extra  # may broadcast a single input row
         if l == last:
             return pre, acts
-        a = np.maximum(pre, 0.0)
+        a = np.maximum(pre, 0.0, out=pre)
         acts.append(a)
 
 

@@ -3,7 +3,9 @@
 The marginalization behind the epistemic score and the Bayes posterior
 behind the aleatoric score both need a prior over the network's outputs:
 categorical (label counting) for classification, and uniform / beta-prime /
-histogram densities for scalar regression outputs.
+histogram densities for scalar regression outputs.  Every ``log_pdf`` takes
+a scalar (and returns a float) or an array of outputs (and returns an array
+of the same shape); outside the support, NaN included, it is -inf.
 """
 
 from __future__ import annotations
@@ -15,6 +17,10 @@ from typing import Union
 import numpy as np
 
 from .errors import EmptyInputError, MomentInversionFailedError
+
+
+def _scalar_or_array(values: np.ndarray):
+    return float(values) if values.ndim == 0 else values
 
 
 @dataclass(frozen=True)
@@ -32,12 +38,13 @@ class CategoricalPrior:
             raise ValueError("categorical prior does not normalize")
         object.__setattr__(self, "log_probs", lp)
 
-    def log_pdf(self, y) -> float:
-        try:
-            idx = self.classes.index(int(y))
-        except ValueError:
-            return -np.inf
-        return float(self.log_probs[idx])
+    def log_pdf(self, y):
+        """Log-probability of the class ``int(y)``."""
+        k = np.trunc(np.asarray(y, dtype=np.float64))
+        out = np.full(k.shape, -np.inf)
+        for c, lp in zip(self.classes, self.log_probs):
+            out[k == c] = lp
+        return _scalar_or_array(out)
 
 
 @dataclass(frozen=True)
@@ -51,10 +58,10 @@ class UniformPrior:
         if not self.lo < self.hi:
             raise ValueError("uniform prior needs lo < hi")
 
-    def log_pdf(self, y) -> float:
-        if self.lo <= y <= self.hi:
-            return -math.log(self.hi - self.lo)
-        return -np.inf
+    def log_pdf(self, y):
+        y = np.asarray(y, dtype=np.float64)
+        inside = (self.lo <= y) & (y <= self.hi)
+        return _scalar_or_array(np.where(inside, -math.log(self.hi - self.lo), -np.inf))
 
 
 @dataclass(frozen=True)
@@ -68,12 +75,13 @@ class BetaPrimePrior:
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError("beta-prime parameters must be positive")
 
-    def log_pdf(self, y) -> float:
-        if y <= 0:
-            return -np.inf
+    def log_pdf(self, y):
+        y = np.asarray(y, dtype=np.float64)
         a, b = self.alpha, self.beta
         log_norm = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-        return (a - 1.0) * math.log(y) - (a + b) * math.log1p(y) - log_norm
+        with np.errstate(divide="ignore", invalid="ignore"):
+            val = (a - 1.0) * np.log(y) - (a + b) * np.log1p(y) - log_norm
+        return _scalar_or_array(np.where(y > 0, val, -np.inf))
 
     def mean(self) -> float:
         if self.beta <= 1:
@@ -108,12 +116,14 @@ class HistogramPrior:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "log_densities", ld)
 
-    def log_pdf(self, y) -> float:
+    def log_pdf(self, y):
+        """Density of the bin [e_i, e_i+1) holding ``y``; the last bin also
+        holds the upper edge."""
+        y = np.asarray(y, dtype=np.float64)
         edges = self.edges
-        if y < edges[0] or y > edges[-1]:
-            return -np.inf
-        idx = min(int(np.searchsorted(edges, y, side="right")) - 1, edges.size - 2)
-        return float(self.log_densities[idx])
+        idx = np.minimum(np.searchsorted(edges, y, side="right") - 1, edges.size - 2)
+        inside = (edges[0] <= y) & (y <= edges[-1])
+        return _scalar_or_array(np.where(inside, self.log_densities[idx], -np.inf))
 
 
 OutputPrior = Union[CategoricalPrior, UniformPrior, BetaPrimePrior, HistogramPrior]

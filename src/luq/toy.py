@@ -23,7 +23,14 @@ from .engine import (
     score_regression,
 )
 from .errors import BadKindError, DimMismatchError
-from .flow import ConditionalFlow, FlowArchitecture, FlowTrainConfig, FlowTrainLog, flow_train
+from .flow import (
+    MIN_TRAIN_ROWS,
+    ConditionalFlow,
+    FlowArchitecture,
+    FlowTrainConfig,
+    FlowTrainLog,
+    flow_train,
+)
 from .gmm import ClassConditionalGmm, EmOptions, fit_class_conditional
 from .linalg import PcaModel, pca_fit, pca_transform
 from .mlp import (
@@ -58,6 +65,9 @@ class ToyRegressionSpec:
     def __post_init__(self):
         if not self.x_lo < self.gap[0] < self.gap[1] < self.x_hi:
             raise ValueError("gap must lie strictly inside the x range")
+        if self.n_train < MIN_TRAIN_ROWS:
+            raise ValueError(f"n_train must be at least {MIN_TRAIN_ROWS}, the flow's "
+                             f"minimum, got {self.n_train}")
 
 
 def gen_regression_data(spec: ToyRegressionSpec):

@@ -130,6 +130,28 @@ class TestFit:
         assert "usage error" in capsys.readouterr().err
         assert not model_path.exists()
 
+    def test_flow_on_too_few_rows_exit_3(self, tmp_path, capsys):
+        rng = np.random.default_rng(1)
+        fpath, ppath = tmp_path / "f.luq", tmp_path / "p.luq"
+        write_matrix(fpath, rng.normal(size=(6, 3)))
+        write_matrix(ppath, rng.normal(size=(6, 1)))
+        model_path = tmp_path / "m.luqm"
+        assert run_cli("fit", "--features", str(fpath), "--predictions", str(ppath),
+                       "--model", "flow", "--output", str(model_path)) == 3
+        assert "at least 10 rows, got 6" in capsys.readouterr().err
+        assert not model_path.exists()
+
+    def test_pca_above_feature_count_exit_2(self, tmp_path, blob_files, capsys):
+        # the bound depends on the file: the blob features have 2 columns
+        fpath, ppath = blob_files
+        model_path = tmp_path / "m.luqm"
+        code = run_cli("fit", "--features", str(fpath), "--predictions", str(ppath),
+                       "--model", "gmm", "--pca", "3", "--output", str(model_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "usage error: --pca" in err and "min(rows, cols)=2" in err
+        assert not model_path.exists()
+
 
 class TestOptionValues:
     """Out-of-range option values exit 2 before any file is read or any
@@ -144,6 +166,7 @@ class TestOptionValues:
         ["toy", "regression", "--eval-points", "2"],
         ["toy", "regression", "--gap", "0.5:2"],
         ["toy", "classification", "--per-class", "0"],
+        ["toy", "regression", "--n-train", "5"],
         ["pca", "--out-dim", "0"],
         ["eval", "--mode", "calibration", "--percentile-step", "0"],
         ["eval", "--mode", "rmse", "--thresholds", "a,b"],
@@ -400,6 +423,25 @@ class TestPca:
                        "--output", str(out)) == 0
         assert read_matrix(out).data.shape == (40, 3)
         assert "eigenvalue_sum=" in capsys.readouterr().out
+
+    def test_one_row_exit_3(self, tmp_path, capsys):
+        fpath = tmp_path / "f.luq"
+        write_matrix(fpath, np.arange(5.0)[None, :])
+        out = tmp_path / "t.luq"
+        assert run_cli("pca", "--features", str(fpath), "--out-dim", "1",
+                       "--output", str(out)) == 3
+        assert "at least 2 rows, got 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_dim_above_feature_count_exit_2(self, tmp_path, capsys):
+        fpath = tmp_path / "f.luq"
+        write_matrix(fpath, np.random.default_rng(4).normal(size=(40, 6)))
+        out = tmp_path / "t.luq"
+        assert run_cli("pca", "--features", str(fpath), "--out-dim", "7",
+                       "--output", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "usage error: --out-dim" in err and "min(rows, cols)=6" in err
+        assert not out.exists()
 
 
 def subprocess_env(**extra):

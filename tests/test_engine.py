@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from luq.engine import (
     ConfidenceRegion,
@@ -22,9 +24,11 @@ from luq.errors import (
     MassUnreachableError,
     MissingClassDensityError,
 )
-from luq.gmm import ClassConditionalGmm
+from luq.flow import FlowArchitecture, build_flow, flow_log_prob
+from luq.gmm import ClassConditionalGmm, GaussianComponent, Gmm
+from luq.linalg import cholesky
 from luq.metrics import discrete_entropy
-from luq.priors import CategoricalPrior, UniformPrior
+from luq.priors import CategoricalPrior, HistogramPrior, UniformPrior
 
 from helpers import (
     condition_free_flow,
@@ -288,6 +292,107 @@ class TestRegressionScores:
             assert scores.aleatoric[i] == pytest.approx(ent, abs=1e-12)
             np.testing.assert_allclose(scores.posterior[i], post.density, atol=1e-12)
             assert post.log_marginal == pytest.approx(-scores.epistemic[i], abs=1e-12)
+
+
+def random_flow(dim, n_layers, seed):
+    arch = FlowArchitecture(n_layers=n_layers, hidden=(6, 5), cond_hidden=(4,),
+                            cond_feat_dim=3)
+    flow = build_flow(dim, 1, arch, seed=seed)
+    rng = np.random.default_rng(seed + 100)
+    for p in flow.params():
+        p += rng.normal(scale=0.5, size=p.shape)
+    return flow
+
+
+# support [-2, 1.5] inside a [-3, 3] grid, so some prior values are -inf
+STEP_PRIOR = HistogramPrior(edges=np.array([-2.0, -0.5, 0.0, 1.5]),
+                            log_densities=np.log([0.2, 0.6, 0.4 / 1.5]))
+
+
+class TestSharedConditioning:
+    """``score_regression`` conditions the flow on the grid once and runs
+    every row against it; it must agree with scoring each row on the
+    broadcast grid by a plain ``flow_log_prob`` call and a trapezoid sum."""
+
+    @staticmethod
+    def brute_force(flow, prior, grid, z):
+        w = grid.trapezoid_weights()
+        log_prior = np.array([prior.log_pdf(float(y)) for y in grid.points])
+        epi, ent, post = [], [], []
+        for row in z:
+            lj = flow_log_prob(flow, np.tile(row, (grid.points.size, 1)),
+                               grid.points[:, None]) + log_prior
+            shift = lj.max()
+            log_mass = shift + math.log(np.sum(w * np.exp(lj - shift)))
+            q = np.exp(lj - log_mass)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ent.append(-np.sum(np.where(q > 0, w * q * np.log(q), 0.0)))
+            epi.append(-log_mass)
+            post.append(q)
+        return np.array(epi), np.array(ent), np.array(post)
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    @pytest.mark.parametrize("n_layers", [1, 3])
+    @pytest.mark.parametrize("prior", [UniformPrior(-3.0, 3.0), STEP_PRIOR],
+                             ids=["uniform", "histogram"])
+    def test_matches_per_row_flow_calls(self, dim, n_layers, prior):
+        flow = random_flow(dim, n_layers, seed=10 * dim + n_layers)
+        grid = SupportGrid.from_range(-3.0, 3.0, 61)
+        z = np.random.default_rng(dim).normal(size=(7, dim))
+        got = score_regression(flow, prior, grid, z, keep_posteriors=True)
+        epi, ent, post = self.brute_force(flow, prior, grid, z)
+        np.testing.assert_allclose(got.epistemic, epi, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got.aleatoric, ent, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(got.posterior, post, rtol=1e-12, atol=1e-12)
+
+
+def random_class_density(dim, n_classes, seed):
+    rng = np.random.default_rng(seed)
+    per_class = {}
+    for c in range(n_classes):
+        comps = []
+        for log_w in np.log([0.3, 0.7]):
+            a = rng.normal(size=(dim, dim))
+            comps.append(GaussianComponent(log_weight=float(log_w),
+                                           mean=rng.normal(scale=2.0, size=dim),
+                                           cov_chol=cholesky(a @ a.T + np.eye(dim))))
+        per_class[c] = Gmm(dim=dim, components=tuple(comps))
+    return ClassConditionalGmm(dim=dim, classes=tuple(range(n_classes)),
+                               per_class=per_class)
+
+
+BATCH = np.random.default_rng(21).normal(scale=2.0, size=(9, 3))
+REG_FLOW = random_flow(3, 2, seed=5)
+REG_GRID = SupportGrid.from_range(-3.0, 3.0, 41)
+CLASS_DENSITY = random_class_density(3, 3, seed=6)
+CLASS_PRIOR = CategoricalPrior(classes=(0, 1, 2), log_probs=np.log([0.2, 0.3, 0.5]))
+
+
+def score_both(z):
+    reg = score_regression(REG_FLOW, STEP_PRIOR, REG_GRID, z, keep_posteriors=True)
+    cls = score_classification(CLASS_DENSITY, CLASS_PRIOR, z)
+    return reg, cls
+
+
+class TestBatchInvariance:
+    """Each row's scores depend on that row alone: not on where it sits in
+    the batch, nor on which batch it is scored in."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(order=st.permutations(range(BATCH.shape[0])),
+           split=st.integers(0, BATCH.shape[0]))
+    def test_row_order_and_batch_split(self, order, split):
+        order = np.array(order)
+        whole = score_both(BATCH)
+        shuffled = score_both(BATCH[order])
+        parts = [score_both(BATCH[order[:split]]), score_both(BATCH[order[split:]])]
+        for k in range(2):
+            for field in ("epistemic", "aleatoric", "posterior"):
+                want = getattr(whole[k], field)[order]
+                np.testing.assert_allclose(getattr(shuffled[k], field), want,
+                                           rtol=1e-12, atol=1e-12)
+                joined = np.concatenate([getattr(p[k], field) for p in parts])
+                np.testing.assert_allclose(joined, want, rtol=1e-12, atol=1e-12)
 
 
 def normal_posterior_on(grid):

@@ -8,6 +8,7 @@ from luq.flow import (
     FlowArchitecture,
     FlowTrainConfig,
     build_flow,
+    flow_condition,
     flow_forward,
     flow_gradients,
     flow_inverse,
@@ -46,7 +47,8 @@ class TestCouplingLayer:
         rng = np.random.default_rng(1)
         u = rng.normal(size=(7, 4))
         c = rng.normal(size=(7, 1))
-        out, log_det, _ = flow.layers[0].forward(u, c)
+        layer = flow.layers[0]
+        out, log_det, _ = layer.forward(u, layer.condition(c))
         np.testing.assert_array_equal(out, u)
         np.testing.assert_array_equal(log_det, 0.0)
 
@@ -55,7 +57,7 @@ class TestCouplingLayer:
         layer = flow.layers[0]
         set_constant_scale(layer, math.log(2.0))
         u = np.arange(6.0)
-        out, log_det, _ = layer.forward(u[None, :], np.array([[0.3]]))
+        out, log_det, _ = layer.forward(u[None, :], layer.condition(np.array([[0.3]])))
         out, log_det = out[0], float(log_det[0])
         np.testing.assert_allclose(out[layer.part1], u[layer.part1], atol=1e-12)
         np.testing.assert_allclose(out[layer.part2], 2.0 * u[layer.part2], rtol=1e-12)
@@ -70,9 +72,52 @@ class TestCouplingLayer:
             layer = flow.layers[0]
             u = rng.normal(size=(11, 5))
             c = rng.normal(size=(11, 2))
-            v, _, _ = layer.forward(u, c)
-            back, _ = layer.inverse(v, c)
+            cond = layer.condition(c)
+            v, _, _ = layer.forward(u, cond)
+            back, _ = layer.inverse(v, cond)
             assert np.abs(back - u).max() < 1e-9
+
+
+class TestFlowCondition:
+    def test_same_result_as_raw_conditions(self):
+        rng = np.random.default_rng(12)
+        flow = randomize(build_flow(5, 2, SMALL_ARCH, seed=1), 1)
+        z = rng.normal(size=(9, 5))
+        c = rng.normal(size=(9, 2))
+        cond = flow_condition(flow, c)
+        np.testing.assert_array_equal(flow_log_prob(flow, z, cond), flow_log_prob(flow, z, c))
+        u, ld = flow_forward(flow, z, cond)
+        u_raw, ld_raw = flow_forward(flow, z, c)
+        np.testing.assert_array_equal(u, u_raw)
+        np.testing.assert_array_equal(ld, ld_raw)
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_one_row_against_every_condition(self, dim):
+        rng = np.random.default_rng(13)
+        flow = randomize(build_flow(dim, 1, SMALL_ARCH, seed=dim), dim)
+        row = rng.normal(size=dim)
+        c = rng.normal(size=(15, 1))
+        cond = flow_condition(flow, c)
+        tiled = np.tile(row, (15, 1))
+        want = flow_log_prob(flow, tiled, c)
+        np.testing.assert_allclose(flow_log_prob(flow, row[None, :], cond), want,
+                                   rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(flow_log_prob(flow, row, cond), want, rtol=1e-13, atol=0.0)
+        u, _ = flow_forward(flow, row[None, :], cond)
+        back, _ = flow_inverse(flow, u, cond)
+        assert np.abs(back - tiled).max() < 1e-9
+
+    def test_mismatches_raise(self):
+        flow = build_flow(3, 1, SMALL_ARCH, seed=0)
+        cond = flow_condition(flow, np.zeros((4, 1)))
+        with pytest.raises(DimMismatchError):
+            flow_log_prob(flow, np.zeros((2, 3)), cond)
+        with pytest.raises(DimMismatchError):
+            flow_gradients(flow, np.zeros((1, 3)), cond)
+        with pytest.raises(DimMismatchError):
+            flow_condition(flow, np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="another flow"):
+            flow_log_prob(build_flow(3, 1, SMALL_ARCH, seed=0), np.zeros((4, 3)), cond)
 
 
 class TestFlowInvertibility:
@@ -272,6 +317,13 @@ class TestFlowTrain:
         at_c = flow_log_prob(flow, held_out, held_out)
         off_c = flow_log_prob(flow, held_out + 1.0, held_out)
         assert np.mean(at_c > off_c) >= 0.95
+
+    def test_too_few_rows(self):
+        from luq.errors import TooFewSamplesError
+
+        rng = np.random.default_rng(12)
+        with pytest.raises(TooFewSamplesError, match="at least 10 rows, got 9"):
+            flow_train(rng.normal(size=(9, 2)), rng.normal(size=(9, 1)), arch=SMALL_ARCH)
 
     def test_non_finite_data_raises_diverged(self):
         from luq.errors import DivergedError

@@ -8,6 +8,7 @@ from luq.errors import (
     EmptyInputError,
     NotPositiveDefiniteError,
     RankDeficientWarning,
+    TooFewSamplesError,
 )
 from luq.linalg import (
     FeatureMatrix,
@@ -84,6 +85,11 @@ class TestLogSumExp:
         with pytest.raises(EmptyInputError):
             logsumexp([])
 
+    def test_empty_batch_of_slices(self):
+        assert logsumexp(np.zeros((0, 3)), axis=1).shape == (0,)
+        with pytest.raises(EmptyInputError):
+            logsumexp(np.zeros((2, 0)), axis=1)
+
     def test_neg_inf_entries(self):
         assert logsumexp([-np.inf, 0.0]) == pytest.approx(0.0, abs=1e-12)
         assert logsumexp([-np.inf, -np.inf]) == -np.inf
@@ -104,6 +110,10 @@ class TestLogSumExp:
 
 
 class TestPca:
+    def test_one_row_is_too_few(self):
+        with pytest.raises(TooFewSamplesError):
+            pca_fit(np.ones((1, 3)), 1)
+
     def test_line_in_3d(self):
         # points on a 1-D line embedded in 3-D: single eigenvalue equals the
         # sample variance along the line, zero reconstruction error

@@ -78,6 +78,46 @@ class TestPriorLogPdf:
             assert np.isfinite(uni.log_pdf(y))
 
 
+HIST = HistogramPrior(edges=np.array([-1.0, 0.0, 0.5, 2.0]),
+                      log_densities=np.log([0.2, 0.4, 0.4]))
+
+
+class TestVectorisedLogPdf:
+    """An array of outputs gives, element by element, exactly the scalar
+    results, outside the support and on histogram bin edges included."""
+
+    @pytest.mark.parametrize("prior, ys", [
+        (CategoricalPrior(classes=(0, 2, 5), log_probs=np.log([0.5, 0.3, 0.2])),
+         [-1.0, -0.5, 0.0, 0.7, 1.0, 2.0, 2.9, 5.0, 7.0, np.nan, np.inf]),
+        (UniformPrior(-3.0, 4.0),
+         [-3.0 - 1e-12, -3.0, 0.0, 4.0, 4.0 + 1e-12, 9.0, np.nan, np.inf, -np.inf]),
+        (BetaPrimePrior(2.5, 3.0),
+         [-1.0, 0.0, 1e-300, 0.5, 1.0, 100.0, 1e300, np.nan, -np.inf]),
+        (BetaPrimePrior(1.0, 0.5), [-1.0, 0.0, 1e-12, 3.0]),
+        (HIST, [-1.5, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0, 2.0 + 1e-12, np.nan,
+                np.inf, -np.inf]),
+    ], ids=["categorical", "uniform", "betaprime", "betaprime_alpha_1", "histogram"])
+    def test_array_equals_per_point(self, prior, ys):
+        ys = np.array(ys)
+        scalars = [prior.log_pdf(float(y)) for y in ys]
+        assert all(type(v) is float for v in scalars)
+        values = prior.log_pdf(ys)
+        assert isinstance(values, np.ndarray) and values.shape == ys.shape
+        np.testing.assert_array_equal(values, scalars)
+        np.testing.assert_array_equal(prior.log_pdf(ys.reshape(-1, 1))[:, 0], scalars)
+
+    def test_outside_support_is_minus_inf(self):
+        assert UniformPrior(0.0, 1.0).log_pdf(np.nan) == -np.inf
+        assert BetaPrimePrior(2.0, 2.0).log_pdf(np.nan) == -np.inf
+        assert HIST.log_pdf(np.nan) == -np.inf
+        assert CategoricalPrior(classes=(0,), log_probs=np.zeros(1)).log_pdf(np.inf) == -np.inf
+
+    def test_histogram_bin_edges(self):
+        # an edge belongs to the bin it opens; the upper edge to the last bin
+        got = HIST.log_pdf(HIST.edges)
+        np.testing.assert_array_equal(got, HIST.log_densities[[0, 1, 2, 2]])
+
+
 class TestNormalization:
     def test_uniform_integrates_to_one(self):
         assert trapz_mass(UniformPrior(-10, 10), -10, 10) == pytest.approx(1.0, abs=1e-3)
