@@ -61,7 +61,6 @@ from .gmm import (
 )
 from .linalg import (
     CholeskyFactor,
-    FeatureMatrix,
     PcaModel,
     cholesky,
     log_det,

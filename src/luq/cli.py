@@ -65,34 +65,48 @@ def _emit(key, value):
     print(f"{key}={value}")
 
 
-def _parse_prior_spec(spec: str, predictions: np.ndarray | None):
-    """Prior from a CLI spec like ``categorical``, ``uniform:-10:10``,
-    ``betaprime[:alpha:beta]``, or ``histogram[:bins]``."""
-    parts = spec.split(":")
-    kind = parts[0]
+_PRIOR_ARITY = {"categorical": (0,), "uniform": (2,), "betaprime": (0, 2), "histogram": (0, 1)}
+
+
+def _prior_spec(spec: str | None, model: str):
+    """Check a ``--prior`` spec (``categorical``, ``uniform:LO:HI``,
+    ``betaprime[:A:B]`` or ``histogram[:BINS]``) and its pairing with the
+    density model, before any file is read: class GMMs need the
+    categorical prior, a flow needs a density over outputs.  Returns a
+    function of the predictions that builds the prior."""
+    spec = spec or ("categorical" if model == "gmm" else "uniform:-10:10")
+    kind, *params = spec.split(":")
+    if kind not in _PRIOR_ARITY:
+        raise UsageError(f"unknown prior kind {kind!r}")
+    if len(params) not in _PRIOR_ARITY[kind]:
+        raise UsageError(f"bad prior spec {spec!r}: expected categorical, uniform:LO:HI, "
+                         "betaprime[:A:B] or histogram[:BINS]")
+    if (kind == "categorical") != (model == "gmm"):
+        raise UsageError(f"--model {model} cannot use the {kind} prior: gmm takes "
+                         "categorical, flow takes uniform, betaprime or histogram")
     try:
         if kind == "categorical":
-            if predictions is None:
-                raise UsageError("categorical prior needs a predictions file")
-            return fit_categorical(predictions.astype(np.int64))
-        if kind == "uniform":
-            if len(parts) != 3:
-                raise UsageError("uniform prior spec is uniform:LO:HI")
-            return UniformPrior(float(parts[1]), float(parts[2]))
-        if kind == "betaprime":
-            if len(parts) == 3:
-                return BetaPrimePrior(float(parts[1]), float(parts[2]))
-            if predictions is None:
-                raise UsageError("betaprime fit needs a predictions file")
-            return betaprime_fit_mom(predictions)
-        if kind == "histogram":
-            if predictions is None:
-                raise UsageError("histogram prior needs a predictions file")
-            bins = int(parts[1]) if len(parts) > 1 else 32
-            return fit_histogram(predictions, bins=bins)
+            fit = lambda predictions: fit_categorical(predictions.astype(np.int64))
+        elif kind == "histogram":
+            bins = int(params[0]) if params else 32
+            _require(bins >= 1, "--prior histogram:BINS", "at least 1", bins)
+            fit = lambda predictions: fit_histogram(predictions, bins=bins)
+        elif kind == "betaprime" and not params:
+            fit = betaprime_fit_mom
+        else:
+            cls = UniformPrior if kind == "uniform" else BetaPrimePrior
+            prior = cls(float(params[0]), float(params[1]))
+            fit = lambda predictions: prior
     except ValueError as exc:
         raise UsageError(f"bad prior spec {spec!r}: {exc}") from exc
-    raise UsageError(f"unknown prior kind {kind!r}")
+
+    def build(predictions):
+        try:
+            return fit(predictions)
+        except ValueError as exc:
+            raise UsageError(f"--prior {spec}: {exc}") from exc
+
+    return build
 
 
 def _parse_range(text: str, flag: str):
@@ -103,8 +117,8 @@ def _parse_range(text: str, flag: str):
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise UsageError(f"{flag}: {exc}") from exc
-    if not lo < hi:
-        raise UsageError(f"{flag}: need LO < HI")
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise UsageError(f"{flag}: need finite LO < HI")
     return lo, hi
 
 
@@ -148,14 +162,15 @@ def _fit_options(args):
 
 def cmd_fit(args) -> int:
     options = _fit_options(args)
-    features = fileio.read_features(args.features)
-    x = features.data
+    build_prior = _prior_spec(args.prior, args.model)
+    x = fileio.read_features(args.features)
     predictions = fileio.read_values(args.predictions)
     if len(predictions) != x.shape[0]:
         raise fileio.DataFormatError(
             f"{args.predictions}: {len(predictions)} predictions for "
             f"{x.shape[0]} feature rows"
         )
+    prior = build_prior(predictions)
 
     pca = None
     if args.pca is not None:
@@ -169,7 +184,6 @@ def cmd_fit(args) -> int:
     if args.model == "gmm":
         labels = predictions.astype(np.int64)
         density = fit_class_conditional(x, labels, options)
-        prior = _parse_prior_spec(args.prior or "categorical", predictions)
         for c in density.classes:
             _emit(f"class_{c}_count", int(np.sum(labels == c)))
             _emit(f"class_{c}_final_ll", density.per_class[c].em_log[-1])
@@ -177,7 +191,6 @@ def cmd_fit(args) -> int:
     else:
         cfg, arch = options
         flow, log = flow_train(x, predictions, cfg, arch=arch)
-        prior = _parse_prior_spec(args.prior or "uniform:-10:10", predictions)
         _emit("epochs_run", len(log.train_nll))
         _emit("best_epoch", log.best_epoch)
         _emit("best_val_nll", log.best_val_nll)
@@ -209,8 +222,7 @@ def _grid_for(bundle: fileio.ModelBundle, args) -> SupportGrid:
 def cmd_score(args) -> int:
     _require(args.grid >= 2, "--grid", "at least 2", args.grid)
     bundle = fileio.read_model(args.model)
-    features = fileio.read_features(args.features)
-    x = features.data
+    x = fileio.read_features(args.features)
     if bundle.pca is not None and x.shape[1] == bundle.pca.input_dim:
         x = pca_transform(bundle.pca, x)
     if x.shape[1] != bundle.feature_dim:
@@ -224,7 +236,10 @@ def cmd_score(args) -> int:
         scores = score_classification(bundle.class_gmms, bundle.prior, x)
     else:
         grid = _grid_for(bundle, args)
-        scores = score_regression(bundle.flow, bundle.prior, grid, x)
+        try:
+            scores = score_regression(bundle.flow, bundle.prior, grid, x)
+        except ValueError as exc:
+            raise UsageError(f"--grid-range: {exc}") from exc
     fileio.write_scores_csv(args.output, scores.epistemic, scores.aleatoric)
     _emit("rows_scored", x.shape[0])
     _emit("scores_file", args.output)
@@ -232,6 +247,18 @@ def cmd_score(args) -> int:
 
 
 # --- eval ------------------------------------------------------------------
+
+
+def _write_ood_metrics(path, scores, labels) -> dict:
+    """AUROC, AP and FPR at 95 % TPR of ``scores`` against ``labels`` (1 for
+    out-of-distribution), written as a one-row CSV; returns them by name."""
+    values = {
+        "auroc": auroc(scores, labels),
+        "ap": average_precision(scores, labels),
+        "fpr95": fpr_at_tpr(scores, labels, 0.95),
+    }
+    fileio.write_csv(path, list(values), [np.array([v]) for v in values.values()])
+    return values
 
 
 def cmd_eval(args) -> int:
@@ -247,14 +274,7 @@ def cmd_eval(args) -> int:
         if args.plot:
             raise UsageError("--plot applies to calibration and rmse modes")
         cols = fileio.read_csv_columns(args.input, ["score", "label"])
-        scores, labels = cols["score"], cols["label"].astype(int)
-        values = {
-            "auroc": auroc(scores, labels),
-            "ap": average_precision(scores, labels),
-            "fpr95": fpr_at_tpr(scores, labels, 0.95),
-        }
-        fileio.write_csv(args.output, list(values),
-                         [np.array([v]) for v in values.values()])
+        values = _write_ood_metrics(args.output, cols["score"], cols["label"].astype(int))
         for k, v in values.items():
             _emit(k, v)
     elif args.mode == "calibration":
@@ -386,13 +406,7 @@ def _toy_classification(args, spec, out) -> int:
                             ood_scores.aleatoric)
     labels = np.concatenate([np.zeros(len(study.test_x)), np.ones(len(ood_x))])
     pooled = np.concatenate([study.test_scores.epistemic, ood_scores.epistemic])
-    values = {
-        "auroc": auroc(pooled, labels),
-        "ap": average_precision(pooled, labels),
-        "fpr95": fpr_at_tpr(pooled, labels, 0.95),
-    }
-    fileio.write_csv(out / "ood_metrics.csv", list(values),
-                     [np.array([v]) for v in values.values()])
+    values = _write_ood_metrics(out / "ood_metrics.csv", pooled, labels)
     correct = (study.test_predictions == study.test_labels).astype(float)
     curve = calibration_curve(study.test_scores.aleatoric, correct)
     fileio.write_csv(out / "calibration.csv", ["percentile", "accuracy"],
@@ -441,9 +455,9 @@ def _pca_fit(x, out_dim: int, whiten: bool, flag: str):
 
 def cmd_pca(args) -> int:
     _require(args.out_dim >= 1, "--out-dim", "at least 1", args.out_dim)
-    features = fileio.read_features(args.features)
-    model = _pca_fit(features.data, args.out_dim, args.whiten, "--out-dim")
-    transformed = pca_transform(model, features.data)
+    x = fileio.read_features(args.features)
+    model = _pca_fit(x, args.out_dim, args.whiten, "--out-dim")
+    transformed = pca_transform(model, x)
     fileio.write_matrix(args.output, transformed)
     total = float(np.sum(model.eigenvalues))
     _emit("input_dim", model.input_dim)

@@ -158,11 +158,15 @@ def score_regression(flow: ConditionalFlow, prior: OutputPrior, grid: SupportGri
 
     The flow is conditioned on the grid once; each row is then scored
     against the whole grid with one flow call.  Pass ``keep_posteriors``
-    to retain the (n, grid) posterior densities.
+    to retain the (n, grid) posterior densities.  A grid on which the prior
+    density is zero everywhere is a ValueError: no posterior exists there.
     """
     z = as_matrix(z)
     n, g = z.shape[0], grid.points.size
     log_prior_grid = prior.log_pdf(grid.points)
+    if not np.any(log_prior_grid > -np.inf):
+        raise ValueError(f"the prior puts no mass on the support grid "
+                         f"[{grid.points[0]:g}, {grid.points[-1]:g}]")
     cond = flow_condition(flow, grid.points[:, None])
     w = grid.trapezoid_weights()
     epi, ale = np.empty(n), np.empty(n)

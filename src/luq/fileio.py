@@ -3,9 +3,10 @@
 Two little-endian binary containers: "LUQ1" matrix files (raw float64
 feature matrices) and "LUQM" model files (typed, length-prefixed, CRC-32
 checked sections holding an optional PCA, the density model, and the
-output prior).  CSV is accepted as an alternate feature input and is the
-output format for scores and metrics: `.` decimal, LF line endings, 17
-significant digits so every float64 round-trips exactly.
+output prior).  Feature readers return plain (n, d) float64 arrays.  CSV
+is accepted as an alternate feature input and is the output format for
+scores and metrics: `.` decimal, LF line endings, 17 significant digits so
+every float64 round-trips exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import DataFormatError
 from .flow import ConditionalFlow, CouplingLayer, ReluNet
 from .gmm import ClassConditionalGmm, GaussianComponent, Gmm
-from .linalg import CholeskyFactor, FeatureMatrix, PcaModel
+from .linalg import CholeskyFactor, PcaModel
 from .priors import (
     BetaPrimePrior,
     CategoricalPrior,
@@ -82,8 +83,6 @@ def _unpack_array(r: _Reader) -> np.ndarray:
 
 def write_matrix(path, data) -> None:
     """Write a feature matrix in the binary container."""
-    if isinstance(data, FeatureMatrix):
-        data = data.data
     arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
     if arr.ndim == 1:
         arr = arr[:, None]
@@ -96,7 +95,8 @@ def write_matrix(path, data) -> None:
         fh.write(arr.tobytes())
 
 
-def read_matrix(path) -> FeatureMatrix:
+def read_matrix(path) -> np.ndarray:
+    """The (rows, cols) float64 array of a binary container file."""
     path = Path(path)
     r = _Reader(path.read_bytes(), str(path))
     magic = r.take(4)
@@ -111,11 +111,10 @@ def read_matrix(path) -> FeatureMatrix:
             f"{path}: {len(r.data) - r.pos} trailing bytes after payload "
             f"(offset {r.pos})"
         )
-    data = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
-    return FeatureMatrix(data)
+    return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
 
 
-def _read_csv_matrix(path) -> FeatureMatrix:
+def _read_csv_matrix(path) -> np.ndarray:
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -138,29 +137,32 @@ def _read_csv_matrix(path) -> FeatureMatrix:
             raise DataFormatError(
                 f"{path}: row {i} has {len(rows[-1])} columns, expected {len(rows[0])}"
             )
-    return FeatureMatrix(np.asarray(rows, dtype=np.float64))
+    if not rows:
+        raise DataFormatError(f"{path}: no data rows")
+    return np.asarray(rows, dtype=np.float64)
 
 
-def read_features(path) -> FeatureMatrix:
-    """Read features from either the binary container or a CSV file; a NaN
-    or infinite entry is a data error naming the first data row holding one."""
+def read_features(path) -> np.ndarray:
+    """Read an (n, d) float64 feature array from either the binary container
+    or a CSV file; a NaN or infinite entry is a data error naming the first
+    data row holding one."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
-    fm = read_matrix(path) if magic == MATRIX_MAGIC else _read_csv_matrix(path)
-    bad = ~np.isfinite(fm.data).all(axis=1)
+    x = read_matrix(path) if magic == MATRIX_MAGIC else _read_csv_matrix(path)
+    bad = ~np.isfinite(x).all(axis=1)
     if bad.any():
         raise DataFormatError(
             f"{path}: data row {int(np.argmax(bad)) + 1} holds a NaN or infinite value"
         )
-    return fm
+    return x
 
 
 def read_values(path) -> np.ndarray:
     """Read a single column of values (predictions or labels)."""
-    fm = read_features(path)
-    if fm.cols != 1:
-        raise DataFormatError(f"{path}: expected a single column, found {fm.cols}")
-    return fm.data[:, 0]
+    x = read_features(path)
+    if x.shape[1] != 1:
+        raise DataFormatError(f"{path}: expected a single column, found {x.shape[1]}")
+    return x[:, 0]
 
 
 # --- model file sections -------------------------------------------------

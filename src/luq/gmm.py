@@ -101,7 +101,7 @@ def _component_log_pdf(x: np.ndarray, mean: np.ndarray, chol: CholeskyFactor) ->
     d = mean.size
     sol = (x - mean) @ np.linalg.inv(chol.lower).T
     quad = np.sum(sol * sol, axis=1)
-    return -0.5 * (d * LOG_2PI + 2.0 * np.sum(np.log(np.diag(chol.lower))) + quad)
+    return -0.5 * (d * LOG_2PI + log_det(chol) + quad)
 
 
 def _joint_log_probs(x, means, chols, log_w) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Dense linear-algebra primitives shared by the density and training code.
 
-Cholesky factorization, log-determinants, numerically stable log-sum-exp,
-and PCA.  Everything operates on float64 numpy arrays; fitted objects are
-immutable and safe to share between threads.
+Coercion of feature input to a 2-D array, Cholesky factorization,
+log-determinants, numerically stable log-sum-exp, and PCA.  Everything
+operates on float64 numpy arrays; fitted objects are immutable and safe to
+share between threads.
 """
 
 from __future__ import annotations
@@ -21,34 +22,11 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """n x d matrix of latent vectors; ``data`` is row-major float64."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
-        if arr.ndim != 2:
-            raise DimMismatchError(f"feature matrix must be 2-D, got shape {arr.shape}")
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-
 def as_matrix(x) -> np.ndarray:
-    """Return the underlying 2-D float64 array of ``x``.
+    """``x`` as a 2-D float64 array; a 1-D input becomes one row.
 
-    Accepts a FeatureMatrix or anything array-like.
+    Latent features travel through the package as such plain (n, d) arrays.
     """
-    if isinstance(x, FeatureMatrix):
-        return x.data
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[None, :]

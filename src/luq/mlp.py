@@ -4,7 +4,10 @@ Used by the toy lab for prediction and latent extraction, and reused by the
 flow module for its optimizer, initialization helpers and the dense ReLU
 forward and backward passes of its coupling nets.  Hidden layers are
 ReLU; the head is either an identity map (regression) or softmax over K
-classes (classification).
+classes (classification).  One head loss (``_loss_and_grads``) and one
+full-batch Adam loop (``_fit``) train both a single network
+(``mlp_train``) and an ensemble whose parameters are stacked on a leading
+member axis (``mlp_train_many``).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadLayerIndexError, DivergedError
-from .linalg import FeatureMatrix, as_matrix
+from .linalg import as_matrix
 
 REGRESSION = "regression"
 CLASSIFICATION = "classification"
@@ -129,9 +132,9 @@ def relu_backward(weights, x, acts, grad_out):
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def mlp_predict(model: MlpModel, x) -> np.ndarray:
@@ -142,39 +145,40 @@ def mlp_predict(model: MlpModel, x) -> np.ndarray:
     return out
 
 
-def latent_extract(model: MlpModel, layer_index: int, inputs) -> FeatureMatrix:
-    """Post-activation outputs of hidden layer ``layer_index``, one row per
-    input.  The penultimate layer is ``model.n_hidden - 1``."""
+def latent_extract(model: MlpModel, layer_index: int, inputs) -> np.ndarray:
+    """Post-activation outputs of hidden layer ``layer_index``, an (n, width)
+    float64 array with one row per input.  The penultimate layer is
+    ``model.n_hidden - 1``."""
     if not 0 <= layer_index < model.n_hidden:
         raise BadLayerIndexError(
             f"layer_index {layer_index} outside [0, {model.n_hidden})"
         )
     _, acts = relu_forward(model.weights, model.biases, as_matrix(inputs))
-    return FeatureMatrix(acts[layer_index])
+    return acts[layer_index]
 
 
-def _loss_and_grad_out(model, out, y):
-    """Head loss and its gradient w.r.t. the raw network output."""
-    n = out.shape[0]
-    if model.head == CLASSIFICATION:
+def _loss_and_grads(weights, biases, head, x, y):
+    """Head loss of a full batch and its gradients (weights, then biases).
+
+    Parameters may be stacked on a leading member axis against the 2-D
+    ``x``; the loss is then the mean over members, and each member's
+    gradients are those of its own loss, because the loss separates.
+    """
+    out, acts = relu_forward(weights, biases, x)
+    n = x.shape[0]
+    if head == CLASSIFICATION:
         probs = softmax(out)
-        picked = probs[np.arange(n), y]
+        picked = probs[..., np.arange(n), y]
         loss = float(-np.mean(np.log(np.maximum(picked, 1e-300))))
         grad = probs
-        grad[np.arange(n), y] -= 1.0
-        return loss, grad / n
-    diff = out - y
-    loss = float(np.mean(diff**2))
-    return loss, 2.0 * diff / diff.size
-
-
-def mlp_loss_gradients(model: MlpModel, x, y):
-    """(loss, weight grads, bias grads) for a batch; reverse mode."""
-    x = as_matrix(x)
-    out, acts = relu_forward(model.weights, model.biases, x)
-    loss, grad_out = _loss_and_grad_out(model, out, y)
-    grads_w, grads_b, _ = relu_backward(model.weights, x, acts, grad_out)
-    return loss, grads_w, grads_b
+        grad[..., np.arange(n), y] -= 1.0
+        grad /= n
+    else:
+        diff = out - y
+        loss = float(np.mean(diff**2))
+        grad = 2.0 * diff / (n * y.shape[1])
+    grads_w, grads_b, _ = relu_backward(weights, x, acts, grad)
+    return loss, grads_w + grads_b
 
 
 @dataclass
@@ -182,10 +186,8 @@ class MlpTrainConfig:
     learning_rate: float = 1e-3
     weight_decay: float = 0.0
     max_epochs: int = 5000
-    batch_size: int | None = None  # None = full batch
     improvement_tol: float = 1e-7
     improvement_window: int = 100
-    target_loss: float | None = None
     seed: int = 0
 
 
@@ -209,107 +211,60 @@ def _window_stalled(bests, loss, window, tol) -> bool:
     return len(bests) > window and bests[-window - 1] - bests[-1] < tol
 
 
-def mlp_train(x, y, layer_dims, head=REGRESSION, cfg: MlpTrainConfig | None = None):
-    """Train an MLP with Adam; returns (model, per-epoch loss log).
+def _fit(weights, biases, head, x, y, cfg: MlpTrainConfig) -> np.ndarray:
+    """Full-batch Adam on ``weights`` and ``biases``, updated in place;
+    returns the per-epoch loss log.
 
     Stops early once the loss improves by less than ``improvement_tol``
-    over ``improvement_window`` epochs, or when ``target_loss`` is reached.
-    Deterministic for a fixed seed.
+    over ``improvement_window`` epochs.
     """
-    cfg = cfg or MlpTrainConfig()
-    x = as_matrix(x)
-    y = _prepare_targets(head, y)
-    n = x.shape[0]
-    if n == 0:
-        raise ValueError("mlp_train needs data")
-    model = mlp_init(layer_dims, head=head, seed=cfg.seed)
-    params = model.weights + model.biases
-    opt = Adam(params, cfg.learning_rate, cfg.weight_decay)
-    rng = np.random.default_rng(cfg.seed + 1)
-    batch = cfg.batch_size or n
+    if x.shape[0] == 0:
+        raise ValueError("training needs data")
+    opt = Adam(weights + biases, cfg.learning_rate, cfg.weight_decay)
     losses = []
     bests = []
     for _ in range(cfg.max_epochs):
-        if batch >= n:
-            loss, gw, gb = mlp_loss_gradients(model, x, y)
-            opt.step(gw + gb)
-        else:
-            order = rng.permutation(n)
-            loss = 0.0
-            for start in range(0, n, batch):
-                sel = order[start : start + batch]
-                part, gw, gb = mlp_loss_gradients(model, x[sel], y[sel])
-                opt.step(gw + gb)
-                loss += part * len(sel)
-            loss /= n
+        loss, grads = _loss_and_grads(weights, biases, head, x, y)
         if not np.isfinite(loss):
             raise DivergedError(f"loss became {loss!r}; lower the learning rate")
+        opt.step(grads)
         losses.append(loss)
-        if cfg.target_loss is not None and loss <= cfg.target_loss:
-            break
         if _window_stalled(bests, loss, cfg.improvement_window, cfg.improvement_tol):
             break
-    return model, np.asarray(losses)
+    return np.asarray(losses)
+
+
+def mlp_train(x, y, layer_dims, head=REGRESSION, cfg: MlpTrainConfig | None = None):
+    """Train an MLP with full-batch Adam; returns (model, per-epoch loss
+    log).  Deterministic for a fixed seed."""
+    cfg = cfg or MlpTrainConfig()
+    model = mlp_init(layer_dims, head=head, seed=cfg.seed)
+    losses = _fit(model.weights, model.biases, head, as_matrix(x),
+                  _prepare_targets(head, y), cfg)
+    return model, losses
 
 
 def mlp_train_many(x, y, layer_dims, head, cfg: MlpTrainConfig, seeds):
-    """Train several same-architecture models in lockstep.
+    """Train several same-architecture models in lockstep; returns (members,
+    per-epoch log of the mean member loss).
 
     Member parameters are stacked on a leading axis so one numpy pass per
-    epoch trains the whole collection; gradients are independent per member
-    because the loss separates.  Equivalent to training each member alone
-    for the same number of epochs (no early stopping across members).
+    epoch trains the whole collection.  Each member equals a solo
+    ``mlp_train`` run with its seed for the same number of epochs; early
+    stopping watches the mean loss, so all members stop together.
     """
-    x = as_matrix(x)
-    y = _prepare_targets(head, y)
     dims = tuple(int(d) for d in layer_dims)
-    m = len(seeds)
     inits = [mlp_init(dims, head=head, seed=s) for s in seeds]
-    weights = [np.stack([init.weights[i] for init in inits]) for i in range(len(dims) - 1)]
-    biases = [np.stack([init.biases[i] for init in inits]) for i in range(len(dims) - 1)]
-    params = weights + biases
-    opt = Adam(params, cfg.learning_rate, cfg.weight_decay)
-
-    def stacked_loss_grads():
-        out, acts = relu_forward(weights, biases, x)
-        n = x.shape[0]
-        if head == CLASSIFICATION:
-            shifted = out - out.max(axis=2, keepdims=True)
-            e = np.exp(shifted)
-            probs = e / e.sum(axis=2, keepdims=True)
-            picked = probs[:, np.arange(n), y]
-            loss = -np.log(np.maximum(picked, 1e-300)).mean()
-            grad = probs
-            grad[:, np.arange(n), y] -= 1.0
-            grad /= n
-        else:
-            diff = out - y[None, :, :]
-            loss = float(np.mean(diff**2))
-            grad = 2.0 * diff / (n * y.shape[1])
-        gw, gb, _ = relu_backward(weights, x, acts, grad)
-        return loss, gw + gb
-
-    losses = []
-    bests = []
-    for _ in range(cfg.max_epochs):
-        loss, grads = stacked_loss_grads()
-        if not np.isfinite(loss):
-            raise DivergedError("ensemble training diverged")
-        opt.step(grads)
-        losses.append(loss)
-        if cfg.target_loss is not None and loss <= cfg.target_loss:
-            break
-        if _window_stalled(bests, loss, cfg.improvement_window, cfg.improvement_tol):
-            break
-
-    members = []
-    for j in range(m):
-        members.append(
-            MlpModel(
-                layer_dims=dims,
-                weights=[w[j].copy() for w in weights],
-                biases=[b[j].copy() for b in biases],
-                head=head,
-            )
+    weights = [np.stack(ws) for ws in zip(*(init.weights for init in inits))]
+    biases = [np.stack(bs) for bs in zip(*(init.biases for init in inits))]
+    losses = _fit(weights, biases, head, as_matrix(x), _prepare_targets(head, y), cfg)
+    members = [
+        MlpModel(
+            layer_dims=dims,
+            weights=[w[j].copy() for w in weights],
+            biases=[b[j].copy() for b in biases],
+            head=head,
         )
-    return members, np.asarray(losses)
+        for j in range(len(seeds))
+    ]
+    return members, losses

@@ -55,8 +55,8 @@ class UniformPrior:
     hi: float
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError("uniform prior needs lo < hi")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
+            raise ValueError("uniform prior needs finite lo < hi")
 
     def log_pdf(self, y):
         y = np.asarray(y, dtype=np.float64)

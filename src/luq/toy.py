@@ -241,7 +241,7 @@ class RegressionStudy:
         return inside & ~self.gap_mask()
 
     def latents_for(self, x) -> np.ndarray:
-        z = latent_extract(self.model, self.model.n_hidden - 1, np.asarray(x)[:, None]).data
+        z = latent_extract(self.model, self.model.n_hidden - 1, np.asarray(x)[:, None])
         if self.pca is not None:
             z = pca_transform(self.pca, z)
         return z
@@ -289,7 +289,7 @@ def run_regression_study(
     mlp_cfg = mlp_cfg or MlpTrainConfig(seed=spec.seed)
     model, losses = mlp_train(train_x, train_y, REGRESSION_MLP_DIMS, REGRESSION, mlp_cfg)
 
-    train_latents = latent_extract(model, model.n_hidden - 1, train_x).data
+    train_latents = latent_extract(model, model.n_hidden - 1, train_x)
     pca = None
     if pca_dim is not None:
         pca = pca_fit(train_latents, pca_dim)
@@ -306,7 +306,7 @@ def run_regression_study(
     prior = UniformPrior(prior_lo, prior_hi)
     grid = SupportGrid.from_range(prior_lo, prior_hi, grid_points)
 
-    eval_latents = latent_extract(model, model.n_hidden - 1, eval_x[:, None]).data
+    eval_latents = latent_extract(model, model.n_hidden - 1, eval_x[:, None])
     if pca is not None:
         eval_latents = pca_transform(pca, eval_latents)
     predictions = mlp_predict(model, eval_x[:, None])[:, 0]
@@ -368,7 +368,7 @@ class ClassificationStudy:
     test_predictions: np.ndarray
 
     def latents_for(self, x) -> np.ndarray:
-        z = latent_extract(self.model, self.latent_layer, x).data
+        z = latent_extract(self.model, self.latent_layer, x)
         if self.pca is not None:
             z = pca_transform(self.pca, z)
         return z
@@ -406,7 +406,7 @@ def run_classification_study(
     mlp_cfg = mlp_cfg or MlpTrainConfig(max_epochs=800, seed=spec.seed)
     model, _ = mlp_train(train_x, train_labels, dims, CLASSIFICATION, mlp_cfg)
 
-    latents = latent_extract(model, latent_layer, train_x).data
+    latents = latent_extract(model, latent_layer, train_x)
     pca = None
     if pca_dim is not None:
         pca = pca_fit(latents, pca_dim)

@@ -141,6 +141,21 @@ class TestFit:
         assert "at least 10 rows, got 6" in capsys.readouterr().err
         assert not model_path.exists()
 
+    def test_data_driven_prior_fails_before_training(self, tmp_path, capsys):
+        # the beta-prime fit rejects the negative predictions; no flow is trained
+        rng = np.random.default_rng(1)
+        fpath, ppath = tmp_path / "f.luq", tmp_path / "p.luq"
+        write_matrix(fpath, rng.normal(size=(40, 2)))
+        write_matrix(ppath, rng.normal(size=(40, 1)))
+        model_path = tmp_path / "m.luqm"
+        assert run_cli("fit", "--features", str(fpath), "--predictions", str(ppath),
+                       "--model", "flow", "--prior", "betaprime",
+                       "--output", str(model_path)) == 2
+        captured = capsys.readouterr()
+        assert "usage error: --prior betaprime" in captured.err
+        assert captured.out == ""
+        assert not model_path.exists()
+
     def test_pca_above_feature_count_exit_2(self, tmp_path, blob_files, capsys):
         # the bound depends on the file: the blob features have 2 columns
         fpath, ppath = blob_files
@@ -170,10 +185,20 @@ class TestOptionValues:
         ["pca", "--out-dim", "0"],
         ["eval", "--mode", "calibration", "--percentile-step", "0"],
         ["eval", "--mode", "rmse", "--thresholds", "a,b"],
+        ["fit", "--model", "flow", "--prior", "uniform:1"],
+        ["fit", "--model", "flow", "--prior", "uniform:1:-1"],
+        ["fit", "--model", "flow", "--prior", "uniform:-inf:inf"],
+        ["fit", "--model", "flow", "--prior", "betaprime:1:-2"],
+        ["fit", "--model", "flow", "--prior", "histogram:0"],
+        ["fit", "--model", "flow", "--prior", "categorical"],
+        ["fit", "--model", "gmm", "--prior", "uniform:-10:10"],
+        ["fit", "--model", "gmm", "--prior", "categorical:3"],
+        ["fit", "--model", "gmm", "--prior", "dirichlet"],
     ], ids=lambda argv: " ".join(argv))
     def test_exit_2_before_any_work(self, tmp_path, capsys, argv):
         missing = str(tmp_path / "missing")
         files = {
+            "fit": ["--features", missing, "--predictions", missing],
             "score": ["--model", missing, "--features", missing],
             "toy": ["--out", str(tmp_path / "out")],
             "pca": ["--features", missing],
@@ -226,6 +251,27 @@ class TestNonFiniteFeatures:
         assert not out.exists()
 
 
+class TestHeaderOnlyCsv:
+    """A CSV with a header and no data rows is a data error naming the file."""
+
+    @pytest.mark.parametrize("command", ["fit", "score", "pca"])
+    def test_exit_3_names_file(self, tmp_path, blob_files, capsys, command):
+        fpath = tmp_path / "empty.csv"
+        fpath.write_text("f0,f1\n")
+        model_path = tmp_path / "ref.luqm"
+        write_model(model_path, two_class_reference_model())
+        out = tmp_path / "out"
+        argv = {
+            "fit": ["--predictions", str(blob_files[1]), "--model", "gmm"],
+            "score": ["--model", str(model_path)],
+            "pca": ["--out-dim", "1"],
+        }[command]
+        assert run_cli(command, "--features", str(fpath), *argv, "--output", str(out)) == 3
+        err = capsys.readouterr().err
+        assert str(fpath) in err and "no data rows" in err
+        assert not out.exists()
+
+
 class TestScore:
     def test_reference_values_and_determinism(self, tmp_path):
         model_path = tmp_path / "ref.luqm"
@@ -271,6 +317,31 @@ class TestScore:
                        "--grid", "155") == 0
         cols = read_csv_columns(out, ["epistemic_nats"])
         assert len(cols["epistemic_nats"]) == 2
+
+    def test_grid_without_prior_mass_exit_2(self, tmp_path, capsys):
+        from luq.flow import build_flow
+        from luq.priors import UniformPrior
+
+        model_path = tmp_path / "u.luqm"
+        write_model(model_path, ModelBundle(prior=UniformPrior(-10.0, 10.0),
+                                            flow=build_flow(1, 1, seed=0)))
+        fpath = tmp_path / "z.luq"
+        write_matrix(fpath, np.zeros((2, 1)))
+        out = tmp_path / "s.csv"
+        assert run_cli("score", "--model", str(model_path), "--features", str(fpath),
+                       "--output", str(out), "--grid-range", "20:30",
+                       "--grid", "50") == 2
+        err = capsys.readouterr().err
+        assert "usage error: --grid-range" in err and "no mass" in err
+        assert not out.exists()
+        assert run_cli("score", "--model", str(model_path), "--features", str(fpath),
+                       "--output", str(out), "--grid-range=-inf:30") == 2
+        assert "need finite LO < HI" in capsys.readouterr().err
+        assert not out.exists()
+        # a grid that overlaps the support scores
+        assert run_cli("score", "--model", str(model_path), "--features", str(fpath),
+                       "--output", str(out), "--grid-range", "5:30",
+                       "--grid", "50") == 0
 
     def test_stored_pca_applied(self, tmp_path, blob_files):
         fpath, ppath = blob_files
@@ -421,7 +492,7 @@ class TestPca:
         out = tmp_path / "t.luq"
         assert run_cli("pca", "--features", str(fpath), "--out-dim", "3",
                        "--output", str(out)) == 0
-        assert read_matrix(out).data.shape == (40, 3)
+        assert read_matrix(out).shape == (40, 3)
         assert "eigenvalue_sum=" in capsys.readouterr().out
 
     def test_one_row_exit_3(self, tmp_path, capsys):

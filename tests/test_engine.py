@@ -293,6 +293,21 @@ class TestRegressionScores:
             np.testing.assert_allclose(scores.posterior[i], post.density, atol=1e-12)
             assert post.log_marginal == pytest.approx(-scores.epistemic[i], abs=1e-12)
 
+    @pytest.mark.parametrize("lo, hi", [(20.0, 30.0), (-30.0, -10.5)])
+    def test_grid_without_prior_mass_raises(self, lo, hi):
+        """Outside the prior's support there is no posterior: a ValueError,
+        not an inf epistemic score with a falsely certain 0 entropy."""
+        flow = gaussian_conditional_flow(math.log(2.0))
+        grid = SupportGrid.from_range(lo, hi, 50)
+        prior = UniformPrior(-10.0, 10.0)
+        with pytest.raises(ValueError, match="no mass on the support grid"):
+            score_regression(flow, prior, grid, np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="no mass on the support grid"):
+            epistemic_regression(flow, prior, grid, np.zeros(1))
+        # one grid point inside the support is enough
+        grid = SupportGrid.from_range(10.0, 30.0, 50)
+        assert np.all(np.isfinite(score_regression(flow, prior, grid, np.zeros((2, 1))).epistemic))
+
 
 def random_flow(dim, n_layers, seed):
     arch = FlowArchitecture(n_layers=n_layers, hidden=(6, 5), cond_hidden=(4,),

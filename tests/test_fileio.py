@@ -50,9 +50,10 @@ class TestMatrixFile:
         p1 = tmp_path / "a.luq"
         p2 = tmp_path / "b.luq"
         write_matrix(p1, data)
-        fm = read_matrix(p1)
-        np.testing.assert_array_equal(fm.data, data)
-        write_matrix(p2, fm)
+        x = read_matrix(p1)
+        assert x.dtype == np.float64 and x.flags.c_contiguous
+        np.testing.assert_array_equal(x, data)
+        write_matrix(p2, x)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_bad_magic(self, tmp_path):
@@ -79,8 +80,15 @@ class TestMatrixFile:
     def test_csv_features_accepted(self, tmp_path):
         p = tmp_path / "f.csv"
         p.write_text("a,b\n1.5,2.5\n3.0,4.0\n")
-        fm = read_features(p)
-        np.testing.assert_array_equal(fm.data, [[1.5, 2.5], [3.0, 4.0]])
+        x = read_features(p)
+        assert x.dtype == np.float64
+        np.testing.assert_array_equal(x, [[1.5, 2.5], [3.0, 4.0]])
+
+    def test_csv_header_only_has_no_data_rows(self, tmp_path):
+        p = tmp_path / "f.csv"
+        p.write_text("a,b\n")
+        with pytest.raises(DataFormatError, match="no data rows"):
+            read_features(p)
 
     def test_csv_bad_row_cites_row(self, tmp_path):
         p = tmp_path / "f.csv"

@@ -11,7 +11,7 @@ from luq.errors import (
     TooFewSamplesError,
 )
 from luq.linalg import (
-    FeatureMatrix,
+    as_matrix,
     cholesky,
     log_det,
     logsumexp,
@@ -210,11 +210,11 @@ class TestPca:
         np.testing.assert_allclose(y.var(axis=0, ddof=1), 1.0, atol=1e-8)
 
 
-class TestFeatureMatrix:
-    def test_wraps_rows_and_cols(self):
-        fm = FeatureMatrix(np.arange(6.0).reshape(2, 3))
-        assert fm.rows == 2 and fm.cols == 3
+class TestAsMatrix:
+    def test_one_vector_becomes_one_row(self):
+        x = as_matrix([1, 2, 3])
+        assert x.shape == (1, 3) and x.dtype == np.float64
 
     def test_rejects_bad_shape(self):
         with pytest.raises(DimMismatchError):
-            FeatureMatrix(np.zeros((2, 2, 2)))
+            as_matrix(np.zeros((2, 2, 2)))

@@ -58,6 +58,13 @@ class TestPriorLogPdf:
         assert p.log_pdf(0.0) == pytest.approx(-2.995732, abs=1e-6)
         assert p.log_pdf(11.0) == -np.inf
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, 0.0), (1.0, -1.0), (-np.inf, 1.0),
+                                        (0.0, np.inf), (np.nan, 1.0)])
+    def test_uniform_needs_finite_range(self, lo, hi):
+        # an infinite range has density 0 everywhere, so no posterior
+        with pytest.raises(ValueError, match="finite lo < hi"):
+            UniformPrior(lo, hi)
+
     def test_betaprime_1_1(self):
         # pdf at 1 with alpha = beta = 1 is 1/(1+1)^2 = 0.25
         p = BetaPrimePrior(1.0, 1.0)
