@@ -240,6 +240,10 @@ def cmd_score(args) -> int:
             scores = score_regression(bundle.flow, bundle.prior, grid, x)
         except ValueError as exc:
             raise UsageError(f"--grid-range: {exc}") from exc
+    unscored = ~np.isfinite(scores.epistemic)
+    if unscored.any():
+        raise fileio.DataFormatError(f"{args.features}: data row {np.argmax(unscored) + 1} has "
+                                     f"density 0 under the model ({unscored.sum()} such rows)")
     fileio.write_scores_csv(args.output, scores.epistemic, scores.aleatoric)
     _emit("rows_scored", x.shape[0])
     _emit("scores_file", args.output)

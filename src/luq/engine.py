@@ -92,13 +92,13 @@ def _posterior_scores(log_joint: np.ndarray, weights=1.0):
     ``weights`` are the quadrature weights of the K outputs: 1 for classes,
     the trapezoid weights for a support grid.  Returns, per row, -log p(z),
     the posterior entropy, and the posterior (a probability over classes,
-    a density on a grid).
+    a density on a grid).  A row with p(z) = 0 gets +inf and NaN for both.
     """
     log_mass = logsumexp(log_joint + np.log(weights), axis=1)
-    log_post = log_joint - log_mass[:, None]
-    post = np.exp(log_post)
     with np.errstate(invalid="ignore"):
-        ent = -np.sum(np.where(post > 0.0, weights * post * log_post, 0.0), axis=1) + 0.0
+        log_post = log_joint - log_mass[:, None]
+        post = np.exp(log_post)
+        ent = -np.sum(np.where(post == 0.0, 0.0, weights * post * log_post), axis=1) + 0.0
     return -log_mass, ent, post
 
 

@@ -114,18 +114,21 @@ def read_matrix(path) -> np.ndarray:
     return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
 
 
+def _is_number(tok: str) -> bool:
+    try:
+        float(tok)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_csv_matrix(path) -> np.ndarray:
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
         raise DataFormatError(f"{path}: empty CSV")
-    start = 0
-    first = lines[0].split(",")
-    try:
-        [float(tok) for tok in first]
-    except ValueError:
-        start = 1  # header row
+    start = 0 if any(map(_is_number, lines[0].split(","))) else 1  # a header has no number
     rows = []
     for i, line in enumerate(lines[start:], start=start + 1):
         toks = line.split(",")
@@ -377,7 +380,7 @@ def read_model(path) -> ModelBundle:
             raise DataFormatError(
                 f"{path}: checksum mismatch in section {tag!r} at byte offset {at}"
             )
-        sec = _Reader(payload, f"{path}[{tag.decode().strip()}]")
+        sec = _Reader(payload, f"{path}[{tag.decode('latin-1').strip()}]")
         if tag == SECTION_PCA:
             pca = _unpack_pca(sec)
         elif tag == SECTION_GMMS:

@@ -1,6 +1,11 @@
 """Gaussian mixture density estimation via EM, plus the per-class bundle
 used to model the output-conditional latent density for classification.
 
+One kernel, ``_log_joint``, scores every component from stacked log-weights
+(k,), means (k, d) and lower Cholesky factors (k, d, d); EM's E-step and
+``gmm_log_prob`` both call it.  EM keeps its parameters as such stacks and
+builds the ``GaussianComponent`` objects once, when it returns.
+
 All responsibilities and likelihoods are handled in log space; covariances
 carry an explicit ridge (``cov_reg``) so long-tailed or tiny classes stay
 positive definite.
@@ -17,9 +22,10 @@ from .errors import (
     ClassTooSmallError,
     DegenerateComponentError,
     DimMismatchError,
+    NotPositiveDefiniteError,
     TooFewSamplesError,
 )
-from .linalg import CholeskyFactor, as_matrix, cholesky, log_det, logsumexp
+from .linalg import CholeskyFactor, as_matrix, logsumexp
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -91,26 +97,25 @@ class EmOptions:
             raise ValueError(f"unknown covariance_mode {self.covariance_mode!r}")
 
 
-def _component_log_pdf(x: np.ndarray, mean: np.ndarray, chol: CholeskyFactor) -> np.ndarray:
-    """Per-row Gaussian log density, via the whitened residual
-    ||(x - mu) L^-T||^2.
+def _log_joint(x: np.ndarray, log_w: np.ndarray, means: np.ndarray,
+               lowers: np.ndarray) -> np.ndarray:
+    """(n, k) matrix of log w_j + log N(x | mean_j, L_j L_j^T) over stacked
+    log-weights (k,), means (k, d) and lower Cholesky factors (k, d, d).
 
-    An explicit inverse of the d x d factor and one GEMM beat a
-    triangular solve over the rows by several times, at equal accuracy.
+    The factor stack is inverted once and each residual is whitened with one
+    GEMM, ||(x - mu_j) L_j^-T||^2; an explicit inverse and a GEMM beat a
+    triangular solve over the rows by several times, at equal accuracy.  A
+    residual too large to square gives the log density -inf, with no warning.
     """
-    d = mean.size
-    sol = (x - mean) @ np.linalg.inv(chol.lower).T
-    quad = np.sum(sol * sol, axis=1)
-    return -0.5 * (d * LOG_2PI + log_det(chol) + quad)
-
-
-def _joint_log_probs(x, means, chols, log_w) -> np.ndarray:
-    """(n, k) matrix of log_weight_k + log N_k(x_i)."""
-    cols = [
-        log_w[j] + _component_log_pdf(x, means[j], chols[j])
-        for j in range(len(chols))
-    ]
-    return np.stack(cols, axis=1)
+    k, d = means.shape
+    inv_t = np.linalg.inv(lowers).transpose(0, 2, 1)
+    log_dets = 2.0 * np.sum(np.log(np.diagonal(lowers, axis1=1, axis2=2)), axis=1)
+    out = np.empty((x.shape[0], k))
+    with np.errstate(over="ignore"):
+        for j in range(k):
+            sol = (x - means[j]) @ inv_t[j]
+            out[:, j] = log_w[j] - 0.5 * (d * LOG_2PI + log_dets[j] + np.sum(sol * sol, axis=1))
+    return out
 
 
 def gmm_log_prob(g: Gmm, z) -> float | np.ndarray:
@@ -125,10 +130,10 @@ def gmm_log_prob(g: Gmm, z) -> float | np.ndarray:
         z = z[None, :]
     if z.ndim != 2 or z.shape[1] != g.dim:
         raise DimMismatchError(f"expected vectors of length {g.dim}, got {z.shape}")
-    means = [c.mean for c in g.components]
-    chols = [c.cov_chol for c in g.components]
     log_w = np.array([c.log_weight for c in g.components])
-    out = logsumexp(_joint_log_probs(z, means, chols, log_w), axis=1)
+    means = np.array([c.mean for c in g.components])
+    lowers = np.array([c.cov_chol.lower for c in g.components])
+    out = logsumexp(_log_joint(z, log_w, means, lowers), axis=1)
     return float(out[0]) if single else out
 
 
@@ -149,10 +154,17 @@ def _kmeanspp_means(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return means
 
 
-def _regularized_cov(scatter: np.ndarray, reg: float) -> np.ndarray:
-    cov = 0.5 * (scatter + scatter.T)
-    cov[np.diag_indices_from(cov)] += reg
-    return cov
+def _factor(scatters: np.ndarray, reg: float) -> np.ndarray:
+    """Lower Cholesky factors of a (k, d, d) stack of scatters, each
+    symmetrized and given the ridge ``reg`` on its diagonal.  A pivot <= 0
+    is a NotPositiveDefiniteError, as in ``linalg.cholesky``."""
+    covs = 0.5 * (scatters + scatters.transpose(0, 2, 1))
+    diag = np.arange(covs.shape[1])
+    covs[:, diag, diag] += reg
+    try:
+        return np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(str(exc)) from exc
 
 
 def em_fit(data, opts: EmOptions) -> Gmm:
@@ -175,27 +187,22 @@ def em_fit(data, opts: EmOptions) -> Gmm:
 
     rng = np.random.default_rng(opts.seed)
     means = _kmeanspp_means(x, k, rng)
-    if n > 1:
-        global_cov = np.cov(x, rowvar=False).reshape(d, d)
-    else:
-        global_cov = np.zeros((d, d))
-    init_cov = _regularized_cov(global_cov, max(opts.cov_reg, 1e-12))
-    init_chol = cholesky(init_cov)
-    chols = [init_chol] * k
+    global_cov = np.cov(x, rowvar=False).reshape(1, d, d) if n > 1 else np.zeros((1, d, d))
+    init_lower = _factor(global_cov, max(opts.cov_reg, 1e-12))
+    lowers = np.repeat(init_lower, k, axis=0)
     log_w = np.full(k, -np.log(k))
 
     tied = opts.covariance_mode == TIED_COVARIANCE
     history: list[float] = []
     recoveries = np.zeros(k, dtype=int)
 
-    for _ in range(opts.max_iter):
-        joint = _joint_log_probs(x, means, chols, log_w)
+    for it in range(opts.max_iter + 1):  # the last pass only records the likelihood
+        joint = _log_joint(x, log_w, means, lowers)
         row_ll = logsumexp(joint, axis=1)
-        mean_ll = float(np.mean(row_ll))
-        if history and mean_ll - history[-1] < opts.tol * abs(history[-1]):
-            history.append(mean_ll)
+        history.append(float(np.mean(row_ll)))
+        converged = it > 0 and history[-1] - history[-2] < opts.tol * abs(history[-2])
+        if converged or it == opts.max_iter:
             break
-        history.append(mean_ll)
 
         resp = np.exp(joint - row_ll[:, None])
         mass = resp.sum(axis=0)
@@ -208,50 +215,33 @@ def em_fit(data, opts: EmOptions) -> Gmm:
                         f"component {j} lost all responsibility mass repeatedly"
                     )
                 means[j] = x[int(np.argmin(row_ll))]
-                chols[j] = init_chol
+                lowers[j] = init_lower[0]
             log_w = np.full(k, -np.log(k))
             continue
 
         means = (resp.T @ x) / mass[:, None]
-        if tied:
-            pooled = np.zeros((d, d))
-            for j in range(k):
-                diff = x - means[j]
-                pooled += (diff * resp[:, j : j + 1]).T @ diff
-            shared = cholesky(_regularized_cov(pooled / n, opts.cov_reg))
-            chols = [shared] * k
+        diffs = x - means[:, None, :]
+        scatters = (diffs * resp.T[:, :, None]).transpose(0, 2, 1) @ diffs
+        if tied:  # a running sum in component order; ``sum`` goes pairwise when d = 1
+            scatters = np.repeat(np.add.accumulate(scatters)[-1:], k, axis=0) / n
         else:
-            new_chols = []
-            for j in range(k):
-                diff = x - means[j]
-                scatter = (diff * resp[:, j : j + 1]).T @ diff / mass[j]
-                new_chols.append(cholesky(_regularized_cov(scatter, opts.cov_reg)))
-            chols = new_chols
+            scatters /= mass[:, None, None]
+        lowers = _factor(scatters, opts.cov_reg)
         log_w = np.log(mass / n)
-    else:
-        joint = _joint_log_probs(x, means, chols, log_w)
-        history.append(float(np.mean(logsumexp(joint, axis=1))))
 
-    components = tuple(
-        GaussianComponent(log_weight=float(log_w[j]), mean=means[j].copy(), cov_chol=chols[j])
-        for j in range(k)
-    )
+    components = tuple(GaussianComponent(float(w), mean, CholeskyFactor(d, lower))
+                       for w, mean, lower in zip(log_w, means, lowers))
     return Gmm(dim=d, components=components, em_log=tuple(history))
 
 
-def fit_class_conditional(
-    features,
-    predicted_labels,
-    opts: EmOptions,
-    classes=None,
-    reduce_small_classes: bool = True,
-) -> ClassConditionalGmm:
+def fit_class_conditional(features, predicted_labels, opts: EmOptions,
+                          classes=None) -> ClassConditionalGmm:
     """Fit one mixture per predicted class on that class's feature rows.
 
     Classes with fewer rows than ``opts.n_components`` get their component
     count reduced to floor(count/2) (minimum 1) with a warning, mirroring
-    long-tail label distributions; pass ``reduce_small_classes=False`` to
-    make that case raise ClassTooSmallError instead.
+    long-tail label distributions; a class with no rows is a
+    ClassTooSmallError.
     """
     x = as_matrix(features)
     labels = np.asarray(predicted_labels).astype(np.int64).ravel()
@@ -271,8 +261,6 @@ def fit_class_conditional(
             raise ClassTooSmallError(c, 0)
         k = opts.n_components
         if count < k:
-            if not reduce_small_classes:
-                raise ClassTooSmallError(c, count)
             k = max(1, count // 2)
             warnings.warn(
                 f"class {c} has {count} samples; reducing components "

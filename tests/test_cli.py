@@ -130,6 +130,21 @@ class TestFit:
         assert "usage error" in capsys.readouterr().err
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("covariance", ["full", "tied"])
+    def test_singular_covariance_without_ridge_exit_3(self, tmp_path, blob_files, capsys,
+                                                       covariance):
+        _, ppath = blob_files
+        fpath = tmp_path / "flat.luq"
+        features = np.column_stack([np.random.default_rng(2).normal(size=120), np.zeros(120)])
+        write_matrix(fpath, features)
+        model_path = tmp_path / "m.luqm"
+        code = run_cli("fit", "--features", str(fpath), "--predictions", str(ppath),
+                       "--model", "gmm", "--components", "2", "--cov-reg", "0",
+                       "--covariance", covariance, "--output", str(model_path))
+        assert code == 3
+        assert "not positive definite" in capsys.readouterr().err
+        assert not model_path.exists()
+
     def test_flow_on_too_few_rows_exit_3(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         fpath, ppath = tmp_path / "f.luq", tmp_path / "p.luq"
@@ -272,7 +287,48 @@ class TestHeaderOnlyCsv:
         assert not out.exists()
 
 
+class TestMixedCsvFirstLine:
+    """A first line with some numeric tokens is data, not a header: one bad
+    token in it is a data error naming row 1, not a silently dropped row."""
+
+    @pytest.mark.parametrize("command", ["fit", "score", "pca"])
+    def test_exit_3_names_row_1(self, tmp_path, blob_files, capsys, command):
+        fpath = tmp_path / "typo.csv"
+        fpath.write_text("1.0,2.O\n" + "".join(f"{i}.5,{i}.25\n" for i in range(119)))
+        model_path = tmp_path / "ref.luqm"
+        write_model(model_path, two_class_reference_model())
+        out = tmp_path / "out"
+        argv = {
+            "fit": ["--predictions", str(blob_files[1]), "--model", "gmm"],
+            "score": ["--model", str(model_path)],
+            "pca": ["--out-dim", "1"],
+        }[command]
+        assert run_cli(command, "--features", str(fpath), *argv, "--output", str(out)) == 3
+        err = capsys.readouterr().err
+        assert str(fpath) in err and "row 1:" in err
+        assert not out.exists()
+
+
 class TestScore:
+    @pytest.mark.parametrize("model", ["gmm", "flow"])
+    def test_zero_density_rows_exit_3(self, tmp_path, capsys, model):
+        from luq.flow import build_flow
+        from luq.priors import UniformPrior
+
+        bundle = two_class_reference_model() if model == "gmm" else ModelBundle(
+            prior=UniformPrior(-10.0, 10.0), flow=build_flow(1, 1, seed=0))
+        model_path = tmp_path / "m.luqm"
+        write_model(model_path, bundle)
+        fpath = tmp_path / "z.luq"
+        write_matrix(fpath, np.array([[0.0], [1e200], [1.0], [-1e200]]))
+        out = tmp_path / "s.csv"
+        code = run_cli("score", "--model", str(model_path), "--features", str(fpath),
+                       "--output", str(out), "--grid", "50")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(fpath) in err and "data row 2" in err and "(2 such rows)" in err
+        assert not out.exists()
+
     def test_reference_values_and_determinism(self, tmp_path):
         model_path = tmp_path / "ref.luqm"
         write_model(model_path, two_class_reference_model())

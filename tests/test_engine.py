@@ -25,7 +25,7 @@ from luq.errors import (
     MissingClassDensityError,
 )
 from luq.flow import FlowArchitecture, build_flow, flow_log_prob
-from luq.gmm import ClassConditionalGmm, GaussianComponent, Gmm
+from luq.gmm import ClassConditionalGmm, GaussianComponent, Gmm, gmm_log_prob
 from luq.linalg import cholesky
 from luq.metrics import discrete_entropy
 from luq.priors import CategoricalPrior, HistogramPrior, UniformPrior
@@ -408,6 +408,34 @@ class TestBatchInvariance:
                                            rtol=1e-12, atol=1e-12)
                 joined = np.concatenate([getattr(p[k], field) for p in parts])
                 np.testing.assert_allclose(joined, want, rtol=1e-12, atol=1e-12)
+
+
+class TestZeroDensityRows:
+    """A latent so far out that p(z) underflows to 0 has no posterior: both
+    heads score it epistemic +inf, aleatoric NaN and a NaN posterior, with
+    no warning, and score the other rows of the batch as they would alone."""
+
+    @pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
+    def test_both_heads(self, scale):
+        far = np.full((2, 3), scale) * np.array([[1.0], [-1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = score_both(np.vstack([BATCH[:2], far]))
+        for s, alone in zip(got, score_both(BATCH[:2])):
+            np.testing.assert_array_equal(s.epistemic[2:], np.inf)
+            assert np.isnan(s.aleatoric[2:]).all() and np.isnan(s.posterior[2:]).all()
+            np.testing.assert_array_equal(s.epistemic[:2], alone.epistemic)
+            np.testing.assert_array_equal(s.aleatoric[:2], alone.aleatoric)
+            np.testing.assert_array_equal(s.posterior[:2], alone.posterior)
+
+    def test_density_kernels_give_minus_inf(self):
+        z = np.full((1, 3), 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for c in CLASS_DENSITY.classes:
+                assert gmm_log_prob(CLASS_DENSITY.per_class[c], z)[0] == -np.inf
+            lp = flow_log_prob(REG_FLOW, np.repeat(z, 3, axis=0), np.zeros((3, 1)))
+        np.testing.assert_array_equal(lp, -np.inf)
 
 
 def normal_posterior_on(grid):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -32,8 +34,6 @@ from luq.priors import (
 class TestMatrixFile:
     def test_exact_byte_layout(self, tmp_path):
         # magic(4) | version u16 | rows u32 | cols u32 | f64 payload, all LE
-        import struct
-
         p = tmp_path / "layout.luq"
         write_matrix(p, np.array([[1.0, 2.0], [3.0, 4.0]]))
         raw = p.read_bytes()
@@ -94,6 +94,18 @@ class TestMatrixFile:
         p = tmp_path / "f.csv"
         p.write_text("a,b\n1.0,2.0\n1.0,oops\n")
         with pytest.raises(DataFormatError, match="row 3"):
+            read_features(p)
+
+    def test_csv_without_header_keeps_first_row(self, tmp_path):
+        p = tmp_path / "f.csv"
+        p.write_text("1.0,2.0\n3.0,4.0\n")
+        np.testing.assert_array_equal(read_features(p), [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_csv_mixed_first_line_is_row_1(self, tmp_path):
+        # a letter O in a number: the line is data with a typo, not a header
+        p = tmp_path / "f.csv"
+        p.write_text("1.0,2.O,3\n4,5,6\n7,8,9\n")
+        with pytest.raises(DataFormatError, match="row 1"):
             read_features(p)
 
     def test_read_values_single_column(self, tmp_path):
@@ -174,6 +186,29 @@ class TestModelFile:
         p.write_bytes(bytes(raw))
         with pytest.raises(DataFormatError, match="checksum"):
             read_model(p)
+
+    @pytest.mark.parametrize("model", ["gmm", "flow"])
+    def test_flipped_section_tag_bit(self, tmp_path, model):
+        """Flipping the high bit of any byte of a section tag is a
+        DataFormatError, and nothing else."""
+        if model == "gmm":
+            bundle, _ = small_gmm_bundle(with_pca=True)
+        else:
+            bundle = ModelBundle(prior=UniformPrior(-5.0, 5.0), flow=build_flow(2, 1, seed=0))
+        p = tmp_path / "m.luqm"
+        write_model(p, bundle)
+        raw = p.read_bytes()
+        pos, tags = 8, 0  # magic, version and section count come first
+        while pos < len(raw):  # each section: tag(4) | length u64 | crc u32 | payload
+            for i in range(pos, pos + 4):
+                bad = bytearray(raw)
+                bad[i] ^= 0x80
+                p.write_bytes(bytes(bad))
+                with pytest.raises(DataFormatError, match="unknown section tag"):
+                    read_model(p)
+            pos += 16 + struct.unpack_from("<Q", raw, pos + 4)[0]
+            tags += 1
+        assert tags == (3 if model == "gmm" else 2)
 
     def test_requires_density_section(self):
         with pytest.raises(ValueError):

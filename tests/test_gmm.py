@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from luq.errors import ClassTooSmallError, DimMismatchError, TooFewSamplesError
+from luq.errors import (
+    ClassTooSmallError,
+    DimMismatchError,
+    NotPositiveDefiniteError,
+    TooFewSamplesError,
+)
 from luq.gmm import (
+    FULL_COVARIANCE,
     TIED_COVARIANCE,
     ClassConditionalGmm,
     EmOptions,
@@ -108,6 +114,57 @@ class TestGmmLogProb:
             assert gmm_log_prob(g, z) == pytest.approx(ref, abs=1e-10)
 
 
+def reference_log_prob(g, z):
+    """Mixture log density by a plain loop over the components, with one
+    triangular system solved per component."""
+    cols = []
+    for c in g.components:
+        lower = c.cov_chol.lower
+        sol = np.linalg.solve(lower, (z - c.mean).T)
+        log_det = 2.0 * np.sum(np.log(np.diag(lower)))
+        quad = np.sum(sol * sol, axis=0)
+        cols.append(c.log_weight - 0.5 * (g.dim * math.log(2 * math.pi) + log_det + quad))
+    return np.logaddexp.reduce(np.stack(cols, axis=1), axis=1)
+
+
+def correlated_data(rng, n, d):
+    return rng.normal(size=(n, d)) @ (np.eye(d) + 0.5 * rng.normal(size=(d, d))) + 2.0
+
+
+class TestStackedKernel:
+    """``gmm_log_prob`` and EM's E-step run every component through one
+    stacked kernel; both must agree with the per-component reference."""
+
+    @pytest.mark.parametrize("mode", [FULL_COVARIANCE, TIED_COVARIANCE])
+    @pytest.mark.parametrize("k, d", [(1, 1), (1, 4), (3, 1), (4, 3)])
+    def test_matches_per_component_solve(self, mode, k, d):
+        rng = np.random.default_rng(10 * k + d)
+        x = correlated_data(rng, 300, d)
+        g = em_fit(x, EmOptions(n_components=k, covariance_mode=mode, seed=k))
+        z = np.vstack([x[:50], rng.normal(scale=3.0, size=(50, d))])
+        np.testing.assert_allclose(gmm_log_prob(g, z), reference_log_prob(g, z),
+                                   rtol=0.0, atol=1e-12)
+        # the E-step's mean log-likelihood under the final parameters
+        assert g.em_log[-1] == pytest.approx(np.mean(reference_log_prob(g, x)), abs=1e-12)
+
+    @pytest.mark.parametrize("mode", [FULL_COVARIANCE, TIED_COVARIANCE])
+    def test_large_batch(self, mode):
+        rng = np.random.default_rng(13)
+        x = correlated_data(rng, 20_400, 6)
+        g = em_fit(x[:400], EmOptions(n_components=5, covariance_mode=mode, seed=0))
+        z = x[400:]
+        np.testing.assert_allclose(gmm_log_prob(g, z), reference_log_prob(g, z),
+                                   rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", [FULL_COVARIANCE, TIED_COVARIANCE])
+    def test_rank_deficient_without_ridge_raises(self, mode):
+        # the second coordinate is always 0: every scatter is singular
+        x = np.column_stack([np.random.default_rng(14).normal(size=40), np.zeros(40)])
+        with pytest.raises(NotPositiveDefiniteError):
+            em_fit(x, EmOptions(n_components=2, cov_reg=0.0, covariance_mode=mode))
+        assert np.isfinite(em_fit(x, EmOptions(n_components=2, covariance_mode=mode)).em_log[-1])
+
+
 class TestEmFit:
     def test_single_point_single_component(self):
         x = np.array([[1.5, -2.0]])
@@ -208,14 +265,6 @@ class TestFitClassConditional:
         np.testing.assert_allclose(
             ccg.per_class[1].components[0].mean, xb.mean(axis=0), atol=1e-9
         )
-
-    def test_small_class_strict_raises(self):
-        x = np.zeros((5, 2))
-        labels = np.array([0, 0, 0, 0, 1])
-        with pytest.raises(ClassTooSmallError):
-            fit_class_conditional(
-                x, labels, EmOptions(n_components=3), reduce_small_classes=False
-            )
 
     def test_small_class_reduced_with_warning(self):
         rng = np.random.default_rng(10)
