@@ -20,7 +20,7 @@ import numpy as np
 
 from . import fileio
 from .engine import SupportGrid, score_classification, score_regression
-from .errors import LuqError
+from .errors import LuqError, NotPositiveDefiniteError
 from .flow import FlowArchitecture, FlowTrainConfig, flow_train
 from .gmm import EmOptions, fit_class_conditional
 from .linalg import pca_fit, pca_transform
@@ -183,7 +183,12 @@ def cmd_fit(args) -> int:
 
     if args.model == "gmm":
         labels = predictions.astype(np.int64)
-        density = fit_class_conditional(x, labels, options)
+        try:
+            density = fit_class_conditional(x, labels, options)
+        except NotPositiveDefiniteError as exc:
+            raise NotPositiveDefiniteError(
+                f"{exc}: a covariance is singular; raise --cov-reg (now {args.cov_reg:g})"
+            ) from exc
         for c in density.classes:
             _emit(f"class_{c}_count", int(np.sum(labels == c)))
             _emit(f"class_{c}_final_ll", density.per_class[c].em_log[-1])

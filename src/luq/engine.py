@@ -22,7 +22,7 @@ import numpy as np
 from .errors import GridTooCoarseWarning, MassUnreachableError, MissingClassDensityError
 from .flow import ConditionalFlow, flow_condition, flow_log_prob
 from .gmm import ClassConditionalGmm, gmm_log_prob
-from .linalg import as_matrix, logsumexp
+from .linalg import as_matrix
 from .priors import CategoricalPrior, OutputPrior
 
 
@@ -93,13 +93,20 @@ def _posterior_scores(log_joint: np.ndarray, weights=1.0):
     the trapezoid weights for a support grid.  Returns, per row, -log p(z),
     the posterior entropy, and the posterior (a probability over classes,
     a density on a grid).  A row with p(z) = 0 gets +inf and NaN for both.
+
+    Each row is shifted by its maximum before the weights enter, so a
+    log-joint too large in size to hold log(weight) in its last bits (a
+    latent far from the data) still gives a posterior that sums to 1.
     """
-    log_mass = logsumexp(log_joint + np.log(weights), axis=1)
-    with np.errstate(invalid="ignore"):
-        log_post = log_joint - log_mass[:, None]
+    top = np.max(log_joint, axis=1, keepdims=True)
+    top[~np.isfinite(top)] = 0.0  # a row with p(z) = 0 has no finite maximum
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shifted = log_joint - top
+        log_norm = np.log(np.sum(weights * np.exp(shifted), axis=1, keepdims=True))
+        log_post = shifted - log_norm
         post = np.exp(log_post)
         ent = -np.sum(np.where(post == 0.0, 0.0, weights * post * log_post), axis=1) + 0.0
-    return -log_mass, ent, post
+    return -(top + log_norm)[:, 0], ent, post
 
 
 def class_log_joint(d: ClassConditionalGmm, prior: CategoricalPrior, z) -> np.ndarray:

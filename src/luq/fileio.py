@@ -407,18 +407,15 @@ def format_float(x: float) -> str:
 
 
 def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
-    """CSV with `.` decimals, LF endings, and round-trip-exact floats."""
-    n = len(columns[0])
-    lines = [",".join(header)]
-    for i in range(n):
-        cells = []
-        for col in columns:
-            v = col[i]
-            if isinstance(v, (int, np.integer)):
-                cells.append(str(int(v)))
-            else:
-                cells.append(format_float(float(v)))
-        lines.append(",".join(cells))
+    """CSV with `.` decimals, LF endings, and round-trip-exact floats.
+
+    Integer columns print as integers, every other column as floats in the
+    ``format_float`` form; columns are formatted whole, one at a time.
+    """
+    cells = [[str(v) for v in col.tolist()] if col.dtype.kind in "iu"
+             else [f"{v:.17g}" for v in col.tolist()]
+             for col in map(np.asarray, columns)]
+    lines = [",".join(header), *map(",".join, zip(*cells, strict=True))]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

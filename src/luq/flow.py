@@ -348,10 +348,11 @@ def flow_inverse(flow: ConditionalFlow, u, c):
 
 def flow_log_prob(flow: ConditionalFlow, z, c):
     """Conditional log density log p(z | c) in nats, by change of variables;
-    -inf, with no warning, where the base point is too large to square."""
+    -inf, with no warning, where a coupling layer or the base point
+    overflows."""
     z, cond, single = _as_batch(flow, z, c)
-    u, log_det = _forward_layers(flow, z, cond)
     with np.errstate(over="ignore"):
+        u, log_det = _forward_layers(flow, z, cond)
         base = -0.5 * (flow.dim * LOG_2PI + np.sum(u * u, axis=1))
     out = base + log_det
     return float(out[0]) if single else out

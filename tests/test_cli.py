@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -142,7 +143,10 @@ class TestFit:
                        "--model", "gmm", "--components", "2", "--cov-reg", "0",
                        "--covariance", covariance, "--output", str(model_path))
         assert code == 3
-        assert "not positive definite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "not positive definite" in err
+        assert re.search(r"error: class \d+: ", err)  # the class whose fit failed
+        assert "raise --cov-reg (now 0)" in err
         assert not model_path.exists()
 
     def test_flow_on_too_few_rows_exit_3(self, tmp_path, capsys):

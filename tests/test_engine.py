@@ -415,7 +415,7 @@ class TestZeroDensityRows:
     heads score it epistemic +inf, aleatoric NaN and a NaN posterior, with
     no warning, and score the other rows of the batch as they would alone."""
 
-    @pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
+    @pytest.mark.parametrize("scale", [1e155, 1e200, 1e300, 1e307])
     def test_both_heads(self, scale):
         far = np.full((2, 3), scale) * np.array([[1.0], [-1.0]])
         with warnings.catch_warnings():
@@ -436,6 +436,35 @@ class TestZeroDensityRows:
                 assert gmm_log_prob(CLASS_DENSITY.per_class[c], z)[0] == -np.inf
             lp = flow_log_prob(REG_FLOW, np.repeat(z, 3, axis=0), np.zeros((3, 1)))
         np.testing.assert_array_equal(lp, -np.inf)
+
+
+class TestFarLatentPosterior:
+    """A latent far from the data has a log-joint too large in size to hold
+    log(weight) in its last bits; its posterior must still integrate to 1."""
+
+    FLOW = gaussian_conditional_flow(0.0)  # p(z | y) = N(y, 1)
+    GRID = SupportGrid.from_range(-10.0, 10.0, 200)
+    PRIOR = UniformPrior(-10.0, 10.0)
+
+    def test_integrates_to_one(self):
+        z = 10.0 ** np.arange(1, 301, dtype=float)[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = score_regression(self.FLOW, self.PRIOR, self.GRID, z, keep_posteriors=True)
+        mass = s.posterior @ self.GRID.trapezoid_weights()
+        finite = np.isfinite(s.epistemic)
+        # (z - y)^2 overflows from 1e155 on: p(z) = 0, no posterior
+        np.testing.assert_array_equal(finite, z[:, 0] < 1e155)
+        np.testing.assert_allclose(mass[finite], 1.0, rtol=0.0, atol=1e-12)
+        assert np.isnan(mass[~finite]).all()
+
+    def test_mass_on_the_nearest_end_point(self):
+        # at 1e12 the nearest grid point, y = 10, takes all the mass; it
+        # carries half a trapezoid weight, so the entropy is log(w / 2)
+        s = score_regression(self.FLOW, self.PRIOR, self.GRID, np.array([[1e12]]),
+                             keep_posteriors=True)
+        assert s.aleatoric[0] == pytest.approx(math.log(self.GRID.spacing / 2), abs=1e-12)
+        assert s.posterior[0, -1] == pytest.approx(2 / self.GRID.spacing, rel=1e-12)
 
 
 def normal_posterior_on(grid):

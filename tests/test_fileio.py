@@ -232,6 +232,26 @@ class TestCsv:
         assert lines[1].startswith("0,1.5")
         assert "\r" not in text
 
+    def test_cell_forms(self, tmp_path):
+        # integer columns as integers; float, float32 and bool columns in the
+        # format_float form, NaN, infinities and the sign of zero included
+        p = tmp_path / "c.csv"
+        floats = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1, 1e17])
+        write_csv(p, ["i", "f", "f32", "b"],
+                  [np.arange(7, dtype=np.int32) - 3, floats,
+                   np.array([0.1, -2, 0, 1, 2, 3, 4], dtype=np.float32),
+                   np.arange(7) % 2 == 0])
+        assert p.read_bytes() == (
+            b"i,f,f32,b\n"
+            b"-3,nan,0.10000000149011612,1\n"
+            b"-2,inf,-2,0\n"
+            b"-1,-inf,0,1\n"
+            b"0,-0,1,0\n"
+            b"1,4.9406564584124654e-324,2,1\n"
+            b"2,0.10000000000000001,3,0\n"
+            b"3,1e+17,4,1\n"
+        )
+
     def test_read_columns_and_missing(self, tmp_path):
         p = tmp_path / "m.csv"
         write_csv(p, ["score", "label"], [np.array([0.5, 0.75]), np.array([0, 1])])

@@ -16,6 +16,7 @@ from luq.gmm import (
     EmOptions,
     GaussianComponent,
     Gmm,
+    _kmeanspp_means,
     em_fit,
     fit_class_conditional,
     gmm_log_prob,
@@ -163,6 +164,101 @@ class TestStackedKernel:
         with pytest.raises(NotPositiveDefiniteError):
             em_fit(x, EmOptions(n_components=2, cov_reg=0.0, covariance_mode=mode))
         assert np.isfinite(em_fit(x, EmOptions(n_components=2, covariance_mode=mode)).em_log[-1])
+
+
+def reference_em(x, opts):
+    """EM on rows stored (n, d): per component, one solve of the triangular
+    system in the E-step and one two-pass scatter (mean first, then the
+    weighted residual products) in the M-step, with em_fit's seeding, ridge,
+    tied running sum, stopping rule and re-seeding of dead components.
+    Returns (em_log, log-weights, means, lower factors)."""
+    n, d = x.shape
+    k = opts.n_components
+    eye = np.eye(d)
+
+    def factor(scatter, reg):
+        return np.linalg.cholesky(0.5 * (scatter + scatter.T) + reg * eye)
+
+    means = _kmeanspp_means(x, k, np.random.default_rng(opts.seed))
+    init = factor(np.cov(x, rowvar=False).reshape(d, d) if n > 1 else np.zeros((d, d)),
+                  max(opts.cov_reg, 1e-12))
+    lowers = [init] * k
+    log_w = np.full(k, -np.log(k))
+    history, recoveries = [], [0] * k
+    for it in range(opts.max_iter + 1):
+        joint = np.empty((n, k))
+        for j in range(k):
+            sol = np.linalg.solve(lowers[j], (x - means[j]).T)
+            log_det = 2.0 * np.sum(np.log(np.diag(lowers[j])))
+            joint[:, j] = log_w[j] - 0.5 * (d * math.log(2 * math.pi) + log_det
+                                            + np.sum(sol * sol, axis=0))
+        row_ll = np.logaddexp.reduce(joint, axis=1)
+        history.append(float(np.mean(row_ll)))
+        if it == opts.max_iter or (it > 0 and history[-1] - history[-2]
+                                   < opts.tol * abs(history[-2])):
+            break
+        resp = np.exp(joint - row_ll[:, None])
+        mass = resp.sum(axis=0)
+        dead = [j for j in range(k) if mass[j] < 1e-10]
+        for j in dead:
+            recoveries[j] += 1
+            means[j] = x[int(np.argmin(row_ll))]
+            lowers[j] = init
+        if dead:
+            log_w = np.full(k, -np.log(k))
+            continue
+        means = np.array([resp[:, j] @ x / mass[j] for j in range(k)])
+        scatters = [(x - means[j]).T @ ((x - means[j]) * resp[:, j:j + 1]) for j in range(k)]
+        if opts.covariance_mode == TIED_COVARIANCE:
+            total = scatters[0]
+            for s in scatters[1:]:
+                total = total + s
+            scatters = [total / n] * k
+        else:
+            scatters = [s / m for s, m in zip(scatters, mass)]
+        lowers = [factor(s, opts.cov_reg) for s in scatters]
+        log_w = np.log(mass / n)
+    assert max(recoveries) <= 2
+    return history, log_w, means, np.array(lowers)
+
+
+class TestRowMajorReference:
+    """EM and scoring store rows feature-major; neither the layout nor the
+    summation order it brings may change a fit beyond rounding."""
+
+    @pytest.mark.parametrize("case", range(40))
+    def test_em_matches_reference(self, case):
+        rng = np.random.default_rng(500 + case)
+        d, k = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+        x = correlated_data(rng, int(rng.integers(max(k, 10), 150)), d)
+        if case % 4 == 3:  # a third of the rows twice more
+            x = np.vstack([x, x[:len(x) // 3], x[:len(x) // 3]])
+        mode = (FULL_COVARIANCE, TIED_COVARIANCE)[case % 2]
+        opts = EmOptions(n_components=k, covariance_mode=mode, seed=case)
+        g = em_fit(x, opts)
+        history, log_w, means, lowers = reference_em(x, opts)
+        assert len(g.em_log) == len(history)
+        close = dict(rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(g.em_log, history, **close)
+        np.testing.assert_allclose([c.log_weight for c in g.components], log_w, **close)
+        np.testing.assert_allclose([c.mean for c in g.components], means, **close)
+        np.testing.assert_allclose([c.cov_chol.lower for c in g.components], lowers, **close)
+
+    def test_scoring_ignores_input_layout(self):
+        rng = np.random.default_rng(15)
+        x = correlated_data(rng, 200, 5)
+        g = em_fit(x, EmOptions(n_components=3, seed=0))
+        z = rng.normal(scale=3.0, size=(60, 5))
+        batch = gmm_log_prob(g, z)
+        np.testing.assert_array_equal(gmm_log_prob(g, np.asfortranarray(z)), batch)
+        wide = np.repeat(z, 2, axis=1)
+        np.testing.assert_array_equal(gmm_log_prob(g, wide[::-1, ::2])[::-1], batch)
+        np.testing.assert_array_equal(gmm_log_prob(g, z[7:40:3]), batch[7:40:3])
+        # a single vector is a one-row batch; BLAS and numpy's reductions may
+        # order a one-column sum differently, so the full batch agrees to rounding
+        for i in (0, 31):
+            assert gmm_log_prob(g, z[i]) == gmm_log_prob(g, z[i:i + 1])[0]
+            assert gmm_log_prob(g, z[i]) == pytest.approx(batch[i], rel=1e-13, abs=1e-13)
 
 
 class TestEmFit:
