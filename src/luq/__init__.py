@@ -66,7 +66,6 @@ from .linalg import (
     log_det,
     logsumexp,
     pca_fit,
-    pca_inverse_transform,
     pca_transform,
 )
 from .metrics import (

@@ -38,7 +38,6 @@ from .toy import (
     ToyClassificationSpec,
     ToyRegressionSpec,
     gen_ood_data,
-    perturb,
     regression_eval_x,
     run_classification_study,
     run_regression_study,
@@ -356,8 +355,7 @@ def _toy_regression(args, spec, out) -> int:
     train_preds = mlp_predict(study.model, study.train_x)[:, 0]
     fileio.write_matrix(out / "train_predictions.luq", train_preds[:, None])
     fileio.write_model(out / "model.luqm",
-                       fileio.ModelBundle(prior=study.prior, flow=study.flow,
-                                          pca=study.pca))
+                       fileio.ModelBundle(prior=study.prior, flow=study.flow))
     fileio.write_scores_csv(out / "scores.csv", study.scores.epistemic,
                             study.scores.aleatoric)
     lower = np.array([b.lower for b in study.bands])
@@ -404,8 +402,7 @@ def _toy_classification(args, spec, out) -> int:
     fileio.write_matrix(out / "train_predicted_labels.luq",
                         predicted.astype(np.float64)[:, None])
     fileio.write_model(out / "model.luqm",
-                       fileio.ModelBundle(prior=study.prior,
-                                          class_gmms=study.density, pca=study.pca))
+                       fileio.ModelBundle(prior=study.prior, class_gmms=study.density))
     fileio.write_scores_csv(out / "scores.csv", study.test_scores.epistemic,
                             study.test_scores.aleatoric)
 

@@ -391,6 +391,11 @@ def read_model(path) -> ModelBundle:
             prior = _unpack_prior(sec)
         else:
             raise DataFormatError(f"{path}: unknown section tag {tag!r}")
+    if r.pos != len(r.data):
+        raise DataFormatError(
+            f"{path}: {len(r.data) - r.pos} trailing bytes after the last section "
+            f"(offset {r.pos})"
+        )
     if prior is None:
         raise DataFormatError(f"{path}: missing prior section")
     if gmms is None and flow is None:

@@ -349,12 +349,14 @@ def flow_inverse(flow: ConditionalFlow, u, c):
 def flow_log_prob(flow: ConditionalFlow, z, c):
     """Conditional log density log p(z | c) in nats, by change of variables;
     -inf, with no warning, where a coupling layer or the base point
-    overflows."""
+    overflows.  A NaN in ``z`` still gives NaN."""
     z, cond, single = _as_batch(flow, z, c)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         u, log_det = _forward_layers(flow, z, cond)
         base = -0.5 * (flow.dim * LOG_2PI + np.sum(u * u, axis=1))
-    out = base + log_det
+        out = base + log_det
+    # a finite row that overflowed to inf meets inf * 0 in the next layer
+    out[np.isnan(out) & np.isfinite(z).all(axis=1)] = -np.inf
     return float(out[0]) if single else out
 
 

@@ -9,7 +9,7 @@ share between threads.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +56,7 @@ class CholeskyFactor:
         return self.lower @ self.lower.T
 
 
-def cholesky(m, sym_tol: float = 1e-9) -> CholeskyFactor:
+def cholesky(m) -> CholeskyFactor:
     """Factor a symmetric positive-definite matrix as L @ L.T.
 
     Raises NotPositiveDefiniteError when a pivot is <= 0, which signals a
@@ -68,7 +68,7 @@ def cholesky(m, sym_tol: float = 1e-9) -> CholeskyFactor:
     if not np.all(np.isfinite(m)):
         raise ValueError("cholesky input has non-finite entries")
     scale = max(1.0, float(np.abs(m).max()))
-    if np.abs(m - m.T).max() > sym_tol * scale:
+    if np.abs(m - m.T).max() > 1e-9 * scale:  # more than rounding noise
         raise ValueError("cholesky input is not symmetric")
     try:
         lower = np.linalg.cholesky(m)
@@ -184,16 +184,3 @@ def pca_transform(p: PcaModel, x) -> np.ndarray:
         scale = np.where(p.eigenvalues > 0, np.sqrt(p.eigenvalues), np.inf)
         y = y / scale
     return y
-
-
-def pca_inverse_transform(p: PcaModel, y) -> np.ndarray:
-    """Map projected coordinates back to the input space."""
-    y = as_matrix(y)
-    if y.shape[1] != p.out_dim:
-        raise DimMismatchError(
-            f"input has {y.shape[1]} columns, PCA produces {p.out_dim}"
-        )
-    if p.whiten:
-        scale = np.where(p.eigenvalues > 0, np.sqrt(p.eigenvalues), 0.0)
-        y = y * scale
-    return y @ p.basis.T + p.mean

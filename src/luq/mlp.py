@@ -31,21 +31,17 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
 class Adam:
     """Adam with decoupled weight decay, updating parameters in place."""
 
-    def __init__(self, params, learning_rate, weight_decay=0.0,
-                 beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, learning_rate, weight_decay=0.0):
         self.params = params
         self.lr = learning_rate
         self.wd = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
 
     def step(self, grads):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, eps = 0.9, 0.999, 1e-8
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
@@ -55,7 +51,7 @@ class Adam:
             v += (1.0 - b2) * g * g
             if self.wd:
                 p *= 1.0 - self.lr * self.wd
-            p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
 
 
 @dataclass
@@ -70,14 +66,6 @@ class MlpModel:
     @property
     def n_hidden(self) -> int:
         return len(self.layer_dims) - 2
-
-    def copy(self) -> "MlpModel":
-        return MlpModel(
-            layer_dims=self.layer_dims,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            head=self.head,
-        )
 
 
 def mlp_init(layer_dims, head=REGRESSION, seed=0) -> MlpModel:

@@ -129,12 +129,12 @@ class HistogramPrior:
 OutputPrior = Union[CategoricalPrior, UniformPrior, BetaPrimePrior, HistogramPrior]
 
 
-def fit_categorical(predicted_labels, classes=None, smoothing: float = 1.0) -> CategoricalPrior:
+def fit_categorical(predicted_labels, classes=None) -> CategoricalPrior:
     """Estimate class probabilities by counting predicted labels.
 
     ``classes`` declares the class set (defaults to the labels present).
-    When a declared class has zero count, add-``smoothing`` Laplace smoothing
-    is applied across all classes so the marginalization never hard-zeros a
+    When a declared class has zero count, add-one Laplace smoothing is
+    applied across all classes so the marginalization never hard-zeros a
     class the density model carries; otherwise plain counts are used.
     """
     labels = np.asarray(predicted_labels)
@@ -148,7 +148,7 @@ def fit_categorical(predicted_labels, classes=None, smoothing: float = 1.0) -> C
         raise ValueError("labels contain ids outside the declared class set")
     counts = np.array([np.sum(labels == c) for c in classes], dtype=np.float64)
     if np.any(counts == 0):
-        counts = counts + smoothing
+        counts = counts + 1.0
     with np.errstate(divide="ignore"):
         log_probs = np.log(counts / counts.sum())
     return CategoricalPrior(classes=classes, log_probs=log_probs)

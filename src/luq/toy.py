@@ -22,17 +22,15 @@ from .engine import (
     score_classification,
     score_regression,
 )
-from .errors import BadKindError, DimMismatchError
+from .errors import BadKindError
 from .flow import (
     MIN_TRAIN_ROWS,
     ConditionalFlow,
-    FlowArchitecture,
     FlowTrainConfig,
     FlowTrainLog,
     flow_train,
 )
 from .gmm import ClassConditionalGmm, EmOptions, fit_class_conditional
-from .linalg import PcaModel, pca_fit, pca_transform
 from .mlp import (
     CLASSIFICATION,
     REGRESSION,
@@ -53,17 +51,21 @@ def regression_target(x):
     return 0.5 * (np.sin(4.0 * np.pi * x - 0.5 * np.pi) + x)
 
 
+# input range of the regression task, and the support of its uniform
+# output prior and scoring grid
+X_RANGE = (-1.0, 1.0)
+PRIOR_RANGE = (-10.0, 10.0)
+
+
 @dataclass(frozen=True)
 class ToyRegressionSpec:
     n_train: int = 750
-    x_lo: float = -1.0
-    x_hi: float = 1.0
     gap: tuple[float, float] = (-0.25, 0.25)
     noise_sigma: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        if not self.x_lo < self.gap[0] < self.gap[1] < self.x_hi:
+        if not X_RANGE[0] < self.gap[0] < self.gap[1] < X_RANGE[1]:
             raise ValueError("gap must lie strictly inside the x range")
         if self.n_train < MIN_TRAIN_ROWS:
             raise ValueError(f"n_train must be at least {MIN_TRAIN_ROWS}, the flow's "
@@ -73,42 +75,36 @@ class ToyRegressionSpec:
 def gen_regression_data(spec: ToyRegressionSpec):
     """Training pairs with x uniform over the range minus the gap."""
     rng = np.random.default_rng(spec.seed)
-    left = spec.gap[0] - spec.x_lo
-    right = spec.x_hi - spec.gap[1]
+    x_lo, x_hi = X_RANGE
+    left = spec.gap[0] - x_lo
+    right = x_hi - spec.gap[1]
     u = rng.uniform(0.0, left + right, size=spec.n_train)
-    x = np.where(u < left, spec.x_lo + u, spec.gap[1] + (u - left))
+    x = np.where(u < left, x_lo + u, spec.gap[1] + (u - left))
     y = regression_target(x)
     if spec.noise_sigma > 0:
         y = y + rng.normal(scale=spec.noise_sigma, size=y.shape)
     return x[:, None], y
 
 
+# one blob per class at the corners of a square; the OOD copy slides every
+# blob this far along the diagonal
+CENTERS = np.array([[2.0, 2.0], [-2.0, -2.0], [2.0, -2.0], [-2.0, 2.0]])
+N_CLASSES = len(CENTERS)
+OOD_SHIFT = 8.0
+
+
 @dataclass(frozen=True)
 class ToyClassificationSpec:
-    """Gaussian blobs at the corners of a square, plus a far-shifted copy
-    as unambiguous OOD."""
+    """Gaussian blobs at ``CENTERS``, plus a far-shifted copy as unambiguous
+    OOD."""
 
-    n_classes: int = 4
-    center_scale: float = 2.0
     sigma: float = 0.4
     n_per_class: int = 500
-    ood_shift: float = 8.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_classes < 2:
-            raise ValueError("need at least 2 classes")
         if self.n_per_class < 1:
             raise ValueError(f"need at least 1 sample per class, got {self.n_per_class}")
-
-    def centers(self) -> np.ndarray:
-        corners = np.array(
-            [[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0],
-             [0.0, 1.0], [0.0, -1.0], [1.0, 0.0], [-1.0, 0.0]]
-        )
-        if self.n_classes > len(corners):
-            raise ValueError("at most 8 blob classes supported")
-        return self.center_scale * corners[: self.n_classes]
 
 
 def gen_classification_data(spec: ToyClassificationSpec, seed_offset: int = 0,
@@ -116,47 +112,30 @@ def gen_classification_data(spec: ToyClassificationSpec, seed_offset: int = 0,
     """Blob samples and labels; ``shift`` slides every center by that many
     units along the diagonal (used for the OOD copy)."""
     rng = np.random.default_rng(spec.seed + seed_offset)
-    centers = spec.centers() + shift / np.sqrt(2.0)
-    labels = np.repeat(np.arange(spec.n_classes), spec.n_per_class)
+    centers = CENTERS + shift / np.sqrt(2.0)
+    labels = np.repeat(np.arange(N_CLASSES), spec.n_per_class)
     x = centers[labels] + rng.normal(scale=spec.sigma, size=(labels.size, 2))
     return x, labels
 
 
 def gen_ood_data(spec: ToyClassificationSpec, seed_offset: int = 0):
-    return gen_classification_data(spec, seed_offset=seed_offset, shift=spec.ood_shift)
+    return gen_classification_data(spec, seed_offset=seed_offset, shift=OOD_SHIFT)
 
 
-def perturb(inputs, kind: str, sigma: float | None = None, angle: float | None = None,
-            axis: int | None = None, seed: int = 0) -> np.ndarray:
+def perturb(inputs, kind: str, sigma: float | None = None, seed: int = 0) -> np.ndarray:
     """Perturbed copy of the inputs.
 
-    Kinds: ``gaussian_noise`` (additive, std ``sigma``), ``rotate_2d``
-    (``angle`` in degrees, requires 2-D inputs), ``flip_axis`` (negates
-    column ``axis``).
+    The one kind is ``gaussian_noise``: additive noise with std ``sigma``.
     """
+    if kind != "gaussian_noise":
+        raise BadKindError(f"unknown perturbation kind {kind!r}")
+    if sigma is None or sigma < 0:
+        raise ValueError("gaussian_noise needs sigma >= 0")
     x = np.asarray(inputs, dtype=np.float64)
-    if kind == "gaussian_noise":
-        if sigma is None or sigma < 0:
-            raise ValueError("gaussian_noise needs sigma >= 0")
-        if sigma == 0:
-            return x.copy()
-        rng = np.random.default_rng(seed)
-        return x + rng.normal(scale=sigma, size=x.shape)
-    if kind == "rotate_2d":
-        if angle is None:
-            raise ValueError("rotate_2d needs an angle")
-        if x.ndim != 2 or x.shape[1] != 2:
-            raise DimMismatchError("rotate_2d requires 2-D inputs")
-        rad = np.deg2rad(angle)
-        rot = np.array([[np.cos(rad), -np.sin(rad)], [np.sin(rad), np.cos(rad)]])
-        return x @ rot.T
-    if kind == "flip_axis":
-        if axis is None or not 0 <= axis < x.shape[1]:
-            raise ValueError("flip_axis needs a valid axis")
-        out = x.copy()
-        out[:, axis] = -out[:, axis]
-        return out
-    raise BadKindError(f"unknown perturbation kind {kind!r}")
+    if sigma == 0:
+        return x.copy()
+    rng = np.random.default_rng(seed)
+    return x + rng.normal(scale=sigma, size=x.shape)
 
 
 @dataclass(frozen=True)
@@ -222,14 +201,10 @@ class RegressionStudy:
     flow: ConditionalFlow
     flow_log: FlowTrainLog
     prior: UniformPrior
-    grid: SupportGrid
-    pca: PcaModel | None
     eval_x: np.ndarray
     predictions: np.ndarray
     scores: UncertaintyScores
     bands: list[ConfidenceRegion]
-    band_mass: float
-    ensemble: EnsembleModel | None = None
     ensemble_epistemic: np.ndarray | None = None
 
     def gap_mask(self) -> np.ndarray:
@@ -237,14 +212,11 @@ class RegressionStudy:
         return (self.eval_x > lo) & (self.eval_x < hi)
 
     def train_region_mask(self) -> np.ndarray:
-        inside = (self.eval_x >= self.spec.x_lo) & (self.eval_x <= self.spec.x_hi)
+        inside = (self.eval_x >= X_RANGE[0]) & (self.eval_x <= X_RANGE[1])
         return inside & ~self.gap_mask()
 
     def latents_for(self, x) -> np.ndarray:
-        z = latent_extract(self.model, self.model.n_hidden - 1, np.asarray(x)[:, None])
-        if self.pca is not None:
-            z = pca_transform(self.pca, z)
-        return z
+        return latent_extract(self.model, self.model.n_hidden - 1, np.asarray(x)[:, None])
 
 
 REGRESSION_MLP_DIMS = (1, 50, 50, 50, 50, 1)
@@ -253,7 +225,7 @@ REGRESSION_MLP_DIMS = (1, 50, 50, 50, 50, 1)
 def regression_eval_x(spec: ToyRegressionSpec, eval_points: int) -> np.ndarray:
     """``eval_points`` evenly spaced inputs over the x range, some inside the
     gap and some outside it."""
-    x = np.linspace(spec.x_lo, spec.x_hi, eval_points)
+    x = np.linspace(*X_RANGE, eval_points)
     in_gap = (x > spec.gap[0]) & (x < spec.gap[1])
     if in_gap.all() or not in_gap.any():
         raise ValueError(f"{eval_points} evaluation points miss the gap or the training region")
@@ -264,15 +236,10 @@ def run_regression_study(
     spec: ToyRegressionSpec | None = None,
     eval_points: int = 201,
     band_mass: float = 0.2,
-    prior_lo: float = -10.0,
-    prior_hi: float = 10.0,
     grid_points: int = 1000,
-    pca_dim: int | None = None,
     mlp_cfg: MlpTrainConfig | None = None,
     flow_cfg: FlowTrainConfig | None = None,
-    flow_arch: FlowArchitecture | None = None,
     with_ensemble: bool = False,
-    n_ensemble: int = 10,
     ensemble_cfg: MlpTrainConfig | None = None,
 ) -> RegressionStudy:
     """Full toy regression pipeline.
@@ -290,10 +257,6 @@ def run_regression_study(
     model, losses = mlp_train(train_x, train_y, REGRESSION_MLP_DIMS, REGRESSION, mlp_cfg)
 
     train_latents = latent_extract(model, model.n_hidden - 1, train_x)
-    pca = None
-    if pca_dim is not None:
-        pca = pca_fit(train_latents, pca_dim)
-        train_latents = pca_transform(pca, train_latents)
     train_preds = mlp_predict(model, train_x)[:, 0]
 
     # full batch; the modest epoch budget keeps the conditioning soft so the
@@ -301,14 +264,12 @@ def run_regression_study(
     flow_cfg = flow_cfg or FlowTrainConfig(
         batch_size=spec.n_train, max_epochs=40, seed=spec.seed
     )
-    flow, flow_log = flow_train(train_latents, train_preds, flow_cfg, arch=flow_arch)
+    flow, flow_log = flow_train(train_latents, train_preds, flow_cfg)
 
-    prior = UniformPrior(prior_lo, prior_hi)
-    grid = SupportGrid.from_range(prior_lo, prior_hi, grid_points)
+    prior = UniformPrior(*PRIOR_RANGE)
+    grid = SupportGrid.from_range(*PRIOR_RANGE, grid_points)
 
     eval_latents = latent_extract(model, model.n_hidden - 1, eval_x[:, None])
-    if pca is not None:
-        eval_latents = pca_transform(pca, eval_latents)
     predictions = mlp_predict(model, eval_x[:, None])[:, 0]
     scores = score_regression(flow, prior, grid, eval_latents, keep_posteriors=True)
 
@@ -319,14 +280,11 @@ def run_regression_study(
         )
         bands.append(confidence_region(post, float(predictions[i]), band_mass))
 
-    ensemble = None
     ens_epi = None
     if with_ensemble:
         ensemble_cfg = ensemble_cfg or MlpTrainConfig(max_epochs=600, seed=spec.seed)
-        ensemble = train_ensemble(
-            train_x, train_y, REGRESSION_MLP_DIMS, REGRESSION,
-            ensemble_cfg, n_members=n_ensemble, base_seed=spec.seed * 1000 + 1,
-        )
+        ensemble = train_ensemble(train_x, train_y, REGRESSION_MLP_DIMS, REGRESSION,
+                                  ensemble_cfg, base_seed=spec.seed * 1000 + 1)
         ens_epi, _ = ensemble_scores(ensemble, eval_x[:, None])
 
     return RegressionStudy(
@@ -338,14 +296,10 @@ def run_regression_study(
         flow=flow,
         flow_log=flow_log,
         prior=prior,
-        grid=grid,
-        pca=pca,
         eval_x=eval_x,
         predictions=predictions,
         scores=scores,
         bands=bands,
-        band_mass=band_mass,
-        ensemble=ensemble,
         ensemble_epistemic=ens_epi,
     )
 
@@ -358,7 +312,6 @@ class ClassificationStudy:
     model: MlpModel
     density: ClassConditionalGmm
     prior: CategoricalPrior
-    pca: PcaModel | None
     latent_layer: int
     train_x: np.ndarray
     train_labels: np.ndarray
@@ -368,10 +321,7 @@ class ClassificationStudy:
     test_predictions: np.ndarray
 
     def latents_for(self, x) -> np.ndarray:
-        z = latent_extract(self.model, self.latent_layer, x)
-        if self.pca is not None:
-            z = pca_transform(self.pca, z)
-        return z
+        return latent_extract(self.model, self.latent_layer, x)
 
     def score_inputs(self, x) -> UncertaintyScores:
         return score_classification(self.density, self.prior, self.latents_for(x))
@@ -384,7 +334,6 @@ def run_classification_study(
     spec: ToyClassificationSpec | None = None,
     em_opts: EmOptions | None = None,
     latent_layer: int = 0,
-    pca_dim: int | None = None,
     mlp_cfg: MlpTrainConfig | None = None,
 ) -> ClassificationStudy:
     """Full toy classification pipeline.
@@ -395,43 +344,35 @@ def run_classification_study(
 
     ``latent_layer`` defaults to the first hidden layer: shallow-layer
     densities give the most conservative epistemic estimates and the
-    strongest OOD separation, while deeper layers trade that for slightly
-    better-calibrated aleatoric scores.
+    strongest far-OOD separation.
     """
     spec = spec or ToyClassificationSpec()
     train_x, train_labels = gen_classification_data(spec)
     test_x, test_labels = gen_classification_data(spec, seed_offset=1)
 
-    dims = (2, *CLASSIFICATION_MLP_HIDDEN, spec.n_classes)
+    dims = (2, *CLASSIFICATION_MLP_HIDDEN, N_CLASSES)
     mlp_cfg = mlp_cfg or MlpTrainConfig(max_epochs=800, seed=spec.seed)
     model, _ = mlp_train(train_x, train_labels, dims, CLASSIFICATION, mlp_cfg)
 
     latents = latent_extract(model, latent_layer, train_x)
-    pca = None
-    if pca_dim is not None:
-        pca = pca_fit(latents, pca_dim)
-        latents = pca_transform(pca, latents)
     predicted = mlp_predict(model, train_x).argmax(axis=1)
 
     em_opts = em_opts or EmOptions(n_components=20, cov_reg=1e-4, seed=spec.seed)
     density = fit_class_conditional(latents, predicted, em_opts,
-                                    classes=range(spec.n_classes))
-    prior = fit_categorical(predicted, classes=range(spec.n_classes))
+                                    classes=range(N_CLASSES))
+    prior = fit_categorical(predicted, classes=range(N_CLASSES))
 
-    study = ClassificationStudy(
+    return ClassificationStudy(
         spec=spec,
         model=model,
         density=density,
         prior=prior,
-        pca=pca,
         latent_layer=latent_layer,
         train_x=train_x,
         train_labels=train_labels,
         test_x=test_x,
         test_labels=test_labels,
-        test_scores=UncertaintyScores(np.empty(0), np.empty(0)),
-        test_predictions=np.empty(0),
+        test_scores=score_classification(density, prior,
+                                         latent_extract(model, latent_layer, test_x)),
+        test_predictions=mlp_predict(model, test_x).argmax(axis=1),
     )
-    study.test_scores = study.score_inputs(test_x)
-    study.test_predictions = mlp_predict(model, test_x).argmax(axis=1)
-    return study

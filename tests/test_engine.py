@@ -415,7 +415,7 @@ class TestZeroDensityRows:
     heads score it epistemic +inf, aleatoric NaN and a NaN posterior, with
     no warning, and score the other rows of the batch as they would alone."""
 
-    @pytest.mark.parametrize("scale", [1e155, 1e200, 1e300, 1e307])
+    @pytest.mark.parametrize("scale", [1e155, 1e200, 1e300, 1e307, 1.7e308])
     def test_both_heads(self, scale):
         far = np.full((2, 3), scale) * np.array([[1.0], [-1.0]])
         with warnings.catch_warnings():
@@ -434,8 +434,14 @@ class TestZeroDensityRows:
             warnings.simplefilter("error")
             for c in CLASS_DENSITY.classes:
                 assert gmm_log_prob(CLASS_DENSITY.per_class[c], z)[0] == -np.inf
-            lp = flow_log_prob(REG_FLOW, np.repeat(z, 3, axis=0), np.zeros((3, 1)))
-        np.testing.assert_array_equal(lp, -np.inf)
+            for scale in (1e200, 1.7e308):
+                lp = flow_log_prob(REG_FLOW, np.full((3, 3), scale), np.zeros((3, 1)))
+                np.testing.assert_array_equal(lp, -np.inf)
+
+    def test_nan_latent_stays_nan_in_flow(self):
+        z = np.array([[np.nan, 0.0, 0.0], [1.7e308, 1.7e308, 1.7e308]])
+        lp = flow_log_prob(REG_FLOW, z, np.zeros((2, 1)))
+        assert np.isnan(lp[0]) and lp[1] == -np.inf
 
 
 class TestFarLatentPosterior:

@@ -19,7 +19,7 @@ from luq.fileio import (
     write_model,
     write_scores_csv,
 )
-from luq.flow import build_flow, flow_log_prob
+from luq.flow import FlowArchitecture, build_flow, flow_log_prob
 from luq.gmm import EmOptions, fit_class_conditional, gmm_log_prob
 from luq.linalg import pca_fit
 from luq.priors import (
@@ -128,6 +128,11 @@ def small_gmm_bundle(seed=0, with_pca=False):
     return ModelBundle(prior=prior, class_gmms=gmms, pca=pca), x
 
 
+def small_flow_bundle():
+    arch = FlowArchitecture(n_layers=2, hidden=(3,), cond_hidden=(3,), cond_feat_dim=2)
+    return ModelBundle(prior=UniformPrior(-5.0, 5.0), flow=build_flow(2, 1, arch=arch))
+
+
 class TestModelFile:
     def test_gmm_round_trip_bit_identical(self, tmp_path):
         bundle, x = small_gmm_bundle(with_pca=True)
@@ -210,9 +215,51 @@ class TestModelFile:
             tags += 1
         assert tags == (3 if model == "gmm" else 2)
 
+    def test_trailing_bytes_rejected(self, tmp_path, capsys):
+        bundle, x = small_gmm_bundle()
+        p = tmp_path / "t.luqm"
+        write_model(p, bundle)
+        size = p.stat().st_size
+        p.write_bytes(p.read_bytes() + b"\0")
+        with pytest.raises(DataFormatError, match=f"1 trailing bytes .*offset {size}"):
+            read_model(p)
+        features = tmp_path / "x.luq"
+        write_matrix(features, x)
+        assert cli.main(["score", "--model", str(p), "--features", str(features),
+                         "--output", str(tmp_path / "s.csv")]) == 3
+        assert "trailing bytes" in capsys.readouterr().err
+
     def test_requires_density_section(self):
         with pytest.raises(ValueError):
             ModelBundle(prior=UniformPrior(0.0, 1.0))
+
+
+class TestModelCorruption:
+    """Every truncation, every 0x01, 0x80 and 0xFF flip of each byte, and
+    one appended byte make a model file a DataFormatError, and nothing
+    else."""
+
+    @staticmethod
+    def corruptions(raw: bytes):
+        for n in range(len(raw)):
+            yield raw[:n]
+        for i in range(len(raw)):
+            for mask in (0x01, 0x80, 0xFF):
+                bad = bytearray(raw)
+                bad[i] ^= mask
+                yield bytes(bad)
+        yield raw + b"\0"
+
+    @pytest.mark.parametrize("model", ["gmm", "flow"])
+    def test_every_corruption_is_a_format_error(self, tmp_path, model):
+        bundle = small_gmm_bundle(with_pca=True)[0] if model == "gmm" else small_flow_bundle()
+        p = tmp_path / "m.luqm"
+        write_model(p, bundle)
+        raw = p.read_bytes()
+        for bad in self.corruptions(raw):
+            p.write_bytes(bad)
+            with pytest.raises(DataFormatError):
+                read_model(p)
 
 
 class TestCsv:
