@@ -6,20 +6,33 @@ then scores new feature vectors with the surprisal -log p(z) (epistemic
 uncertainty) and the entropy of the Bayes posterior over outputs
 (aleatoric uncertainty).
 
-``LUQ_THREADS`` caps the BLAS thread pools.  It is copied into their
-environment variables here, before numpy is first imported, because the
-pools read them once at start-up; explicitly set pool variables win.
+Fits that do not depend on each other (the per-class mixtures, and the toy
+regressor beside its ensemble) run concurrently on worker threads, as many
+as the CPUs that the BLAS threads leave free: with one BLAS thread, one
+worker per CPU.  Each fit is deterministic, so the results do not depend on
+the number of workers.
+
+``LUQ_THREADS``, a positive integer, caps both luq's worker threads and the
+BLAS thread pools.  It is copied into the pools' environment variables here,
+before numpy is first imported, because the pools read them once at
+start-up; explicitly set pool variables win.  A value that is not a
+positive integer is left out of the BLAS variables; the ``luq`` command
+rejects it as a usage error and a fit raises ValueError.
 """
 
 import os
 
+from ._pool import POOL_VARS, thread_cap
+
 
 def _apply_thread_cap():
-    cap = os.environ.get("LUQ_THREADS")
+    try:
+        cap = thread_cap()
+    except ValueError:
+        return
     if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                    "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
+        for var in POOL_VARS:
+            os.environ.setdefault(var, str(cap))
 
 
 _apply_thread_cap()

@@ -5,10 +5,14 @@ Commands: ``fit`` (estimate density + prior from feature/prediction files),
 calibration metrics), ``toy`` (self-contained desk-scale experiments), and
 ``pca`` (standalone dimensionality reduction).
 
-Exit codes: 0 success, 2 usage error, 3 data error.  ``LUQ_THREADS`` caps
-internal parallelism: ``luq/__init__.py`` copies it into the BLAS
-thread-pool variables before numpy is first imported (the toolkit's own code
-is single-threaded and deterministic).
+Exit codes: 0 success, 2 usage error, 3 data error.  ``LUQ_THREADS``, a
+positive integer, caps internal parallelism: ``luq/__init__.py`` copies it
+into the BLAS thread-pool variables before numpy is first imported, and it
+caps the worker threads on which independent fits (the per-class mixtures,
+the toy regressor beside its ensemble) run concurrently, one per CPU that
+the BLAS threads leave free.  Every fit is deterministic, so outputs do
+not depend on the number of workers.  Any other value of ``LUQ_THREADS`` is
+a usage error, reported before any file is read.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import sys
 import numpy as np
 
 from . import fileio
+from ._pool import thread_cap
 from .engine import SupportGrid, score_classification, score_regression
 from .errors import LuqError, NotPositiveDefiniteError
 from .flow import FlowArchitecture, FlowTrainConfig, flow_train
@@ -169,6 +174,14 @@ def cmd_fit(args) -> int:
             f"{args.predictions}: {len(predictions)} predictions for "
             f"{x.shape[0]} feature rows"
         )
+    if args.model == "gmm":  # class ids are stored as int64
+        fractional = (predictions != np.round(predictions)) | (np.abs(predictions) >= 2.0**63)
+        if fractional.any():
+            row = int(np.argmax(fractional))
+            raise fileio.DataFormatError(
+                f"{args.predictions}: data row {row + 1} holds {predictions[row]:g}, "
+                "not an integer class id"
+            )
     prior = build_prior(predictions)
 
     pca = None
@@ -269,6 +282,26 @@ def _write_ood_metrics(path, scores, labels) -> dict:
     return values
 
 
+def _eval_columns(path, names: list[str], binary: str | None = None) -> dict:
+    """The ``names`` columns of an eval input CSV.  A non-finite cell, or a
+    value other than 0 and 1 in the ``binary`` column, is a data error that
+    names the column and the CSV row (the header is row 1), as
+    ``read_csv_columns`` numbers them."""
+    cols = fileio.read_csv_columns(path, names)
+    for name in names:
+        values = cols[name]
+        if name == binary:
+            bad, rule = (values != 0) & (values != 1), "0 or 1"
+        else:
+            bad, rule = ~np.isfinite(values), "a finite number"
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise fileio.DataFormatError(
+                f"{path}: column {name!r}, row {row + 2}: {values[row]:g} is not {rule}"
+            )
+    return cols
+
+
 def cmd_eval(args) -> int:
     _require(0.0 < args.percentile_step <= 100.0, "--percentile-step", "in (0, 100]",
              args.percentile_step)
@@ -278,15 +311,17 @@ def cmd_eval(args) -> int:
             thresholds = np.array([float(t) for t in args.thresholds.split(",")])
         except ValueError as exc:
             raise UsageError(f"--thresholds: {exc}") from exc
+        _require(np.isfinite(thresholds).all(), "--thresholds", "finite numbers",
+                 args.thresholds)
     if args.mode == "ood":
         if args.plot:
             raise UsageError("--plot applies to calibration and rmse modes")
-        cols = fileio.read_csv_columns(args.input, ["score", "label"])
+        cols = _eval_columns(args.input, ["score", "label"], binary="label")
         values = _write_ood_metrics(args.output, cols["score"], cols["label"].astype(int))
         for k, v in values.items():
             _emit(k, v)
     elif args.mode == "calibration":
-        cols = fileio.read_csv_columns(args.input, ["uncertainty", "correct"])
+        cols = _eval_columns(args.input, ["uncertainty", "correct"], binary="correct")
         curve = calibration_curve(cols["uncertainty"], cols["correct"],
                                   percentile_step=args.percentile_step)
         fileio.write_csv(args.output, ["percentile", "accuracy"],
@@ -301,7 +336,7 @@ def cmd_eval(args) -> int:
             _emit("plot_file", args.plot)
         _emit("final_accuracy", float(curve.accuracies[-1]))
     else:  # rmse
-        cols = fileio.read_csv_columns(args.input, ["error", "uncertainty"])
+        cols = _eval_columns(args.input, ["error", "uncertainty"])
         if thresholds is None:
             thresholds = np.percentile(cols["uncertainty"], np.arange(5, 101, 5))
         values = rmse_below_uncertainty(cols["error"], cols["uncertainty"], thresholds)
@@ -602,6 +637,11 @@ def _merge_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    try:
+        thread_cap()
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     parser = build_parser()
     try:
         argv = _merge_config(argv, parser)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._pool import worker_pool
 from .errors import (
     ClassTooSmallError,
     DegenerateComponentError,
@@ -237,6 +238,13 @@ def em_fit(data, opts: EmOptions) -> Gmm:
     return Gmm(dim=d, components=components, em_log=tuple(history))
 
 
+def _fit_class(c: int, rows: np.ndarray, opts: EmOptions) -> Gmm:
+    try:
+        return em_fit(rows, opts)
+    except NotPositiveDefiniteError as exc:
+        raise NotPositiveDefiniteError(f"class {c}: {exc}") from exc
+
+
 def fit_class_conditional(features, predicted_labels, opts: EmOptions,
                           classes=None) -> ClassConditionalGmm:
     """Fit one mixture per predicted class on that class's feature rows.
@@ -246,13 +254,19 @@ def fit_class_conditional(features, predicted_labels, opts: EmOptions,
     long-tail label distributions.  A class with no rows is a
     ClassTooSmallError; a singular covariance (``cov_reg`` 0 on a constant
     feature) is a NotPositiveDefiniteError that names the class.
+
+    The rows are split and checked, and the warnings raised, in the calling
+    thread in class order; the fits then run concurrently on a
+    ``_pool.worker_pool``.  Each fit is deterministic, so the result does
+    not depend on the number of workers.  When several classes fail, the
+    lowest class id's error is raised.
     """
     x = as_matrix(features)
     labels = np.asarray(predicted_labels).astype(np.int64).ravel()
     if labels.size != x.shape[0]:
         raise DimMismatchError(f"{labels.size} labels for {x.shape[0]} feature rows")
     class_list = sorted({int(c) for c in (np.unique(labels) if classes is None else classes)})
-    per_class: dict[int, Gmm] = {}
+    fits = []
     for c in class_list:
         rows = x[labels == c]
         count = rows.shape[0]
@@ -263,8 +277,8 @@ def fit_class_conditional(features, predicted_labels, opts: EmOptions,
             k = max(1, count // 2)
             warnings.warn(f"class {c} has {count} samples; reducing components "
                           f"{opts.n_components} -> {k}")
-        try:
-            per_class[c] = em_fit(rows, replace(opts, n_components=k))
-        except NotPositiveDefiniteError as exc:
-            raise NotPositiveDefiniteError(f"class {c}: {exc}") from exc
+        fits.append((c, rows, replace(opts, n_components=k)))
+    with worker_pool(len(fits)) as pool:
+        futures = [pool.submit(_fit_class, *fit) for fit in fits]
+    per_class = {c: future.result() for c, future in zip(class_list, futures)}
     return ClassConditionalGmm(dim=x.shape[1], classes=tuple(class_list), per_class=per_class)

@@ -1,0 +1,20 @@
+"""Fixtures shared by the test modules."""
+
+import os
+
+import pytest
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """``workers(n)`` makes the fits that follow run on ``n`` worker threads:
+    it sets ``LUQ_THREADS`` to n, declares one BLAS thread and reports n
+    usable CPUs."""
+
+    def use(n: int):
+        monkeypatch.setenv("LUQ_THREADS", str(n))
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+    return use

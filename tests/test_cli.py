@@ -109,6 +109,46 @@ class TestFit:
     def test_missing_flag_exit_2(self):
         assert run_cli("fit", "--features", "x") == 2
 
+    @pytest.mark.parametrize("labels, row, shown", [
+        ([0.7] * 60 + [1.7] * 60, 1, "0.7"),
+        ([0.0] * 60 + [1.0] * 10 + [1.5] * 50, 71, "1.5"),
+        ([0.0] * 119 + [1e20], 120, "1e+20"),
+    ])
+    def test_fractional_gmm_predictions_exit_3(self, tmp_path, blob_files, capsys,
+                                               monkeypatch, labels, row, shown):
+        fpath, ppath = blob_files
+        write_matrix(ppath, np.array(labels)[:, None])
+        monkeypatch.setattr(cli, "fit_class_conditional", None)  # no fit may start
+        model_path = tmp_path / "m.luqm"
+        code = run_cli("fit", "--features", str(fpath), "--predictions", str(ppath),
+                       "--model", "gmm", "--output", str(model_path))
+        assert code == 3
+        captured = capsys.readouterr()
+        assert f"{ppath}: data row {row} holds {shown}, not an integer class id" in captured.err
+        assert captured.out == ""
+        assert not model_path.exists()
+
+    def test_gmm_model_file_independent_of_worker_count(self, tmp_path):
+        rng = np.random.default_rng(5)
+        centers = np.array([[3.0, 0.0, 0.0], [-3.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
+        labels = np.repeat([0.0, 1.0, 2.0], 70)
+        fpath, ppath = tmp_path / "f.luq", tmp_path / "p.luq"
+        write_matrix(fpath, rng.normal(size=(210, 3)) + centers[labels.astype(int)])
+        write_matrix(ppath, labels[:, None])
+        env = subprocess_env(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+                             MKL_NUM_THREADS="1")  # one worker per CPU
+        env.pop("LUQ_THREADS", None)
+        models = []
+        for cap in (None, "1"):
+            if cap is not None:
+                env["LUQ_THREADS"] = cap
+            models.append(tmp_path / f"m{cap}.luqm")
+            subprocess.run([sys.executable, "-m", "luq", "fit", "--features", str(fpath),
+                            "--predictions", str(ppath), "--model", "gmm", "--components",
+                            "3", "--seed", "2", "--output", str(models[-1])],
+                           env=env, check=True, capture_output=True)
+        assert models[0].read_bytes() == models[1].read_bytes()
+
     @pytest.mark.parametrize("model, flag, value", [
         ("gmm", "--components", "0"),
         ("gmm", "--tol", "0"),
@@ -462,6 +502,35 @@ class TestEval:
         assert run_cli("eval", "--mode", "ood", "--input", str(csv),
                        "--output", str(tmp_path / "o.csv")) == 3
 
+    @pytest.mark.parametrize("mode, text, column, row, value", [
+        ("ood", "score,label\n" + "0.9,1\n0.2,0\n" * 6 + "nan,1\n" + "0.8,1\n0.1,0\n" * 3
+         + "0.7,0\n", "score", 14, "nan"),
+        ("ood", "score,label\n0.9,1\n0.3,2\n0.1,0\n", "label", 3, "2"),
+        ("ood", "score,label\n0.9,1\n0.3,0.5\n0.1,0\n", "label", 3, "0.5"),
+        ("ood", "score,label\n0.9,1\n0.3,nan\n0.1,0\n", "label", 3, "nan"),
+        ("ood", "score,label\n0.9,1\ninf,0\n", "score", 3, "inf"),
+        ("calibration", "uncertainty,correct\n0.1,1\nnan,0\n0.3,1\n", "uncertainty", 3,
+         "nan"),
+        ("calibration", "uncertainty,correct\n0.1,1\n0.2,-1\n", "correct", 3, "-1"),
+        ("rmse", "error,uncertainty\n0.0,1.0\nnan,2.0\n", "error", 3, "nan"),
+        ("rmse", "error,uncertainty\n0.0,1.0\n1.0,-inf\n", "uncertainty", 3, "-inf"),
+    ])
+    def test_bad_cell_exit_3(self, tmp_path, capsys, mode, text, column, row, value):
+        csv = tmp_path / "in.csv"
+        csv.write_text(text)
+        out = tmp_path / "o.csv"
+        assert run_cli("eval", "--mode", mode, "--input", str(csv), "--output", str(out)) == 3
+        assert f"{csv}: column '{column}', row {row}: {value} is not" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("thresholds", ["nan,1", "1,inf", "0.5,-inf"])
+    def test_non_finite_threshold_exit_2(self, tmp_path, capsys, thresholds):
+        csv = tmp_path / "e.csv"
+        csv.write_text("error,uncertainty\n0.0,1.0\n2.0,10.0\n")
+        assert run_cli("eval", "--mode", "rmse", "--input", str(csv), "--output",
+                       str(tmp_path / "r.csv"), "--thresholds", thresholds) == 2
+        assert "usage error: --thresholds must be finite numbers" in capsys.readouterr().err
+
     def test_plot_with_ood_exit_2(self, tmp_path):
         csv = tmp_path / "scores.csv"
         csv.write_text("score,label\n0.9,1\n0.1,0\n")
@@ -616,6 +685,26 @@ class TestSubprocessEntry:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               env=env, text=True, check=True)
         assert proc.stdout.strip() == "1"
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1"])
+    def test_bad_luq_threads_exit_2_before_any_file_is_read(self, tmp_path, value):
+        env = subprocess_env(LUQ_THREADS=value)
+        proc = subprocess.run(
+            [sys.executable, "-m", "luq", "pca", "--features", str(tmp_path / "missing.luq"),
+             "--out-dim", "1", "--output", str(tmp_path / "o.luq")],
+            capture_output=True, env=env, text=True,
+        )
+        assert proc.returncode == 2
+        assert f"usage error: LUQ_THREADS must be a positive integer, got '{value}'" in proc.stderr
+        # importing the library still works; its fits raise ValueError
+        code = ("import luq\n"
+                "try:\n"
+                "    luq.fit_class_conditional([[0.0], [1.0]], [0, 0], luq.EmOptions())\n"
+                "except ValueError as exc:\n"
+                "    print(exc)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                              text=True, check=True)
+        assert "LUQ_THREADS" in proc.stdout
 
     def test_import_leaves_scipy_out(self):
         code = ("import sys, luq, luq.cli\n"

@@ -1,8 +1,12 @@
 import math
+import threading
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from luq import gmm
 from luq.errors import (
     ClassTooSmallError,
     DimMismatchError,
@@ -383,3 +387,99 @@ class TestFitClassConditional:
         labels = np.array([5] * 10 + [1] * 10 + [3] * 10)
         ccg = fit_class_conditional(x, labels, EmOptions(n_components=1, seed=0))
         assert ccg.classes == (1, 3, 5)
+
+
+def assert_same_gmm(a: Gmm, b: Gmm):
+    """Bit-for-bit equal mixtures, ``em_log`` included."""
+    assert a.em_log == b.em_log
+    for ca, cb in zip(a.components, b.components, strict=True):
+        assert ca.log_weight == cb.log_weight
+        assert ca.mean.tobytes() == cb.mean.tobytes()
+        assert ca.cov_chol.lower.tobytes() == cb.cov_chol.lower.tobytes()
+
+
+def three_class_data():
+    """Classes 0 and 1 with 80 rows each and class 2 with 3, in 3-D."""
+    rng = np.random.default_rng(12)
+    x = np.vstack([rng.normal(size=(80, 3)) + 4.0, rng.normal(size=(80, 3)) - 4.0,
+                   rng.normal(size=(3, 3))])
+    labels = np.array([0] * 80 + [1] * 80 + [2] * 3)
+    return x, labels
+
+
+class TestFitClassConditionalWorkers:
+    @pytest.mark.parametrize("mode", [FULL_COVARIANCE, TIED_COVARIANCE])
+    def test_same_mixtures_with_one_and_three_workers(self, workers, mode):
+        x, labels = three_class_data()
+        opts = EmOptions(n_components=4, covariance_mode=mode, seed=5)
+        fitted = []
+        for n in (1, 3):
+            workers(n)
+            with pytest.warns(UserWarning, match="class 2 has 3 samples; reducing components 4 -> 1"):
+                fitted.append(fit_class_conditional(x, labels, opts))
+        one, three = fitted
+        assert one.classes == three.classes == (0, 1, 2)
+        assert len(one.per_class[2].components) == 1
+        for c in one.classes:
+            assert_same_gmm(one.per_class[c], three.per_class[c])
+
+    def test_classes_fit_together_through_the_module_global(self, workers, monkeypatch):
+        x, labels = three_class_data()
+        workers(3)
+        started = threading.Barrier(3, timeout=30)
+        threads = []
+        original = gmm.em_fit
+
+        def em_fit_together(rows, opts):
+            threads.append(threading.current_thread().name)
+            started.wait()  # times out unless all three fits run at once
+            return original(rows, opts)
+
+        monkeypatch.setattr(gmm, "em_fit", em_fit_together)
+        fit_class_conditional(x, labels, EmOptions(n_components=1, seed=0))
+        assert len(set(threads)) == 3
+        assert all(name.startswith("luq-fit") for name in threads)
+
+    def test_lowest_failing_class_is_raised(self, workers, monkeypatch):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(100, 2))
+        x[30:, 1] = 1.0  # a constant feature in classes 1 and 2
+        labels = np.array([0] * 30 + [1] * 30 + [2] * 40)
+        workers(3)
+        class_2_failed = threading.Event()
+        original = gmm.em_fit
+
+        def em_fit_class_1_last(rows, opts):
+            if len(rows) == 30 and rows[0, 1] == 1.0:
+                class_2_failed.wait(30)
+            try:
+                return original(rows, opts)
+            finally:
+                if len(rows) == 40:
+                    class_2_failed.set()
+
+        monkeypatch.setattr(gmm, "em_fit", em_fit_class_1_last)
+        with pytest.raises(NotPositiveDefiniteError, match=r"^class 1: "):
+            fit_class_conditional(x, labels, EmOptions(n_components=1, cov_reg=0.0))
+        assert class_2_failed.is_set()
+
+    def test_small_class_warnings_in_class_order_in_calling_thread(self, workers,
+                                                                  monkeypatch):
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(70, 2))
+        labels = np.array([0] * 60 + [1] * 6 + [2] * 4)
+        workers(3)
+        warned_in = []
+
+        def warn(message):
+            warned_in.append(threading.current_thread())
+            warnings.warn(message, stacklevel=2)
+
+        monkeypatch.setattr(gmm, "warnings", SimpleNamespace(warn=warn))
+        with pytest.warns(UserWarning) as record:
+            fit_class_conditional(x, labels, EmOptions(n_components=8, seed=0))
+        assert [str(w.message) for w in record] == [
+            "class 1 has 6 samples; reducing components 8 -> 3",
+            "class 2 has 4 samples; reducing components 8 -> 2",
+        ]
+        assert warned_in == [threading.current_thread()] * 2

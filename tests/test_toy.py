@@ -1,8 +1,10 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from luq import toy
 from luq.errors import BadKindError
 from luq.flow import FlowTrainConfig
 from luq.gmm import EmOptions
@@ -219,3 +221,56 @@ class TestStudySmoke:
         rho = spearmanr(sigmas, medians).statistic
         assert rho >= 0.9
         assert np.all(np.diff(medians) >= 0)
+
+
+class TestRegressionStudyWorkers:
+    def test_same_study_with_one_and_two_threads(self, workers, monkeypatch):
+        events = {}
+        together = threading.Barrier(2, timeout=30)
+
+        def recorded(fn):
+            def call(*args, **kwargs):
+                events[n].append(("start", fn.__name__, threading.current_thread()))
+                if n == 2:
+                    together.wait()  # times out unless both fits run at once
+                result = fn(*args, **kwargs)
+                events[n].append(("end", fn.__name__, threading.current_thread()))
+                return result
+            return call
+
+        monkeypatch.setattr(toy, "mlp_train", recorded(toy.mlp_train))
+        monkeypatch.setattr(toy, "train_ensemble", recorded(toy.train_ensemble))
+        studies = []
+        for n in (1, 2):
+            workers(n)
+            events[n] = []
+            studies.append(run_regression_study(
+                ToyRegressionSpec(n_train=80, seed=2),
+                eval_points=21,
+                grid_points=100,
+                mlp_cfg=MlpTrainConfig(max_epochs=60, seed=2),
+                flow_cfg=FlowTrainConfig(batch_size=80, max_epochs=4, seed=2),
+                with_ensemble=True,
+                ensemble_cfg=MlpTrainConfig(max_epochs=40, seed=2),
+            ))
+
+        def arrays(st):
+            return [*st.model.weights, *st.model.biases, st.mlp_losses, *st.flow.params(),
+                    st.flow_log.train_nll, st.predictions, st.scores.epistemic,
+                    st.scores.aleatoric, st.ensemble_epistemic,
+                    np.array([(b.lower, b.upper) for b in st.bands])]
+
+        one, two = studies
+        for a, b in zip(arrays(one), arrays(two), strict=True):
+            assert a.tobytes() == b.tobytes()
+        assert one.flow_log.best_epoch == two.flow_log.best_epoch
+        # with one thread both fits run in the calling thread, one after the
+        # other; with two the regressor runs on a worker
+        caller = threading.current_thread()
+        assert [(e, name) for e, name, _ in events[1]] == [
+            ("start", "train_ensemble"), ("end", "train_ensemble"),
+            ("start", "mlp_train"), ("end", "mlp_train")]
+        assert all(thread is caller for _, _, thread in events[1])
+        threads = {name: thread for _, name, thread in events[2]}
+        assert threads["mlp_train"].name.startswith("luq-fit")
+        assert threads["train_ensemble"] is caller
