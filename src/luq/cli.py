@@ -18,6 +18,7 @@ a usage error, reported before any file is read.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -63,6 +64,16 @@ def _require(ok: bool, flag: str, rule: str, value) -> None:
         raise UsageError(f"{flag} must be {rule}, got {value}")
 
 
+@contextlib.contextmanager
+def _usage(prefix: str = ""):
+    """A ValueError raised in the block, which rejects an option value, is a
+    usage error with the message ``prefix`` + its own."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(f"{prefix}{exc}") from exc
+
+
 def _emit(key, value):
     if isinstance(value, float):
         value = fileio.format_float(value)
@@ -88,7 +99,7 @@ def _prior_spec(spec: str | None, model: str):
     if (kind == "categorical") != (model == "gmm"):
         raise UsageError(f"--model {model} cannot use the {kind} prior: gmm takes "
                          "categorical, flow takes uniform, betaprime or histogram")
-    try:
+    with _usage(f"bad prior spec {spec!r}: "):
         if kind == "categorical":
             fit = lambda predictions: fit_categorical(predictions.astype(np.int64))
         elif kind == "histogram":
@@ -101,14 +112,10 @@ def _prior_spec(spec: str | None, model: str):
             cls = UniformPrior if kind == "uniform" else BetaPrimePrior
             prior = cls(float(params[0]), float(params[1]))
             fit = lambda predictions: prior
-    except ValueError as exc:
-        raise UsageError(f"bad prior spec {spec!r}: {exc}") from exc
 
     def build(predictions):
-        try:
+        with _usage(f"--prior {spec}: "):
             return fit(predictions)
-        except ValueError as exc:
-            raise UsageError(f"--prior {spec}: {exc}") from exc
 
     return build
 
@@ -117,10 +124,8 @@ def _parse_range(text: str, flag: str):
     parts = text.split(":")
     if len(parts) != 2:
         raise UsageError(f"{flag} expects LO:HI")
-    try:
+    with _usage(f"{flag}: "):
         lo, hi = float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise UsageError(f"{flag}: {exc}") from exc
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise UsageError(f"{flag}: need finite LO < HI")
     return lo, hi
@@ -133,7 +138,7 @@ def _fit_options(args):
     """``EmOptions`` for gmm, ``(FlowTrainConfig, FlowArchitecture)`` for
     flow.  Out-of-range flag values are usage errors."""
     _require(args.pca is None or args.pca >= 1, "--pca", "at least 1", args.pca)
-    try:
+    with _usage():
         if args.model == "gmm":
             return EmOptions(
                 n_components=args.components,
@@ -160,8 +165,6 @@ def _fit_options(args):
             hidden=(args.flow_hidden, args.flow_hidden),
         )
         return cfg, arch
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def cmd_fit(args) -> int:
@@ -186,7 +189,8 @@ def cmd_fit(args) -> int:
 
     pca = None
     if args.pca is not None:
-        pca = _pca_fit(x, args.pca, args.whiten, "--pca")
+        with _usage("--pca: "):  # the bound depends on the file read
+            pca = pca_fit(x, args.pca, whiten=args.whiten)
         x = pca_transform(pca, x)
         _emit("pca_dim", args.pca)
 
@@ -253,10 +257,8 @@ def cmd_score(args) -> int:
         scores = score_classification(bundle.class_gmms, bundle.prior, x)
     else:
         grid = _grid_for(bundle, args)
-        try:
+        with _usage("--grid-range: "):
             scores = score_regression(bundle.flow, bundle.prior, grid, x)
-        except ValueError as exc:
-            raise UsageError(f"--grid-range: {exc}") from exc
     unscored = ~np.isfinite(scores.epistemic)
     if unscored.any():
         raise fileio.DataFormatError(f"{args.features}: data row {np.argmax(unscored) + 1} has "
@@ -280,6 +282,17 @@ def _write_ood_metrics(path, scores, labels) -> dict:
     }
     fileio.write_csv(path, list(values), [np.array([v]) for v in values.values()])
     return values
+
+
+def _write_calibration(path, curve, plot, x_label: str) -> None:
+    """A calibration curve as a CSV at ``path`` and, given a ``plot`` path,
+    as an SVG line plot."""
+    fileio.write_csv(path, ["percentile", "accuracy"], [curve.percentiles, curve.accuracies])
+    if plot:
+        from .plots import svg_line_plot
+
+        svg_line_plot(plot, curve.percentiles, [("accuracy", curve.accuracies)],
+                      title="calibration", x_label=x_label, y_label="accuracy")
 
 
 def _eval_columns(path, names: list[str], binary: str | None = None) -> dict:
@@ -307,10 +320,8 @@ def cmd_eval(args) -> int:
              args.percentile_step)
     thresholds = None
     if args.thresholds:
-        try:
+        with _usage("--thresholds: "):
             thresholds = np.array([float(t) for t in args.thresholds.split(",")])
-        except ValueError as exc:
-            raise UsageError(f"--thresholds: {exc}") from exc
         _require(np.isfinite(thresholds).all(), "--thresholds", "finite numbers",
                  args.thresholds)
     if args.mode == "ood":
@@ -324,15 +335,8 @@ def cmd_eval(args) -> int:
         cols = _eval_columns(args.input, ["uncertainty", "correct"], binary="correct")
         curve = calibration_curve(cols["uncertainty"], cols["correct"],
                                   percentile_step=args.percentile_step)
-        fileio.write_csv(args.output, ["percentile", "accuracy"],
-                         [curve.percentiles, curve.accuracies])
+        _write_calibration(args.output, curve, args.plot, "uncertainty percentile")
         if args.plot:
-            from .plots import svg_line_plot
-
-            svg_line_plot(args.plot, curve.percentiles,
-                          [("accuracy", curve.accuracies)],
-                          title="calibration", x_label="uncertainty percentile",
-                          y_label="accuracy")
             _emit("plot_file", args.plot)
         _emit("final_accuracy", float(curve.accuracies[-1]))
     else:  # rmse
@@ -356,20 +360,21 @@ def cmd_eval(args) -> int:
 
 
 def _toy_spec(args):
-    """The toy study's spec from the flags; bad values are usage errors."""
-    try:
+    """The toy study's spec from the flags, with the classification toy's
+    ``EmOptions`` (None for regression); bad values are usage errors."""
+    with _usage():
         if args.kind == "classification":
-            return ToyClassificationSpec(
+            spec = ToyClassificationSpec(
                 sigma=args.cluster_sigma, n_per_class=args.per_class, seed=args.seed
             )
+            return spec, EmOptions(n_components=args.components, cov_reg=args.cov_reg,
+                                   seed=args.seed)
         _require(args.grid >= 2, "--grid", "at least 2", args.grid)
         _require(0.0 < args.mass < 1.0, "--mass", "in (0, 1)", args.mass)
         spec = ToyRegressionSpec(n_train=args.n_train, gap=_parse_range(args.gap, "--gap"),
                                  noise_sigma=args.noise, seed=args.seed)
         regression_eval_x(spec, args.eval_points)
-        return spec
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        return spec, None
 
 
 def _toy_regression(args, spec, out) -> int:
@@ -425,11 +430,8 @@ def _toy_regression(args, spec, out) -> int:
     return EXIT_OK
 
 
-def _toy_classification(args, spec, out) -> int:
-    study = run_classification_study(
-        spec, em_opts=EmOptions(n_components=args.components, cov_reg=args.cov_reg,
-                                seed=args.seed),
-    )
+def _toy_classification(args, spec, em_opts, out) -> int:
+    study = run_classification_study(spec, em_opts=em_opts)
     fileio.write_csv(out / "train_data.csv", ["x0", "x1", "label"],
                      [study.train_x[:, 0], study.train_x[:, 1], study.train_labels])
     fileio.write_matrix(out / "train_latents.luq", study.latents_for(study.train_x))
@@ -450,15 +452,10 @@ def _toy_classification(args, spec, out) -> int:
     values = _write_ood_metrics(out / "ood_metrics.csv", pooled, labels)
     correct = (study.test_predictions == study.test_labels).astype(float)
     curve = calibration_curve(study.test_scores.aleatoric, correct)
-    fileio.write_csv(out / "calibration.csv", ["percentile", "accuracy"],
-                     [curve.percentiles, curve.accuracies])
-    if args.plot:
-        from .plots import svg_line_plot
-
-        svg_line_plot(out / "calibration.svg", curve.percentiles,
-                      [("accuracy", curve.accuracies)], title="calibration",
-                      x_label="aleatoric percentile", y_label="accuracy")
-        _emit("plots", str(out / "calibration.svg"))
+    plot = out / "calibration.svg" if args.plot else None
+    _write_calibration(out / "calibration.csv", curve, plot, "aleatoric percentile")
+    if plot:
+        _emit("plots", str(plot))
     for k, v in values.items():
         _emit(f"ood_{k}", v)
     _emit("test_accuracy", float(correct.mean()))
@@ -468,7 +465,7 @@ def _toy_classification(args, spec, out) -> int:
 def cmd_toy(args) -> int:
     from pathlib import Path
 
-    spec = _toy_spec(args)
+    spec, em_opts = _toy_spec(args)
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -479,25 +476,17 @@ def cmd_toy(args) -> int:
         raise fileio.DataFormatError(f"{out}: not writable: {exc}") from exc
     if args.kind == "regression":
         return _toy_regression(args, spec, out)
-    return _toy_classification(args, spec, out)
+    return _toy_classification(args, spec, em_opts, out)
 
 
 # --- pca -------------------------------------------------------------------
 
 
-def _pca_fit(x, out_dim: int, whiten: bool, flag: str):
-    """``pca_fit`` with its bounds, which depend on the file read, as
-    usage errors."""
-    try:
-        return pca_fit(x, out_dim, whiten=whiten)
-    except ValueError as exc:
-        raise UsageError(f"{flag}: {exc}") from exc
-
-
 def cmd_pca(args) -> int:
     _require(args.out_dim >= 1, "--out-dim", "at least 1", args.out_dim)
     x = fileio.read_features(args.features)
-    model = _pca_fit(x, args.out_dim, args.whiten, "--out-dim")
+    with _usage("--out-dim: "):  # the bound depends on the file read
+        model = pca_fit(x, args.out_dim, whiten=args.whiten)
     transformed = pca_transform(model, x)
     fileio.write_matrix(args.output, transformed)
     total = float(np.sum(model.eigenvalues))
@@ -598,15 +587,11 @@ def _merge_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]
     """Inject config-file entries as flags ahead of the explicit CLI flags,
     so explicit flags win (argparse keeps the last occurrence).
 
-    Config keys are the long flag names without dashes; unknown keys are
-    rejected with their line number.
+    The config file is named in any form argparse accepts: ``--config PATH``,
+    ``--config=PATH`` or a prefix that only ``--config`` starts with.  Config
+    keys are the long flag names without dashes; unknown keys are rejected
+    with their line number.
     """
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        return argv
-    path = argv[idx + 1]
     sub_action = next(
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     )
@@ -614,14 +599,24 @@ def _merge_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]
     if cmd_idx is None:
         return argv
     subparser = sub_action.choices[argv[cmd_idx]]
-    insert = cmd_idx + 1
-    while insert < len(argv) and not argv[insert].startswith("-"):
-        insert += 1  # keep positionals (e.g. the toy kind) in front
     known_flags = {}
     for action in subparser._actions:
         for opt in action.option_strings:
             if opt.startswith("--"):
                 known_flags[opt[2:]] = action
+    path = None
+    for i in range(cmd_idx + 1, len(argv)):
+        name, eq, value = argv[i].partition("=")
+        if name == "--":
+            break
+        matches = [f for f in known_flags if f.startswith(name[2:])]
+        if name.startswith("--") and matches == ["config"]:
+            path = value if eq else (argv[i + 1] if i + 1 < len(argv) else None)
+    if path is None:
+        return argv
+    insert = cmd_idx + 1
+    while insert < len(argv) and not argv[insert].startswith("-"):
+        insert += 1  # keep positionals (e.g. the toy kind) in front
     injected = []
     for lineno, key, value in fileio.parse_config(path):
         if key not in known_flags:

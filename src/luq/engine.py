@@ -219,9 +219,11 @@ def confidence_region(posterior: RegressionPosterior, prediction: float,
     """Smallest symmetric-by-probability region around the prediction
     holding the target mass.
 
-    Accumulates grid-point masses outward from the prediction, alternating
-    one step in the positive and negative direction and skipping exhausted
-    sides, until the accumulated probability reaches the target.
+    Grid points are visited outward from the one nearest the prediction:
+    that point, then one step right and one step left in turn, then what
+    remains on the longer side.  The region ends at the first point at
+    which the running sum of point masses, added in visit order, reaches
+    the target, and spans the points visited so far.
     """
     if not 0.0 < mass < 1.0:
         raise ValueError("mass must be in (0, 1)")
@@ -234,27 +236,17 @@ def confidence_region(posterior: RegressionPosterior, prediction: float,
             f"grid holds {pm.sum():.6f} probability, target is {mass}"
         )
     i0 = int(np.argmin(np.abs(pts - prediction)))
-    left = right = i0
-    acc = pm[i0]
-    positive_turn = True
-    while acc < mass - 1e-12:
-        stepped = False
-        for want_positive in (positive_turn, not positive_turn):
-            if want_positive and right + 1 < pts.size:
-                right += 1
-                acc += pm[right]
-                stepped = True
-                break
-            if not want_positive and left - 1 >= 0:
-                left -= 1
-                acc += pm[left]
-                stepped = True
-                break
-        if not stepped:
-            raise MassUnreachableError("both grid ends reached before the target mass")
-        positive_turn = not positive_turn
+    near = min(i0, pts.size - 1 - i0)  # steps to the nearer grid end
+    steps = np.arange(1, near + 1)
+    order = np.concatenate([[i0], np.column_stack([i0 + steps, i0 - steps]).ravel(),
+                            np.arange(i0 + near + 1, pts.size),
+                            np.arange(i0 - near - 1, -1, -1)])
+    reached = ~(np.cumsum(pm[order]) < mass - 1e-12)
+    if not reached.any():
+        raise MassUnreachableError("both grid ends reached before the target mass")
+    visited = order[:int(np.argmax(reached)) + 1]
     return ConfidenceRegion(
-        lower=float(min(pts[left], prediction)),
-        upper=float(max(pts[right], prediction)),
+        lower=float(min(pts[visited.min()], prediction)),
+        upper=float(max(pts[visited.max()], prediction)),
         mass=mass,
     )

@@ -39,8 +39,6 @@ SECTION_GMMS = b"GMMS"
 SECTION_FLOW = b"FLOW"
 SECTION_PRIOR = b"PRIR"
 
-_PRIOR_KINDS = {"categorical": 0, "uniform": 1, "betaprime": 2, "histogram": 3}
-
 
 class _Reader:
     """Cursor over bytes that reports the offset of any short read."""
@@ -122,27 +120,35 @@ def _is_number(tok: str) -> bool:
     return True
 
 
-def _read_csv_matrix(path) -> np.ndarray:
+def _read_csv(path) -> tuple[list[str] | None, np.ndarray]:
+    """The header (None if there is none) and the (rows, cols) float64 data
+    of a CSV file.
+
+    The first line is a header only if none of its cells parses as a
+    number.  Every row has the first line's cell count, and at least one
+    data row follows the header.  Errors name the file and the row,
+    counting the first line as row 1.
+    """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
         raise DataFormatError(f"{path}: empty CSV")
-    start = 0 if any(map(_is_number, lines[0].split(","))) else 1  # a header has no number
+    first = lines[0].split(",")
+    header = None if any(map(_is_number, first)) else [h.strip() for h in first]
+    start = 0 if header is None else 1
     rows = []
     for i, line in enumerate(lines[start:], start=start + 1):
         toks = line.split(",")
+        if len(toks) != len(first):
+            raise DataFormatError(f"{path}: row {i} has {len(toks)} cells, expected {len(first)}")
         try:
             rows.append([float(tok) for tok in toks])
         except ValueError as exc:
             raise DataFormatError(f"{path}: row {i}: {exc}") from exc
-        if len(rows[-1]) != len(rows[0]):
-            raise DataFormatError(
-                f"{path}: row {i} has {len(rows[-1])} columns, expected {len(rows[0])}"
-            )
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=np.float64)
+    return header, np.asarray(rows, dtype=np.float64)
 
 
 def read_features(path) -> np.ndarray:
@@ -151,7 +157,7 @@ def read_features(path) -> np.ndarray:
     data row holding one."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
-    x = read_matrix(path) if magic == MATRIX_MAGIC else _read_csv_matrix(path)
+    x = read_matrix(path) if magic == MATRIX_MAGIC else _read_csv(path)[1]
     bad = ~np.isfinite(x).all(axis=1)
     if bad.any():
         raise DataFormatError(
@@ -432,28 +438,16 @@ def write_scores_csv(path, epistemic, aleatoric) -> None:
 
 
 def read_csv_columns(path, required: list[str]) -> dict[str, np.ndarray]:
-    path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines:
-        raise DataFormatError(f"{path}: empty CSV")
-    header = [h.strip() for h in lines[0].split(",")]
-    missing = [c for c in required if c not in header]
-    if missing:
-        raise DataFormatError(f"{path}: missing columns {missing}, found {header}")
-    data = {h: [] for h in header}
-    for i, line in enumerate(lines[1:], start=2):
-        toks = line.split(",")
-        if len(toks) != len(header):
-            raise DataFormatError(
-                f"{path}: row {i} has {len(toks)} cells, expected {len(header)}"
-            )
-        for h, tok in zip(header, toks):
-            try:
-                data[h].append(float(tok))
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: row {i}: {exc}") from exc
-    return {h: np.asarray(v) for h, v in data.items()}
+    """The columns of a CSV file with a header, by name; the ``required``
+    names must be among them.  Cells may be NaN or infinite."""
+    header, data = _read_csv(path)
+    missing = [c for c in required if c not in (header or ())]
+    if header is None or missing:
+        raise DataFormatError(f"{path}: missing columns {missing}, "
+                              f"found {header or 'no header'}")
+    if len(set(header)) < len(header):
+        raise DataFormatError(f"{path}: a column name repeats in {header}")
+    return dict(zip(header, np.ascontiguousarray(data.T)))
 
 
 # --- run configuration ---------------------------------------------------

@@ -143,17 +143,16 @@ class CouplingLayer:
 
         ``dout`` is the loss gradient w.r.t. the layer output, ``ds_extra``
         the direct gradient w.r.t. each clamped scale entry coming from the
-        log-determinant term.  Returns (param grads, gradient w.r.t. the
-        layer input).
+        log-determinant term, a scalar when it is the same for every entry.
+        Returns (param grads, gradient w.r.t. the layer input).
         """
         feat, cond_cache, s_cache, t_cache, s, exp_s, v2 = cache
         dv2 = dout[:, self.part2]
         ds = dv2 * v2 + ds_extra
-        dt = dv2 * exp_s
-        du2 = dv2 * exp_s
+        du2 = dv2 * exp_s  # also the gradient w.r.t. the translation
         ds_raw = ds * (1.0 - (s / self.scale_clamp) ** 2)
         g_scale, du1_s, dfeat_s = self.scale_net.backward(s_cache, ds_raw, feat)
-        g_trans, du1_t, dfeat_t = self.translate_net.backward(t_cache, dt, feat)
+        g_trans, du1_t, dfeat_t = self.translate_net.backward(t_cache, du2, feat)
         g_cond, _, _ = self.cond_net.backward(cond_cache, dfeat_s + dfeat_t)
         din = np.empty_like(dout)
         din[:, self.part1] = dout[:, self.part1] + du1_s + du1_t
@@ -208,20 +207,17 @@ def _partition(dim: int, layer_index: int):
     return idx[keep], idx[~keep]
 
 
-def _make_subnet(rng, in_dim, out_dim, hidden, cond_feat_dim):
-    dims = (in_dim, *hidden, out_dim)
+def _make_net(rng, dims, lift_dim=None):
+    """A ReluNet through the widths ``dims``: Glorot weights, zero biases.
+    With ``lift_dim`` it is a coupling subnet, whose output weights start at
+    zero (the identity map) and which lifts a ``lift_dim`` feature into its
+    first hidden layer."""
     weights = [glorot_uniform(rng, dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
-    weights[-1] = np.zeros_like(weights[-1])  # identity map at initialization
-    biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
-    lift = glorot_uniform(rng, cond_feat_dim, dims[1])
-    return ReluNet(weights, biases, lift)
-
-
-def _make_cond_net(rng, cond_dim, hidden, out_dim):
-    dims = (cond_dim, *hidden, out_dim)
-    weights = [glorot_uniform(rng, dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
-    biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
-    return ReluNet(weights, biases)
+    biases = [np.zeros(d) for d in dims[1:]]
+    if lift_dim is None:
+        return ReluNet(weights, biases)
+    weights[-1] = np.zeros_like(weights[-1])
+    return ReluNet(weights, biases, glorot_uniform(rng, lift_dim, dims[1]))
 
 
 def build_flow(dim: int, cond_dim: int, arch: FlowArchitecture | None = None,
@@ -234,16 +230,14 @@ def build_flow(dim: int, cond_dim: int, arch: FlowArchitecture | None = None,
     layers = []
     for l in range(arch.n_layers):
         part1, part2 = _partition(dim, l)
+        subnet_dims = (part1.size, *arch.hidden, part2.size)
         layers.append(
             CouplingLayer(
                 part1=part1,
                 part2=part2,
-                scale_net=_make_subnet(rng, part1.size, part2.size, arch.hidden,
-                                       arch.cond_feat_dim),
-                translate_net=_make_subnet(rng, part1.size, part2.size, arch.hidden,
-                                           arch.cond_feat_dim),
-                cond_net=_make_cond_net(rng, cond_dim, arch.cond_hidden,
-                                        arch.cond_feat_dim),
+                scale_net=_make_net(rng, subnet_dims, arch.cond_feat_dim),
+                translate_net=_make_net(rng, subnet_dims, arch.cond_feat_dim),
+                cond_net=_make_net(rng, (cond_dim, *arch.cond_hidden, arch.cond_feat_dim)),
                 scale_clamp=arch.scale_clamp,
             )
         )
@@ -384,8 +378,7 @@ def flow_gradients(flow: ConditionalFlow, z, c):
     du = u / n
     grads_rev = []
     for layer, cache in zip(reversed(flow.layers), reversed(caches)):
-        ds_extra = np.full((n, layer.part2.size), -1.0 / n)
-        g, du = layer.backward(cache, du, ds_extra)
+        g, du = layer.backward(cache, du, -1.0 / n)
         grads_rev.append(g)
     grads = []
     for g in reversed(grads_rev):
@@ -411,8 +404,10 @@ class FlowTrainConfig:
     val_fraction: float = 0.2
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and > 0")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ValueError("weight_decay must be finite and >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.max_epochs < 1:
@@ -421,6 +416,8 @@ class FlowTrainConfig:
             raise ValueError("patience must be >= 1")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in (0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

@@ -92,10 +92,14 @@ class EmOptions:
     def __post_init__(self):
         if self.n_components < 1:
             raise ValueError("n_components must be >= 1")
-        if self.tol <= 0:
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be >= 0")
+        if not self.tol > 0:
             raise ValueError("tol must be > 0")
-        if self.cov_reg < 0:
-            raise ValueError("cov_reg must be >= 0")
+        if not 0.0 <= self.cov_reg < np.inf:
+            raise ValueError("cov_reg must be finite and >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.covariance_mode not in (FULL_COVARIANCE, TIED_COVARIANCE):
             raise ValueError(f"unknown covariance_mode {self.covariance_mode!r}")
 

@@ -71,6 +71,10 @@ class ToyRegressionSpec:
         if self.n_train < MIN_TRAIN_ROWS:
             raise ValueError(f"n_train must be at least {MIN_TRAIN_ROWS}, the flow's "
                              f"minimum, got {self.n_train}")
+        if not 0.0 <= self.noise_sigma < np.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def gen_regression_data(spec: ToyRegressionSpec):
@@ -106,6 +110,10 @@ class ToyClassificationSpec:
     def __post_init__(self):
         if self.n_per_class < 1:
             raise ValueError(f"need at least 1 sample per class, got {self.n_per_class}")
+        if not 0.0 <= self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def gen_classification_data(spec: ToyClassificationSpec, seed_offset: int = 0,

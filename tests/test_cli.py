@@ -161,6 +161,17 @@ class TestFit:
         ("flow", "--max-epochs", "0"),
         ("flow", "--batch-size", "0"),
         ("flow", "--flow-hidden", "0"),
+        ("gmm", "--seed", "-1"),
+        ("flow", "--seed", "-1"),
+        ("gmm", "--max-iter", "-3"),
+        ("gmm", "--cov-reg", "nan"),
+        ("gmm", "--cov-reg", "inf"),
+        ("gmm", "--tol", "nan"),
+        ("flow", "--learning-rate", "nan"),
+        ("flow", "--learning-rate", "inf"),
+        ("flow", "--weight-decay", "-1"),
+        ("flow", "--weight-decay", "nan"),
+        ("flow", "--weight-decay", "inf"),
     ])
     def test_bad_option_value_exit_2(self, tmp_path, blob_files, capsys, model, flag, value):
         fpath, ppath = blob_files
@@ -169,6 +180,29 @@ class TestFit:
                        "--model", model, flag, value, "--output", str(model_path))
         assert code == 2
         assert "usage error" in capsys.readouterr().err
+        assert not model_path.exists()
+
+    def test_zero_max_iter_keeps_the_seeded_model(self, tmp_path, blob_files, capsys):
+        fpath, ppath = blob_files
+        model_path = tmp_path / "m.luqm"
+        assert run_cli("fit", "--features", str(fpath), "--predictions", str(ppath),
+                       "--model", "gmm", "--components", "2", "--max-iter", "0",
+                       "--output", str(model_path)) == 0
+        assert len(read_model(model_path).class_gmms.per_class[0].components) == 2
+
+    @pytest.mark.parametrize("form", ["--config PATH", "--config=PATH", "--conf PATH",
+                                      "--con=PATH"])
+    def test_config_in_every_argparse_form_is_merged(self, tmp_path, blob_files, capsys,
+                                                     form):
+        fpath, ppath = blob_files
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("components = 0\n")
+        model_path = tmp_path / "m.luqm"
+        code = run_cli("fit", "--features", str(fpath), "--predictions", str(ppath),
+                       "--model", "gmm", "--output", str(model_path),
+                       *form.replace("PATH", str(cfg)).split(" "))
+        assert code == 2
+        assert "usage error: n_components must be >= 1" in capsys.readouterr().err
         assert not model_path.exists()
 
     @pytest.mark.parametrize("covariance", ["full", "tied"])
@@ -241,6 +275,14 @@ class TestOptionValues:
         ["toy", "regression", "--gap", "0.5:2"],
         ["toy", "classification", "--per-class", "0"],
         ["toy", "regression", "--n-train", "5"],
+        ["toy", "regression", "--noise", "-1"],
+        ["toy", "regression", "--noise", "nan"],
+        ["toy", "regression", "--seed", "-1"],
+        ["toy", "classification", "--components", "0"],
+        ["toy", "classification", "--cov-reg", "-1"],
+        ["toy", "classification", "--cluster-sigma", "-1"],
+        ["toy", "classification", "--cluster-sigma", "inf"],
+        ["toy", "classification", "--seed", "-1"],
         ["pca", "--out-dim", "0"],
         ["eval", "--mode", "calibration", "--percentile-step", "0"],
         ["eval", "--mode", "rmse", "--thresholds", "a,b"],
@@ -328,6 +370,17 @@ class TestHeaderOnlyCsv:
         assert run_cli(command, "--features", str(fpath), *argv, "--output", str(out)) == 3
         err = capsys.readouterr().err
         assert str(fpath) in err and "no data rows" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode, header", [("ood", "score,label"),
+                                              ("calibration", "uncertainty,correct"),
+                                              ("rmse", "error,uncertainty")])
+    def test_eval_exit_3_names_file(self, tmp_path, capsys, mode, header):
+        csv = tmp_path / "empty.csv"
+        csv.write_text(header + "\n")
+        out = tmp_path / "o.csv"
+        assert run_cli("eval", "--mode", mode, "--input", str(csv), "--output", str(out)) == 3
+        assert f"{csv}: no data rows" in capsys.readouterr().err
         assert not out.exists()
 
 

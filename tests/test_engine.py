@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from luq.engine import (
     ConfidenceRegion,
@@ -480,7 +481,51 @@ def normal_posterior_on(grid):
     return RegressionPosterior(grid=grid, density=dens, log_marginal=0.0)
 
 
+def walked_region(post, prediction, mass):
+    """Reference for ``confidence_region``: the outward walk, one grid point
+    at a time, right first, then alternating, then the longer side."""
+    pts = post.grid.points
+    pm = post.grid.trapezoid_weights() * post.density
+    if pm.sum() < mass - 1e-12:
+        raise MassUnreachableError(f"grid holds {pm.sum():.6f} probability, target is {mass}")
+    left = right = int(np.argmin(np.abs(pts - prediction)))
+    acc = pm[left]
+    go_right = True
+    while acc < mass - 1e-12:
+        if right + 1 < pts.size and (go_right or left == 0):
+            right += 1
+            acc += pm[right]
+        elif left > 0:
+            left -= 1
+            acc += pm[left]
+        else:
+            raise MassUnreachableError("both grid ends reached before the target mass")
+        go_right = not go_right
+    return ConfidenceRegion(lower=float(min(pts[left], prediction)),
+                            upper=float(max(pts[right], prediction)), mass=mass)
+
+
 class TestConfidenceRegion:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), g=st.integers(2, 40))
+    def test_matches_the_outward_walk(self, data, g):
+        grid = SupportGrid.from_range(-1.0, 1.0, g)
+        dens = data.draw(hnp.arrays(np.float64, g, elements=st.floats(0.0, 10.0)))
+        total = np.sum(grid.trapezoid_weights() * dens)
+        if total > 0:
+            dens = dens / total * data.draw(st.sampled_from([1.0, 0.5]))
+        post = RegressionPosterior(grid=grid, density=dens, log_marginal=0.0)
+        prediction = data.draw(st.one_of(st.sampled_from(grid.points.tolist()),
+                                          st.floats(-1.0, 1.0)))
+        mass = data.draw(st.one_of(st.floats(0.01, 0.99), st.just(1.0 - 1e-13)))
+        try:
+            expected = walked_region(post, prediction, mass)
+        except MassUnreachableError:
+            with pytest.raises(MassUnreachableError):
+                confidence_region(post, prediction, mass)
+        else:
+            assert confidence_region(post, prediction, mass) == expected
+
     def test_standard_normal_20_percent(self):
         grid = SupportGrid.from_range(-8.0, 8.0, 3201)
         post = normal_posterior_on(grid)

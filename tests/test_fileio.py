@@ -2,6 +2,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from luq import cli
 from luq.errors import DataFormatError
@@ -306,6 +309,146 @@ class TestCsv:
         np.testing.assert_array_equal(cols["score"], [0.5, 0.75])
         with pytest.raises(DataFormatError, match="missing columns"):
             read_csv_columns(p, ["nope"])
+
+    def test_read_columns_rejects_a_repeated_name(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("score,score,label\n0.9,0.1,1\n0.2,0.8,0\n")
+        with pytest.raises(DataFormatError, match="a column name repeats"):
+            read_csv_columns(p, ["score", "label"])
+
+
+def bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
+
+
+finite_matrices = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+    elements=st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestCsvProperties:
+    """Finite float64 matrices read back bit-exactly from the CSV forms."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(x=finite_matrices)
+    def test_with_header_through_both_readers(self, tmp_path_factory, x):
+        p = tmp_path_factory.mktemp("csv") / "h.csv"
+        names = [f"c{j}" for j in range(x.shape[1])]
+        write_csv(p, names, list(x.T))
+        assert bits(read_features(p)) == bits(x)
+        cols = read_csv_columns(p, names)
+        assert [bits(cols[n]) for n in names] == [bits(col) for col in x.T]
+
+    @settings(max_examples=40, deadline=None)
+    @given(x=finite_matrices)
+    def test_bare_rows(self, tmp_path_factory, x):
+        p = tmp_path_factory.mktemp("csv") / "b.csv"
+        p.write_text("".join(",".join(map(format_float, row)) + "\n" for row in x.tolist()))
+        assert bits(read_features(p)) == bits(x)
+
+
+def rewrites_identically(tmp_path, bundle) -> ModelBundle:
+    """Write ``bundle``, read it back, and check that the copy writes the
+    same bytes; returns the copy."""
+    p1, p2 = tmp_path / "a.luqm", tmp_path / "b.luqm"
+    write_model(p1, bundle)
+    loaded = read_model(p1)
+    write_model(p2, loaded)
+    assert p1.read_bytes() == p2.read_bytes()
+    return loaded
+
+
+def random_categorical(data):
+    classes = data.draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=6,
+                                 unique=True))
+    weights = data.draw(hnp.arrays(np.float64, len(classes),
+                                   elements=st.floats(0.01, 100.0)))
+    return CategoricalPrior(classes=tuple(classes), log_probs=np.log(weights / weights.sum()))
+
+
+def random_histogram(data):
+    widths = data.draw(hnp.arrays(np.float64, st.integers(1, 8),
+                                  elements=st.floats(0.01, 10.0)))
+    heights = data.draw(hnp.arrays(np.float64, widths.size, elements=st.floats(0.01, 10.0)))
+    edges = data.draw(st.floats(-100.0, 100.0)) + np.concatenate([[0.0], np.cumsum(widths)])
+    return HistogramPrior(edges=edges,
+                          log_densities=np.log(heights / np.sum(heights * np.diff(edges))))
+
+
+class TestModelProperties:
+    """Every prior kind and every density bundle round-trips bit-exactly."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["categorical", "uniform", "betaprime",
+                                                 "histogram"]))
+    def test_every_prior_kind(self, tmp_path_factory, data, kind):
+        positive = st.floats(1e-3, 1e3)
+        if kind == "categorical":
+            prior = random_categorical(data)
+        elif kind == "uniform":
+            lo = data.draw(st.floats(-1e6, 1e6))
+            prior = UniformPrior(lo, lo + data.draw(positive))
+        elif kind == "betaprime":
+            prior = BetaPrimePrior(data.draw(positive), data.draw(positive))
+        else:
+            prior = random_histogram(data)
+        gmms = small_gmm_bundle()[0].class_gmms
+        loaded = rewrites_identically(tmp_path_factory.mktemp("prior"),
+                                      ModelBundle(prior=prior, class_gmms=gmms)).prior
+        assert type(loaded) is type(prior)
+        for name, value in vars(prior).items():
+            if isinstance(value, np.ndarray):
+                assert bits(getattr(loaded, name)) == bits(value)
+            else:
+                assert getattr(loaded, name) == value
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**16), covariance=st.sampled_from(["full_per_component",
+                                                                  "tied_across_components"]),
+           with_pca=st.booleans())
+    def test_gmm_bundle(self, tmp_path_factory, seed, covariance, with_pca):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(40, 3))
+        labels = rng.integers(0, 3, size=40)
+        opts = EmOptions(n_components=2, covariance_mode=covariance, seed=seed)
+        gmms = fit_class_conditional(x, labels, opts)
+        prior = CategoricalPrior(classes=gmms.classes,
+                                 log_probs=np.full(len(gmms.classes), -np.log(len(gmms.classes))))
+        pca = pca_fit(rng.normal(size=(20, 5)), 3, whiten=seed % 2 == 0) if with_pca else None
+        bundle = ModelBundle(prior=prior, class_gmms=gmms, pca=pca)
+        loaded = rewrites_identically(tmp_path_factory.mktemp("gmm"), bundle)
+        assert loaded.class_gmms.classes == gmms.classes
+        for c in gmms.classes:
+            for a, b in zip(loaded.class_gmms.per_class[c].components,
+                            gmms.per_class[c].components, strict=True):
+                assert a.log_weight == b.log_weight
+                assert bits(a.mean) == bits(b.mean)
+                assert bits(a.cov_chol.lower) == bits(b.cov_chol.lower)
+        if with_pca:
+            for name in ("mean", "basis", "eigenvalues"):
+                assert bits(getattr(loaded.pca, name)) == bits(getattr(pca, name))
+            assert loaded.pca.whiten == pca.whiten
+        else:
+            assert loaded.pca is None
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**16), dim=st.integers(1, 4), n_layers=st.integers(1, 3))
+    def test_flow_bundle(self, tmp_path_factory, seed, dim, n_layers):
+        arch = FlowArchitecture(n_layers=n_layers, hidden=(4, 3), cond_hidden=(3,),
+                                cond_feat_dim=2)
+        flow = build_flow(dim, 2, arch=arch, seed=seed)
+        rng = np.random.default_rng(seed)
+        for par in flow.params():
+            par += rng.normal(size=par.shape)
+        bundle = ModelBundle(prior=UniformPrior(-5.0, 5.0), flow=flow)
+        loaded = rewrites_identically(tmp_path_factory.mktemp("flow"), bundle).flow
+        assert (loaded.dim, loaded.cond_dim) == (flow.dim, flow.cond_dim)
+        assert [bits(p) for p in loaded.params()] == [bits(p) for p in flow.params()]
+        for a, b in zip(loaded.layers, flow.layers, strict=True):
+            assert a.scale_clamp == b.scale_clamp
+            assert a.part1.tolist() == b.part1.tolist()
+            assert a.part2.tolist() == b.part2.tolist()
 
 
 class TestRunConfig:
