@@ -6,18 +6,9 @@ then scores new feature vectors with the surprisal -log p(z) (epistemic
 uncertainty) and the entropy of the Bayes posterior over outputs
 (aleatoric uncertainty).
 
-Fits that do not depend on each other (the per-class mixtures, and the toy
-regressor beside its ensemble) run concurrently on worker threads, as many
-as the CPUs that the BLAS threads leave free: with one BLAS thread, one
-worker per CPU.  Each fit is deterministic, so the results do not depend on
-the number of workers.
-
-``LUQ_THREADS``, a positive integer, caps both luq's worker threads and the
-BLAS thread pools.  It is copied into the pools' environment variables here,
-before numpy is first imported, because the pools read them once at
-start-up; explicitly set pool variables win.  A value that is not a
-positive integer is left out of the BLAS variables; the ``luq`` command
-rejects it as a usage error and a fit raises ValueError.
+Independent fits run concurrently on worker threads, which ``luq._pool``
+sizes; ``LUQ_THREADS`` caps them and the BLAS pools.  The cap is copied
+into the pools' variables here, before numpy first loads them.
 """
 
 import os

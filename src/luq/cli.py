@@ -5,14 +5,10 @@ Commands: ``fit`` (estimate density + prior from feature/prediction files),
 calibration metrics), ``toy`` (self-contained desk-scale experiments), and
 ``pca`` (standalone dimensionality reduction).
 
-Exit codes: 0 success, 2 usage error, 3 data error.  ``LUQ_THREADS``, a
-positive integer, caps internal parallelism: ``luq/__init__.py`` copies it
-into the BLAS thread-pool variables before numpy is first imported, and it
-caps the worker threads on which independent fits (the per-class mixtures,
-the toy regressor beside its ensemble) run concurrently, one per CPU that
-the BLAS threads leave free.  Every fit is deterministic, so outputs do
-not depend on the number of workers.  Any other value of ``LUQ_THREADS`` is
-a usage error, reported before any file is read.
+Exit codes: 0 success, 2 usage error, 3 data error; ``main`` maps every
+failure to one of them.  The worker threads and ``LUQ_THREADS`` follow
+``luq._pool``; a bad ``LUQ_THREADS`` is a usage error, reported before
+any file is read.
 """
 
 from __future__ import annotations
@@ -243,6 +239,13 @@ def _grid_for(bundle: fileio.ModelBundle, args) -> SupportGrid:
 def cmd_score(args) -> int:
     _require(args.grid >= 2, "--grid", "at least 2", args.grid)
     bundle = fileio.read_model(args.model)
+    gmm = bundle.class_gmms is not None
+    if isinstance(bundle.prior, CategoricalPrior) != gmm:
+        raise fileio.DataFormatError(
+            f"{args.model}: a {'gmm' if gmm else 'flow'} model cannot use a "
+            f"{type(bundle.prior).__name__}; gmm takes a categorical prior, flow a "
+            "prior over outputs"
+        )
     x = fileio.read_features(args.features)
     if bundle.pca is not None and x.shape[1] == bundle.pca.input_dim:
         x = pca_transform(bundle.pca, x)
@@ -251,9 +254,7 @@ def cmd_score(args) -> int:
             f"{args.features}: feature dim {x.shape[1]} does not match "
             f"model dim {bundle.feature_dim}"
         )
-    if bundle.class_gmms is not None:
-        if not isinstance(bundle.prior, CategoricalPrior):
-            raise UsageError("class-conditional GMM model needs a categorical prior")
+    if gmm:
         scores = score_classification(bundle.class_gmms, bundle.prior, x)
     else:
         grid = _grid_for(bundle, args)
@@ -284,15 +285,15 @@ def _write_ood_metrics(path, scores, labels) -> dict:
     return values
 
 
-def _write_calibration(path, curve, plot, x_label: str) -> None:
-    """A calibration curve as a CSV at ``path`` and, given a ``plot`` path,
-    as an SVG line plot."""
-    fileio.write_csv(path, ["percentile", "accuracy"], [curve.percentiles, curve.accuracies])
+def _write_curve(path, plot, x_name: str, x, y_name: str, y, title: str,
+                 x_label: str) -> None:
+    """The curve ``y`` over ``x`` as a two-column CSV at ``path`` and, given a
+    ``plot`` path, as an SVG line plot."""
+    fileio.write_csv(path, [x_name, y_name], [x, y])
     if plot:
         from .plots import svg_line_plot
 
-        svg_line_plot(plot, curve.percentiles, [("accuracy", curve.accuracies)],
-                      title="calibration", x_label=x_label, y_label="accuracy")
+        svg_line_plot(plot, x, [(y_name, y)], title=title, x_label=x_label, y_label=y_name)
 
 
 def _eval_columns(path, names: list[str], binary: str | None = None) -> dict:
@@ -335,7 +336,8 @@ def cmd_eval(args) -> int:
         cols = _eval_columns(args.input, ["uncertainty", "correct"], binary="correct")
         curve = calibration_curve(cols["uncertainty"], cols["correct"],
                                   percentile_step=args.percentile_step)
-        _write_calibration(args.output, curve, args.plot, "uncertainty percentile")
+        _write_curve(args.output, args.plot, "percentile", curve.percentiles, "accuracy",
+                     curve.accuracies, "calibration", "uncertainty percentile")
         if args.plot:
             _emit("plot_file", args.plot)
         _emit("final_accuracy", float(curve.accuracies[-1]))
@@ -344,13 +346,9 @@ def cmd_eval(args) -> int:
         if thresholds is None:
             thresholds = np.percentile(cols["uncertainty"], np.arange(5, 101, 5))
         values = rmse_below_uncertainty(cols["error"], cols["uncertainty"], thresholds)
-        fileio.write_csv(args.output, ["threshold", "rmse"], [thresholds, values])
+        _write_curve(args.output, args.plot, "threshold", thresholds, "rmse", values,
+                     "error below uncertainty", "uncertainty threshold")
         if args.plot:
-            from .plots import svg_line_plot
-
-            svg_line_plot(args.plot, thresholds, [("rmse", values)],
-                          title="error below uncertainty",
-                          x_label="uncertainty threshold", y_label="rmse")
             _emit("plot_file", args.plot)
     _emit("metrics_file", args.output)
     return EXIT_OK
@@ -453,7 +451,8 @@ def _toy_classification(args, spec, em_opts, out) -> int:
     correct = (study.test_predictions == study.test_labels).astype(float)
     curve = calibration_curve(study.test_scores.aleatoric, correct)
     plot = out / "calibration.svg" if args.plot else None
-    _write_calibration(out / "calibration.csv", curve, plot, "aleatoric percentile")
+    _write_curve(out / "calibration.csv", plot, "percentile", curve.percentiles, "accuracy",
+                 curve.accuracies, "calibration", "aleatoric percentile")
     if plot:
         _emit("plots", str(plot))
     for k, v in values.items():
@@ -467,13 +466,10 @@ def cmd_toy(args) -> int:
 
     spec, em_opts = _toy_spec(args)
     out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        probe = out / ".write_probe"
-        probe.write_text("")
-        probe.unlink()
-    except OSError as exc:
-        raise fileio.DataFormatError(f"{out}: not writable: {exc}") from exc
+    out.mkdir(parents=True, exist_ok=True)
+    probe = out / ".write_probe"  # fail on an unwritable --out before any training
+    probe.write_text("")
+    probe.unlink()
     if args.kind == "regression":
         return _toy_regression(args, spec, out)
     return _toy_classification(args, spec, em_opts, out)
@@ -632,30 +628,18 @@ def _merge_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    try:
-        thread_cap()
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     parser = build_parser()
     try:
-        argv = _merge_config(argv, parser)
-    except LuqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
+        with _usage():
+            thread_cap()
+        args = parser.parse_args(_merge_config(argv, parser))
         return args.func(args)
+    except SystemExit as exc:  # argparse has printed its message or the help
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except LuqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
+    except (LuqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

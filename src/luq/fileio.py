@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, LuqError
 from .flow import ConditionalFlow, CouplingLayer, ReluNet
 from .gmm import ClassConditionalGmm, GaussianComponent, Gmm
 from .linalg import CholeskyFactor, PcaModel
@@ -112,30 +112,42 @@ def read_matrix(path) -> np.ndarray:
     return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
 
 
-def _is_number(tok: str) -> bool:
+def _read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, split as file iteration splits them
+    (universal newlines); undecodable bytes are a data error naming the
+    file."""
+    raw = Path(path).read_bytes()
     try:
-        float(tok)
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text (byte offset {exc.start})") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def _as_float(tok: str) -> float | None:
+    try:
+        return float(tok)
     except ValueError:
-        return False
-    return True
+        return None
 
 
 def _read_csv(path) -> tuple[list[str] | None, np.ndarray]:
     """The header (None if there is none) and the (rows, cols) float64 data
     of a CSV file.
 
-    The first line is a header only if none of its cells parses as a
-    number.  Every row has the first line's cell count, and at least one
-    data row follows the header.  Errors name the file and the row,
-    counting the first line as row 1.
+    The first line is a header when none of its cells is a finite number
+    and at least one is not a number at all.  Every row has the first
+    line's cell count, and at least one data row follows the header.
+    Errors name the file and the row, counting the first line as row 1.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = [ln.strip() for ln in _read_lines(path) if ln.strip()]
     if not lines:
         raise DataFormatError(f"{path}: empty CSV")
     first = lines[0].split(",")
-    header = None if any(map(_is_number, first)) else [h.strip() for h in first]
+    values = [_as_float(tok) for tok in first]
+    is_header = None in values and not any(v is not None and np.isfinite(v) for v in values)
+    header = [h.strip() for h in first] if is_header else None
     start = 0 if header is None else 1
     rows = []
     for i, line in enumerate(lines[start:], start=start + 1):
@@ -230,31 +242,23 @@ def _unpack_gmms(r: _Reader) -> ClassConditionalGmm:
     return ClassConditionalGmm(dim=dim, classes=tuple(classes), per_class=per_class)
 
 
-def _pack_net(weights, biases) -> bytes:
-    parts = [struct.pack("<B", len(weights))]
-    for w, b in zip(weights, biases):
+def _pack_net(net: ReluNet) -> bytes:
+    parts = [struct.pack("<B", len(net.weights))]
+    for w, b in zip(net.weights, net.biases):
         parts.append(_pack_array(w))
         parts.append(_pack_array(b))
+    if net.lift is not None:
+        parts.append(_pack_array(net.lift))
     return b"".join(parts)
 
 
-def _unpack_net(r: _Reader):
+def _unpack_net(r: _Reader, lifted: bool) -> ReluNet:
     (n,) = r.unpack("B")
     weights, biases = [], []
     for _ in range(n):
         weights.append(_unpack_array(r))
         biases.append(_unpack_array(r))
-    return weights, biases
-
-
-def _pack_subnet(s: ReluNet) -> bytes:
-    return _pack_net(s.weights, s.biases) + _pack_array(s.lift)
-
-
-def _unpack_subnet(r: _Reader) -> ReluNet:
-    weights, biases = _unpack_net(r)
-    lift = _unpack_array(r)
-    return ReluNet(weights=weights, biases=biases, lift=lift)
+    return ReluNet(weights, biases, _unpack_array(r) if lifted else None)
 
 
 def _pack_flow(f: ConditionalFlow) -> bytes:
@@ -264,9 +268,8 @@ def _pack_flow(f: ConditionalFlow) -> bytes:
         for part in (layer.part1, layer.part2):
             parts.append(struct.pack("<I", part.size))
             parts.append(np.asarray(part, dtype="<u4").tobytes())
-        parts.append(_pack_subnet(layer.scale_net))
-        parts.append(_pack_subnet(layer.translate_net))
-        parts.append(_pack_net(layer.cond_net.weights, layer.cond_net.biases))
+        for net in (layer.scale_net, layer.translate_net, layer.cond_net):
+            parts.append(_pack_net(net))
     return b"".join(parts)
 
 
@@ -280,14 +283,11 @@ def _unpack_flow(r: _Reader) -> ConditionalFlow:
             (size,) = r.unpack("I")
             raw = r.take(4 * size)
             parts.append(np.frombuffer(raw, dtype="<u4").astype(np.intp))
-        scale = _unpack_subnet(r)
-        translate = _unpack_subnet(r)
-        cw, cb = _unpack_net(r)
+        scale, translate, cond = (_unpack_net(r, lifted) for lifted in (True, True, False))
         layers.append(
             CouplingLayer(
                 part1=parts[0], part2=parts[1], scale_net=scale,
-                translate_net=translate, cond_net=ReluNet(cw, cb),
-                scale_clamp=float(clamp),
+                translate_net=translate, cond_net=cond, scale_clamp=float(clamp),
             )
         )
     return ConditionalFlow(dim=int(dim), cond_dim=int(cond_dim), layers=layers)
@@ -349,6 +349,10 @@ class ModelBundle:
         return self.flow.dim
 
 
+_UNPACK = {SECTION_PCA: _unpack_pca, SECTION_GMMS: _unpack_gmms, SECTION_FLOW: _unpack_flow,
+           SECTION_PRIOR: _unpack_prior}
+
+
 def write_model(path, bundle: ModelBundle) -> None:
     sections = []
     if bundle.pca is not None:
@@ -376,7 +380,7 @@ def read_model(path) -> ModelBundle:
     version, n_sections = r.unpack("HH")
     if version != FORMAT_VERSION:
         raise DataFormatError(f"{path}: unrecognized version {version}")
-    pca = gmms = flow = prior = None
+    found = {}
     for _ in range(n_sections):
         tag = r.take(4)
         length, checksum = r.unpack("QI")
@@ -386,27 +390,26 @@ def read_model(path) -> ModelBundle:
             raise DataFormatError(
                 f"{path}: checksum mismatch in section {tag!r} at byte offset {at}"
             )
-        sec = _Reader(payload, f"{path}[{tag.decode('latin-1').strip()}]")
-        if tag == SECTION_PCA:
-            pca = _unpack_pca(sec)
-        elif tag == SECTION_GMMS:
-            gmms = _unpack_gmms(sec)
-        elif tag == SECTION_FLOW:
-            flow = _unpack_flow(sec)
-        elif tag == SECTION_PRIOR:
-            prior = _unpack_prior(sec)
-        else:
+        if tag not in _UNPACK:
             raise DataFormatError(f"{path}: unknown section tag {tag!r}")
+        sec = _Reader(payload, f"{path}[{tag.decode('latin-1').strip()}]")
+        try:
+            found[tag] = _UNPACK[tag](sec)
+        except DataFormatError:
+            raise
+        except (ValueError, LuqError) as exc:  # values that pass the checksum but no constructor
+            raise DataFormatError(f"{sec.name}: {exc}") from exc
     if r.pos != len(r.data):
         raise DataFormatError(
             f"{path}: {len(r.data) - r.pos} trailing bytes after the last section "
             f"(offset {r.pos})"
         )
-    if prior is None:
+    if SECTION_PRIOR not in found:
         raise DataFormatError(f"{path}: missing prior section")
-    if gmms is None and flow is None:
+    if SECTION_GMMS not in found and SECTION_FLOW not in found:
         raise DataFormatError(f"{path}: missing density section")
-    return ModelBundle(prior=prior, class_gmms=gmms, flow=flow, pca=pca)
+    return ModelBundle(prior=found[SECTION_PRIOR], class_gmms=found.get(SECTION_GMMS),
+                       flow=found.get(SECTION_FLOW), pca=found.get(SECTION_PCA))
 
 
 # --- text formats --------------------------------------------------------
@@ -461,13 +464,12 @@ def parse_config(path) -> list[tuple[int, str, str]]:
     """
     path = Path(path)
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataFormatError(f"{path}: line {i}: expected `key = value`")
-            key, value = line.split("=", 1)
-            out.append((i, key.strip(), value.strip()))
+    for i, raw in enumerate(_read_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DataFormatError(f"{path}: line {i}: expected `key = value`")
+        key, value = line.split("=", 1)
+        out.append((i, key.strip(), value.strip()))
     return out

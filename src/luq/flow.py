@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DimMismatchError, DivergedError, TooFewSamplesError
 from .linalg import as_matrix
-from .mlp import Adam, glorot_uniform, relu_backward, relu_forward
+from .mlp import Adam, dense_init, glorot_uniform, relu_backward, relu_forward
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -212,8 +212,7 @@ def _make_net(rng, dims, lift_dim=None):
     With ``lift_dim`` it is a coupling subnet, whose output weights start at
     zero (the identity map) and which lifts a ``lift_dim`` feature into its
     first hidden layer."""
-    weights = [glorot_uniform(rng, dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
-    biases = [np.zeros(d) for d in dims[1:]]
+    weights, biases = dense_init(rng, dims)
     if lift_dim is None:
         return ReluNet(weights, biases)
     weights[-1] = np.zeros_like(weights[-1])
@@ -270,8 +269,9 @@ def _as_batch(flow, z, c):
     """(rows of z, their FlowCondition, whether z was one vector).
 
     ``c`` is either a FlowCondition of this flow, whose rows a single row
-    of z is run against, or condition values: a scalar or one condition
-    for every row, one per row, or a column of scalars when cond_dim is 1.
+    of z is run against, or condition values that broadcast to one
+    condition per row (a scalar, one condition for every row, or one per
+    row); when cond_dim is 1, a 1-D ``c`` holds one scalar per row.
     """
     z = np.asarray(z, dtype=np.float64)
     single = z.ndim == 1
@@ -286,19 +286,13 @@ def _as_batch(flow, z, c):
             raise DimMismatchError(f"{z.shape[0]} rows against {c.rows} conditions")
         return z, c, single and c.rows == 1
     c = np.asarray(c, dtype=np.float64)
-    if c.ndim == 0:
-        c = np.full((z.shape[0], flow.cond_dim), float(c))
-    elif c.ndim == 1:
-        if flow.cond_dim == 1 and c.size == z.shape[0] and not single:
-            c = c[:, None]
-        elif c.size == flow.cond_dim:
-            c = np.broadcast_to(c, (z.shape[0], flow.cond_dim)).copy()
-        else:
-            raise DimMismatchError(f"condition shape {c.shape} does not fit")
-    if c.shape != (z.shape[0], flow.cond_dim):
-        raise DimMismatchError(
-            f"condition shape {c.shape}, expected ({z.shape[0]}, {flow.cond_dim})"
-        )
+    shape = (z.shape[0], flow.cond_dim)
+    if flow.cond_dim == 1 and c.ndim == 1 and not single:
+        c = c[:, None]  # a column of scalars, one per row
+    try:
+        c = np.broadcast_to(c, shape)
+    except ValueError:
+        raise DimMismatchError(f"condition shape {c.shape}, expected {shape}") from None
     return z, flow_condition(flow, c), single
 
 

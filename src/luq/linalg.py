@@ -153,10 +153,8 @@ def pca_fit(x, out_dim: int, whiten: bool = False) -> PcaModel:
     eigvecs = eigvecs[:, order]
 
     basis = eigvecs[:, :out_dim].copy()
-    for j in range(out_dim):
-        k = int(np.argmax(np.abs(basis[:, j])))
-        if basis[k, j] < 0:
-            basis[:, j] = -basis[:, j]
+    peaks = basis[np.argmax(np.abs(basis), axis=0), np.arange(out_dim)]
+    basis *= np.where(peaks < 0, -1.0, 1.0)  # each column's largest entry positive
     eigenvalues = eigvals[:out_dim].copy()
 
     tol = max(n, d) * np.finfo(np.float64).eps * max(eigvals[0], 1e-300)

@@ -120,11 +120,7 @@ def calibration_curve(uncertainties, correct, percentile_step: float = 5.0) -> C
     qs = np.arange(percentile_step, 100.0 + 1e-9, percentile_step)
     if qs[-1] < 100.0:
         qs = np.append(qs, 100.0)
-    accs = np.empty_like(qs)
-    for i, q in enumerate(qs):
-        thresh = np.percentile(u, q)
-        sel = u <= thresh
-        accs[i] = c[sel].mean()
+    accs = np.array([c[u <= t].mean() for t in np.percentile(u, qs)])
     return CalibrationCurve(percentiles=qs, accuracies=accs)
 
 

@@ -28,6 +28,13 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
+def dense_init(rng: np.random.Generator, dims) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Weights and biases of a dense stack through the widths ``dims``:
+    Glorot-uniform weights drawn layer by layer from ``rng``, zero biases."""
+    weights = [glorot_uniform(rng, dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
+    return weights, [np.zeros(d) for d in dims[1:]]
+
+
 class Adam:
     """Adam with decoupled weight decay, updating parameters in place."""
 
@@ -72,9 +79,7 @@ def mlp_init(layer_dims, head=REGRESSION, seed=0) -> MlpModel:
     dims = tuple(int(d) for d in layer_dims)
     if len(dims) < 2:
         raise ValueError("need at least input and output dims")
-    rng = np.random.default_rng(seed)
-    weights = [glorot_uniform(rng, dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
-    biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
+    weights, biases = dense_init(np.random.default_rng(seed), dims)
     return MlpModel(layer_dims=dims, weights=weights, biases=biases, head=head)
 
 

@@ -97,8 +97,7 @@ class BetaPrimePrior:
 
 @dataclass(frozen=True)
 class HistogramPrior:
-    """Piecewise-constant density, the robust fallback when a parametric
-    fit fails."""
+    """Piecewise-constant density over the bins between ``edges``."""
 
     edges: np.ndarray
     log_densities: np.ndarray
@@ -159,8 +158,7 @@ def betaprime_fit_mom(samples) -> BetaPrimePrior:
 
     Inverts mean = a/(b-1) and var = a(a+b-1)/((b-2)(b-1)^2), which reduces
     to b = 2 + m(m+1)/v and a = m(b-1).  Raises MomentInversionFailedError
-    when the sample moments are infeasible (e.g. zero variance); callers
-    fall back to a histogram prior.
+    when the sample moments are infeasible (e.g. zero variance).
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.size < 10:

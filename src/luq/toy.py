@@ -172,7 +172,7 @@ def train_ensemble(x, y, layer_dims, head=REGRESSION, cfg: MlpTrainConfig | None
 
 def _row_entropies(probs: np.ndarray) -> np.ndarray:
     logp = np.where(probs > 0.0, np.log(np.maximum(probs, 1e-300)), 0.0)
-    return -np.sum(probs * logp, axis=1)
+    return -np.sum(probs * logp, axis=-1)
 
 
 def ensemble_scores(ensemble: EnsembleModel, inputs):
@@ -192,7 +192,7 @@ def ensemble_scores(ensemble: EnsembleModel, inputs):
         probs = np.stack([mlp_predict(m, inputs) for m in ensemble.members])
         mean_probs = probs.mean(axis=0)
         total = _row_entropies(mean_probs)
-        aleatoric = np.mean([_row_entropies(p) for p in probs], axis=0)
+        aleatoric = _row_entropies(probs).mean(axis=0)
         return total - aleatoric, aleatoric
     preds = np.stack([mlp_predict(m, inputs)[:, 0] for m in ensemble.members])
     return preds.var(axis=0), np.zeros(preds.shape[1])
@@ -369,9 +369,7 @@ def run_classification_study(
     class on hidden-layer latents, estimates the class prior by counting
     the predicted labels, and scores a held-out test set.
 
-    ``latent_layer`` defaults to the first hidden layer: shallow-layer
-    densities give the most conservative epistemic estimates and the
-    strongest far-OOD separation.
+    ``latent_layer`` defaults to the first hidden layer.
     """
     spec = spec or ToyClassificationSpec()
     train_x, train_labels = gen_classification_data(spec)

@@ -1,14 +1,16 @@
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from luq import cli
+from luq import cli, fileio
 from luq.engine import SupportGrid
 from luq.fileio import (
     ModelBundle,
@@ -766,3 +768,119 @@ class TestSubprocessEntry:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               env=subprocess_env(), text=True, check=True)
         assert proc.stdout.strip() == "[]"
+
+
+def _directory_as(flag):
+    def build(tmp_path, blob_files):
+        d = tmp_path / "a_dir"
+        d.mkdir()
+        features, labels = blob_files
+        argv = {
+            "--features": ["fit", "--features", str(d), "--predictions", str(labels),
+                           "--model", "gmm"],
+            "--input": ["eval", "--mode", "ood", "--input", str(d)],
+            "--model": ["score", "--model", str(d), "--features", str(features)],
+        }[flag]
+        return argv, d, "Is a directory"
+    return build
+
+
+def _missing_config(tmp_path, blob_files):
+    cfg = tmp_path / "nonexistent.cfg"
+    return (["fit", "--features", str(blob_files[0]), "--predictions", str(blob_files[1]),
+             "--model", "gmm", "--config", str(cfg)], cfg, "No such file")
+
+
+def _undecodable_csv(tmp_path, blob_files):
+    csv = tmp_path / "latin1.csv"
+    csv.write_bytes("f\xe9ature,b\n1,2\n3,4\n".encode("latin-1"))
+    return ["pca", "--features", str(csv), "--out-dim", "1"], csv, "not UTF-8 text"
+
+
+def _undecodable_eval_csv(tmp_path, blob_files):
+    csv = tmp_path / "latin1.csv"
+    csv.write_bytes(b"score,label\n0.9,1\n0.1,0\n\xff\n")
+    return ["eval", "--mode", "ood", "--input", str(csv)], csv, "not UTF-8 text"
+
+
+def _undecodable_config(tmp_path, blob_files):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"# r\xe9sum\xe9\nseed = 1\n")
+    return (["pca", "--features", str(blob_files[0]), "--out-dim", "1", "--config", str(cfg)],
+            cfg, "not UTF-8 text")
+
+
+def _unnormalized_prior_section(tmp_path, blob_files):
+    # a PRIR section whose CRC holds but whose class probabilities sum to 1.1
+    payload = (struct.pack("<BI", 0, 2) + np.array([0, 1], dtype="<i8").tobytes()
+               + fileio._pack_array(np.log([0.5, 0.6])))
+    model = tmp_path / "bad_prior.luqm"
+    with mock.patch.object(fileio, "_pack_prior", lambda prior: payload):
+        write_model(model, two_class_reference_model())
+    return (["score", "--model", str(model), "--features", str(blob_files[0])],
+            f"{model}[PRIR]", "does not normalize")
+
+
+def _unpaired_prior(density):
+    def build(tmp_path, blob_files):
+        from luq.flow import build_flow
+        from luq.priors import UniformPrior
+
+        if density == "gmm":
+            bundle = ModelBundle(prior=UniformPrior(-3.0, 3.0),
+                                 class_gmms=two_class_reference_model().class_gmms)
+        else:
+            bundle = ModelBundle(prior=two_class_reference_model().prior,
+                                 flow=build_flow(1, 1, seed=0))
+        model = tmp_path / f"{density}.luqm"
+        write_model(model, bundle)
+        features = tmp_path / "z.luq"
+        write_matrix(features, np.zeros((3, 1)))
+        return (["score", "--model", str(model), "--features", str(features),
+                 "--grid-range=-3:3"], model, f"a {density} model cannot use")
+    return build
+
+
+def _inf_named_header(tmp_path, blob_files):
+    csv = tmp_path / "scores.csv"
+    csv.write_text("score,inf\n0.9,1\n0.1,0\n")
+    return ["eval", "--mode", "ood", "--input", str(csv)], csv, "missing columns ['label']"
+
+
+def _nonfinite_first_feature_row(tmp_path, blob_files):
+    csv = tmp_path / "features.csv"
+    csv.write_text("nan,inf\n" + "".join(f"{i}.5,{i}.25\n" for i in range(119)))
+    return (["fit", "--features", str(csv), "--predictions", str(blob_files[1]), "--model", "gmm"],
+            csv, "data row 1 holds a NaN or infinite value")
+
+
+class TestFailureTable:
+    """Each kind of bad input file is a data error through ``python -m luq``:
+    exit 3, a message that names the file, no traceback and no output."""
+
+    CASES = {
+        "directory-features": _directory_as("--features"),
+        "directory-input": _directory_as("--input"),
+        "directory-model": _directory_as("--model"),
+        "missing-config": _missing_config,
+        "undecodable-csv": _undecodable_csv,
+        "undecodable-eval-csv": _undecodable_eval_csv,
+        "undecodable-config": _undecodable_config,
+        "checksum-valid-invalid-section": _unnormalized_prior_section,
+        "gmm-with-uniform-prior": _unpaired_prior("gmm"),
+        "flow-with-categorical-prior": _unpaired_prior("flow"),
+        "inf-named-header": _inf_named_header,
+        "nan-inf-first-feature-row": _nonfinite_first_feature_row,
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exit_code_and_message(self, tmp_path, blob_files, case):
+        argv, named, text = self.CASES[case](tmp_path, blob_files)
+        out = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-m", "luq", *argv, "--output", str(out)],
+                              capture_output=True, env=subprocess_env(), text=True)
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and str(named) in proc.stderr
+        assert text in proc.stderr
+        assert not out.exists()

@@ -192,6 +192,15 @@ class TestCalibrationCurve:
         assert curve.accuracies[-1] == pytest.approx(c.mean())
         assert curve.percentiles[-1] == 100.0
 
+    @pytest.mark.parametrize("step", [2.5, 7.0, 100.0])
+    def test_matches_one_percentile_per_point(self, step):
+        rng = np.random.default_rng(8)
+        u = np.round(rng.normal(size=150), 1)  # ties at the thresholds
+        c = rng.random(150)
+        curve = calibration_curve(u, c, percentile_step=step)
+        want = [c[u <= np.percentile(u, q)].mean() for q in curve.percentiles]
+        np.testing.assert_array_equal(curve.accuracies, want)
+
     def test_empty_raises(self):
         with pytest.raises(EmptyInputError):
             calibration_curve([], [])

@@ -147,6 +147,11 @@ class TestEnsembleScores:
         logp = np.where(probs > 0, np.log(probs), 0.0)
         total = -np.sum(probs * logp, axis=1)
         np.testing.assert_allclose(epi + ale, total, atol=1e-12)
+        member_entropies = []
+        for m in ens.members:
+            p = mlp_predict(m, x)
+            member_entropies.append(-np.sum(p * np.where(p > 0, np.log(p), 0.0), axis=1))
+        np.testing.assert_array_equal(ale, np.mean(member_entropies, axis=0))
 
     def test_regression_variance(self):
         x = np.random.default_rng(3).normal(size=(40, 1))
@@ -274,3 +279,25 @@ class TestRegressionStudyWorkers:
         threads = {name: thread for _, name, thread in events[2]}
         assert threads["mlp_train"].name.startswith("luq-fit")
         assert threads["train_ensemble"] is caller
+
+
+class TestEpochPinContract:
+    """The benchmark's pinned toy replaces ``toy.MlpTrainConfig`` and tells
+    the regressor's config from the ensemble's by whether ``max_epochs`` is
+    passed.  A change to how the toy builds either config would silently
+    unpin the benchmark; this fails instead."""
+
+    def test_regressor_config_first_without_max_epochs(self, monkeypatch):
+        calls = []
+
+        def pinned(**kwargs):  # the same substitution the benchmark makes
+            calls.append("max_epochs" in kwargs)
+            kwargs["max_epochs"] = 3 if "max_epochs" in kwargs else 7
+            kwargs["improvement_window"] = kwargs["max_epochs"]
+            return MlpTrainConfig(**kwargs)
+
+        monkeypatch.setattr(toy, "MlpTrainConfig", pinned)
+        study = run_regression_study(ToyRegressionSpec(n_train=20, seed=0), eval_points=11,
+                                     grid_points=20, with_ensemble=True)
+        assert calls == [False, True]
+        assert len(study.mlp_losses) == 7
