@@ -6,11 +6,16 @@ then scores new feature vectors with the surprisal -log p(z) (epistemic
 uncertainty) and the entropy of the Bayes posterior over outputs
 (aleatoric uncertainty).
 
+The public names below are served from their submodules, and a submodule
+loads on first use (PEP 562): ``import luq`` loads none of them, and each
+``luq`` command imports only the modules it runs.
+
 Independent fits run concurrently on worker threads, which ``luq._pool``
 sizes; ``LUQ_THREADS`` caps them and the BLAS pools.  The cap is copied
 into the pools' variables here, before numpy first loads them.
 """
 
+import importlib
 import os
 
 from ._pool import POOL_VARS, thread_cap
@@ -28,90 +33,41 @@ def _apply_thread_cap():
 
 _apply_thread_cap()
 
-from .engine import (
-    ConfidenceRegion,
-    RegressionPosterior,
-    SupportGrid,
-    UncertaintyScores,
-    aleatoric_classification,
-    aleatoric_regression,
-    confidence_region,
-    epistemic_classification,
-    epistemic_regression,
-    score_classification,
-    score_regression,
-)
-from .flow import (
-    ConditionalFlow,
-    FlowArchitecture,
-    FlowTrainConfig,
-    build_flow,
-    flow_condition,
-    flow_forward,
-    flow_gradients,
-    flow_inverse,
-    flow_log_prob,
-    flow_nll,
-    flow_train,
-)
-from .gmm import (
-    ClassConditionalGmm,
-    EmOptions,
-    GaussianComponent,
-    Gmm,
-    em_fit,
-    fit_class_conditional,
-    gmm_log_prob,
-)
-from .linalg import (
-    CholeskyFactor,
-    PcaModel,
-    cholesky,
-    log_det,
-    logsumexp,
-    pca_fit,
-    pca_transform,
-)
-from .metrics import (
-    CalibrationCurve,
-    auroc,
-    average_precision,
-    calibration_curve,
-    discrete_entropy,
-    fpr_at_tpr,
-    rmse_below_uncertainty,
-)
-from .mlp import (
-    MlpModel,
-    MlpTrainConfig,
-    latent_extract,
-    mlp_init,
-    mlp_predict,
-    mlp_train,
-)
-from .priors import (
-    BetaPrimePrior,
-    CategoricalPrior,
-    HistogramPrior,
-    OutputPrior,
-    UniformPrior,
-    betaprime_fit_mom,
-    fit_categorical,
-    fit_histogram,
-)
-from .toy import (
-    EnsembleModel,
-    ToyClassificationSpec,
-    ToyRegressionSpec,
-    ensemble_scores,
-    gen_classification_data,
-    gen_ood_data,
-    gen_regression_data,
-    perturb,
-    regression_target,
-    run_classification_study,
-    run_regression_study,
-    train_ensemble,
-)
+_EXPORTS = {
+    "engine": """ConfidenceRegion RegressionPosterior SupportGrid UncertaintyScores
+        aleatoric_classification aleatoric_regression confidence_region
+        epistemic_classification epistemic_regression score_classification
+        score_regression""",
+    "errors": "",
+    "flow": """ConditionalFlow FlowArchitecture FlowTrainConfig build_flow flow_condition
+        flow_forward flow_gradients flow_inverse flow_log_prob flow_nll flow_train""",
+    "gmm": """ClassConditionalGmm EmOptions GaussianComponent Gmm em_fit
+        fit_class_conditional gmm_log_prob""",
+    "linalg": "CholeskyFactor PcaModel cholesky log_det logsumexp pca_fit pca_transform",
+    "metrics": """CalibrationCurve auroc average_precision calibration_curve
+        discrete_entropy fpr_at_tpr rmse_below_uncertainty""",
+    "mlp": "MlpModel MlpTrainConfig latent_extract mlp_init mlp_predict mlp_train",
+    "priors": """BetaPrimePrior CategoricalPrior HistogramPrior OutputPrior UniformPrior
+        betaprime_fit_mom fit_categorical fit_histogram""",
+    "toy": """EnsembleModel ToyClassificationSpec ToyRegressionSpec ensemble_scores
+        gen_classification_data gen_ood_data gen_regression_data perturb
+        regression_target run_classification_study run_regression_study
+        train_ensemble""",
+}
+# public name -> the submodule that defines it; a submodule's name maps to itself
+_SOURCE = {name: module for module, names in _EXPORTS.items()
+           for name in (module, *names.split())}
+
+
+def __getattr__(name):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_SOURCE[name]}")
+    return module if name == _SOURCE[name] else getattr(module, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_SOURCE})
+
 
 __version__ = "0.1.0"

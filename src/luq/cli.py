@@ -21,13 +21,11 @@ import numpy as np
 
 from . import fileio
 from ._pool import thread_cap
-from .engine import SupportGrid, score_classification, score_regression
 from .errors import LuqError, NotPositiveDefiniteError
-from .flow import FlowArchitecture, FlowTrainConfig, flow_train
+# fileio loads gmm, linalg and priors for every command; every other module
+# is imported by the command that runs it
 from .gmm import EmOptions, fit_class_conditional
 from .linalg import pca_fit, pca_transform
-from .metrics import auroc, average_precision, calibration_curve, fpr_at_tpr, rmse_below_uncertainty
-from .mlp import mlp_predict
 from .priors import (
     BetaPrimePrior,
     CategoricalPrior,
@@ -35,14 +33,6 @@ from .priors import (
     betaprime_fit_mom,
     fit_categorical,
     fit_histogram,
-)
-from .toy import (
-    ToyClassificationSpec,
-    ToyRegressionSpec,
-    gen_ood_data,
-    regression_eval_x,
-    run_classification_study,
-    run_regression_study,
 )
 
 EXIT_OK = 0
@@ -147,6 +137,8 @@ def _fit_options(args):
                 ),
                 seed=args.seed,
             )
+        from .flow import FlowArchitecture, FlowTrainConfig
+
         cfg = FlowTrainConfig(
             learning_rate=args.learning_rate,
             weight_decay=args.weight_decay,
@@ -206,6 +198,8 @@ def cmd_fit(args) -> int:
             _emit(f"class_{c}_final_ll", density.per_class[c].em_log[-1])
         bundle = fileio.ModelBundle(prior=prior, class_gmms=density, pca=pca)
     else:
+        from .flow import flow_train
+
         cfg, arch = options
         flow, log = flow_train(x, predictions, cfg, arch=arch)
         _emit("epochs_run", len(log.train_nll))
@@ -222,21 +216,19 @@ def cmd_fit(args) -> int:
 # --- score -----------------------------------------------------------------
 
 
-def _grid_for(bundle: fileio.ModelBundle, args) -> SupportGrid:
+def _grid_range(bundle: fileio.ModelBundle, args) -> tuple[float, float]:
     if args.grid_range:
-        lo, hi = _parse_range(args.grid_range, "--grid-range")
-    elif isinstance(bundle.prior, UniformPrior):
-        lo, hi = bundle.prior.lo, bundle.prior.hi
-    elif hasattr(bundle.prior, "edges"):
-        lo, hi = float(bundle.prior.edges[0]), float(bundle.prior.edges[-1])
-    else:
-        raise UsageError(
-            "the prior has unbounded support; pass --grid-range LO:HI"
-        )
-    return SupportGrid.from_range(lo, hi, args.grid)
+        return _parse_range(args.grid_range, "--grid-range")
+    if isinstance(bundle.prior, UniformPrior):
+        return bundle.prior.lo, bundle.prior.hi
+    if hasattr(bundle.prior, "edges"):
+        return float(bundle.prior.edges[0]), float(bundle.prior.edges[-1])
+    raise UsageError("the prior has unbounded support; pass --grid-range LO:HI")
 
 
 def cmd_score(args) -> int:
+    from .engine import SupportGrid, score_classification, score_regression
+
     _require(args.grid >= 2, "--grid", "at least 2", args.grid)
     bundle = fileio.read_model(args.model)
     gmm = bundle.class_gmms is not None
@@ -257,7 +249,7 @@ def cmd_score(args) -> int:
     if gmm:
         scores = score_classification(bundle.class_gmms, bundle.prior, x)
     else:
-        grid = _grid_for(bundle, args)
+        grid = SupportGrid.from_range(*_grid_range(bundle, args), args.grid)
         with _usage("--grid-range: "):
             scores = score_regression(bundle.flow, bundle.prior, grid, x)
     unscored = ~np.isfinite(scores.epistemic)
@@ -276,6 +268,8 @@ def cmd_score(args) -> int:
 def _write_ood_metrics(path, scores, labels) -> dict:
     """AUROC, AP and FPR at 95 % TPR of ``scores`` against ``labels`` (1 for
     out-of-distribution), written as a one-row CSV; returns them by name."""
+    from .metrics import auroc, average_precision, fpr_at_tpr
+
     values = {
         "auroc": auroc(scores, labels),
         "ap": average_precision(scores, labels),
@@ -317,6 +311,8 @@ def _eval_columns(path, names: list[str], binary: str | None = None) -> dict:
 
 
 def cmd_eval(args) -> int:
+    from .metrics import calibration_curve, rmse_below_uncertainty
+
     _require(0.0 < args.percentile_step <= 100.0, "--percentile-step", "in (0, 100]",
              args.percentile_step)
     thresholds = None
@@ -360,6 +356,8 @@ def cmd_eval(args) -> int:
 def _toy_spec(args):
     """The toy study's spec from the flags, with the classification toy's
     ``EmOptions`` (None for regression); bad values are usage errors."""
+    from .toy import ToyClassificationSpec, ToyRegressionSpec, regression_eval_x
+
     with _usage():
         if args.kind == "classification":
             spec = ToyClassificationSpec(
@@ -376,6 +374,9 @@ def _toy_spec(args):
 
 
 def _toy_regression(args, spec, out) -> int:
+    from .mlp import mlp_predict
+    from .toy import run_regression_study
+
     study = run_regression_study(
         spec,
         eval_points=args.eval_points,
@@ -429,6 +430,10 @@ def _toy_regression(args, spec, out) -> int:
 
 
 def _toy_classification(args, spec, em_opts, out) -> int:
+    from .metrics import calibration_curve
+    from .mlp import mlp_predict
+    from .toy import gen_ood_data, run_classification_study
+
     study = run_classification_study(spec, em_opts=em_opts)
     fileio.write_csv(out / "train_data.csv", ["x0", "x1", "label"],
                      [study.train_x[:, 0], study.train_x[:, 1], study.train_labels])

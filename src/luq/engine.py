@@ -16,14 +16,17 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import GridTooCoarseWarning, MassUnreachableError, MissingClassDensityError
-from .flow import ConditionalFlow, flow_condition, flow_log_prob
 from .gmm import ClassConditionalGmm, gmm_log_prob
 from .linalg import as_matrix
 from .priors import CategoricalPrior, OutputPrior
+
+if TYPE_CHECKING:  # flow loads where regression scoring runs, not for class scoring
+    from .flow import ConditionalFlow
 
 
 @dataclass(frozen=True)
@@ -168,6 +171,8 @@ def score_regression(flow: ConditionalFlow, prior: OutputPrior, grid: SupportGri
     to retain the (n, grid) posterior densities.  A grid on which the prior
     density is zero everywhere is a ValueError: no posterior exists there.
     """
+    from .flow import flow_condition, flow_log_prob
+
     z = as_matrix(z)
     n, g = z.shape[0], grid.points.size
     log_prior_grid = prior.log_pdf(grid.points)

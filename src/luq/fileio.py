@@ -11,15 +11,16 @@ every float64 round-trips exactly.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DataFormatError, LuqError
-from .flow import ConditionalFlow, CouplingLayer, ReluNet
 from .gmm import ClassConditionalGmm, GaussianComponent, Gmm
 from .linalg import CholeskyFactor, PcaModel
 from .priors import (
@@ -29,6 +30,9 @@ from .priors import (
     OutputPrior,
     UniformPrior,
 )
+
+if TYPE_CHECKING:  # flow loads where a FLOW section is read, not for GMM models
+    from .flow import ConditionalFlow, ReluNet
 
 MATRIX_MAGIC = b"LUQ1"
 MODEL_MAGIC = b"LUQM"
@@ -95,21 +99,40 @@ def write_matrix(path, data) -> None:
 
 def read_matrix(path) -> np.ndarray:
     """The (rows, cols) float64 array of a binary container file."""
-    path = Path(path)
-    r = _Reader(path.read_bytes(), str(path))
-    magic = r.take(4)
+    with open(path, "rb") as fh:
+        return _matrix_from(fh, Path(path), fh.read(4))
+
+
+def _matrix_from(fh, path, magic: bytes) -> np.ndarray:
+    """The array of the open container file ``fh`` whose first four bytes,
+    ``magic``, are read.  The sizes are checked against the file's before
+    the payload is read, straight into the returned array."""
+    size = os.fstat(fh.fileno()).st_size
+
+    def truncated(at: int, needed: int):
+        return DataFormatError(f"{path}: truncated at byte offset {at} "
+                               f"(needed {needed} more bytes, file has {size})")
+
+    if len(magic) < 4:
+        raise truncated(0, 4)
     if magic != MATRIX_MAGIC:
         raise DataFormatError(f"{path}: bad magic {magic!r}, expected {MATRIX_MAGIC!r}")
-    version, rows, cols = r.unpack("HII")
+    header = fh.read(10)
+    if len(header) < 10:
+        raise truncated(4, 10)
+    version, rows, cols = struct.unpack("<HII", header)
     if version != FORMAT_VERSION:
         raise DataFormatError(f"{path}: unrecognized version {version}")
-    payload = r.take(8 * rows * cols)
-    if r.pos != len(r.data):
-        raise DataFormatError(
-            f"{path}: {len(r.data) - r.pos} trailing bytes after payload "
-            f"(offset {r.pos})"
-        )
-    return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
+    end = 14 + 8 * rows * cols
+    if end > size:
+        raise truncated(14, end - 14)
+    if end < size:
+        raise DataFormatError(f"{path}: {size - end} trailing bytes after payload "
+                              f"(offset {end})")
+    out = np.empty((rows, cols), dtype="<f8")
+    if fh.readinto(out) != end - 14:
+        raise truncated(14, end - 14)  # the file shrank while it was read
+    return out
 
 
 def _read_lines(path) -> list[str]:
@@ -169,7 +192,9 @@ def read_features(path) -> np.ndarray:
     data row holding one."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
-    x = read_matrix(path) if magic == MATRIX_MAGIC else _read_csv(path)[1]
+        x = _matrix_from(fh, Path(path), magic) if magic == MATRIX_MAGIC else None
+    if x is None:
+        x = _read_csv(path)[1]
     bad = ~np.isfinite(x).all(axis=1)
     if bad.any():
         raise DataFormatError(
@@ -220,6 +245,8 @@ def _pack_gmms(m: ClassConditionalGmm) -> bytes:
 
 def _unpack_gmms(r: _Reader) -> ClassConditionalGmm:
     (n_classes,) = r.unpack("I")
+    if n_classes == 0:
+        raise DataFormatError(f"{r.name}: the section holds no classes")
     per_class = {}
     classes = []
     dim = None
@@ -252,13 +279,14 @@ def _pack_net(net: ReluNet) -> bytes:
     return b"".join(parts)
 
 
-def _unpack_net(r: _Reader, lifted: bool) -> ReluNet:
+def _unpack_net(r: _Reader, lifted: bool) -> tuple:
+    """The ``ReluNet`` arguments: weights, biases and the lift or None."""
     (n,) = r.unpack("B")
     weights, biases = [], []
     for _ in range(n):
         weights.append(_unpack_array(r))
         biases.append(_unpack_array(r))
-    return ReluNet(weights, biases, _unpack_array(r) if lifted else None)
+    return weights, biases, _unpack_array(r) if lifted else None
 
 
 def _pack_flow(f: ConditionalFlow) -> bytes:
@@ -274,16 +302,22 @@ def _pack_flow(f: ConditionalFlow) -> bytes:
 
 
 def _unpack_flow(r: _Reader) -> ConditionalFlow:
+    from .flow import ConditionalFlow, CouplingLayer, ReluNet
+
     dim, cond_dim, n_layers = r.unpack("III")
     layers = []
-    for _ in range(n_layers):
+    for k in range(n_layers):
         (clamp,) = r.unpack("d")
         parts = []
         for _ in range(2):
             (size,) = r.unpack("I")
             raw = r.take(4 * size)
             parts.append(np.frombuffer(raw, dtype="<u4").astype(np.intp))
-        scale, translate, cond = (_unpack_net(r, lifted) for lifted in (True, True, False))
+        if not np.array_equal(np.sort(np.concatenate(parts)), np.arange(dim)):
+            raise DataFormatError(f"{r.name}: layer {k}: the coupling parts do not "
+                                  f"partition the {dim} latent dimensions")
+        scale, translate, cond = (ReluNet(*_unpack_net(r, lifted))
+                                  for lifted in (True, True, False))
         layers.append(
             CouplingLayer(
                 part1=parts[0], part2=parts[1], scale_net=scale,

@@ -841,6 +841,29 @@ def _unpaired_prior(density):
     return build
 
 
+def _flow_parts_outside_latent(tmp_path, blob_files):
+    # a FLOW section whose CRC holds but whose first layer transforms latent
+    # dimension 5 of 2
+    from luq.flow import build_flow
+    from luq.priors import UniformPrior
+
+    flow = build_flow(2, 1, seed=0)
+    flow.layers[0].part2 = np.array([5])
+    model = tmp_path / "flow.luqm"
+    write_model(model, ModelBundle(prior=UniformPrior(-3.0, 3.0), flow=flow))
+    return (["score", "--model", str(model), "--features", str(blob_files[0]), "--grid", "8"],
+            f"{model}[FLOW]", "layer 0: the coupling parts do not partition")
+
+
+def _gmms_without_classes(tmp_path, blob_files):
+    model = tmp_path / "empty.luqm"
+    bundle = two_class_reference_model()
+    write_model(model, ModelBundle(prior=bundle.prior, class_gmms=ClassConditionalGmm(
+        dim=2, classes=(), per_class={})))
+    return (["score", "--model", str(model), "--features", str(blob_files[0])],
+            f"{model}[GMMS]", "holds no classes")
+
+
 def _inf_named_header(tmp_path, blob_files):
     csv = tmp_path / "scores.csv"
     csv.write_text("score,inf\n0.9,1\n0.1,0\n")
@@ -869,6 +892,8 @@ class TestFailureTable:
         "checksum-valid-invalid-section": _unnormalized_prior_section,
         "gmm-with-uniform-prior": _unpaired_prior("gmm"),
         "flow-with-categorical-prior": _unpaired_prior("flow"),
+        "flow-parts-outside-latent": _flow_parts_outside_latent,
+        "gmm-section-without-classes": _gmms_without_classes,
         "inf-named-header": _inf_named_header,
         "nan-inf-first-feature-row": _nonfinite_first_feature_row,
     }

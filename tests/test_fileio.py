@@ -23,7 +23,7 @@ from luq.fileio import (
     write_scores_csv,
 )
 from luq.flow import FlowArchitecture, build_flow, flow_log_prob
-from luq.gmm import EmOptions, fit_class_conditional, gmm_log_prob
+from luq.gmm import ClassConditionalGmm, EmOptions, fit_class_conditional, gmm_log_prob
 from luq.linalg import pca_fit
 from luq.priors import (
     BetaPrimePrior,
@@ -79,6 +79,40 @@ class TestMatrixFile:
         p.write_bytes(p.read_bytes() + b"xx")
         with pytest.raises(DataFormatError, match="trailing"):
             read_matrix(p)
+
+    @pytest.mark.parametrize("reader", [read_matrix, read_features])
+    def test_every_truncation_and_an_appended_byte(self, tmp_path, reader):
+        p = tmp_path / "c.luq"
+        write_matrix(p, np.arange(6.0).reshape(3, 2))
+        raw = p.read_bytes()
+        for n in range(len(raw)):
+            p.write_bytes(raw[:n])
+            with pytest.raises(DataFormatError):
+                reader(p)
+        p.write_bytes(raw + b"\0")
+        with pytest.raises(DataFormatError, match=r"1 trailing bytes after payload \(offset 62\)"):
+            reader(p)
+
+    @pytest.mark.parametrize("n, at, needed", [(0, 0, 4), (3, 0, 4), (4, 4, 10), (13, 4, 10),
+                                               (14, 14, 48), (61, 14, 48)])
+    def test_truncation_message(self, tmp_path, n, at, needed):
+        p = tmp_path / "c.luq"
+        write_matrix(p, np.arange(6.0).reshape(3, 2))
+        p.write_bytes(p.read_bytes()[:n])
+        with pytest.raises(DataFormatError) as err:
+            read_matrix(p)
+        assert str(err.value) == (f"{p}: truncated at byte offset {at} "
+                                  f"(needed {needed} more bytes, file has {n})")
+
+    @pytest.mark.parametrize("reader", [read_matrix, read_features])
+    def test_returns_an_owned_writable_array(self, tmp_path, reader):
+        p = tmp_path / "o.luq"
+        write_matrix(p, np.arange(6.0).reshape(3, 2))
+        x = reader(p)
+        assert x.dtype == np.float64 and x.shape == (3, 2)
+        assert x.flags.owndata and x.flags.writeable and x.flags.c_contiguous
+        x[0, 0] = 7.0
+        assert x[0, 0] == 7.0
 
     def test_csv_features_accepted(self, tmp_path):
         p = tmp_path / "f.csv"
@@ -231,6 +265,26 @@ class TestModelFile:
         assert cli.main(["score", "--model", str(p), "--features", str(features),
                          "--output", str(tmp_path / "s.csv")]) == 3
         assert "trailing bytes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("part2", [[5], [0, 0], []],
+                             ids=["out-of-range", "repeated", "missing"])
+    def test_flow_parts_must_partition_the_latent(self, tmp_path, part2):
+        bundle = small_flow_bundle()
+        assert bundle.flow.layers[1].part1.tolist() == [1]
+        bundle.flow.layers[1].part2 = np.array(part2)  # the CRC is written over it
+        p = tmp_path / "f.luqm"
+        write_model(p, bundle)
+        with pytest.raises(DataFormatError, match=r"f\.luqm\[FLOW\]: layer 1: the coupling "
+                                                  "parts do not partition the 2 latent"):
+            read_model(p)
+
+    def test_gmm_section_needs_a_class(self, tmp_path):
+        bundle, _ = small_gmm_bundle()
+        empty = ClassConditionalGmm(dim=3, classes=(), per_class={})
+        p = tmp_path / "g.luqm"
+        write_model(p, ModelBundle(prior=bundle.prior, class_gmms=empty))
+        with pytest.raises(DataFormatError, match=r"g\.luqm\[GMMS\]: the section holds no"):
+            read_model(p)
 
     def test_requires_density_section(self):
         with pytest.raises(ValueError):

@@ -1,18 +1,24 @@
 """No module of the package imports a name it never uses, or defines a
-module-level private name that it never reads.
-
-``__init__.py`` is skipped by the import check: its imports are the
-package's re-exports.
+module-level private name that it never reads.  ``import luq`` loads no
+submodule, and serves each public name from its defining module on first
+use; the GMM commands load only the modules they run.
 """
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import luq
+from luq.fileio import write_matrix
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "luq"
 ALL_MODULES = sorted(p.name for p in SRC.glob("*.py"))
-MODULES = [m for m in ALL_MODULES if m != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -35,7 +41,7 @@ def test_finds_an_unused_import():
     assert unused_imports(source) == [(3, "field")]
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", ALL_MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
 
@@ -69,3 +75,82 @@ def test_finds_an_unused_private_name():
 @pytest.mark.parametrize("module", ALL_MODULES)
 def test_no_unused_private_names(module):
     assert unused_private_names((SRC / module).read_text(encoding="utf-8")) == []
+
+
+# The names ``luq`` exported when ``__init__.py`` imported them all eagerly.
+EXPORTED = {
+    "engine": ["ConfidenceRegion", "RegressionPosterior", "SupportGrid", "UncertaintyScores",
+               "aleatoric_classification", "aleatoric_regression", "confidence_region",
+               "epistemic_classification", "epistemic_regression", "score_classification",
+               "score_regression"],
+    "flow": ["ConditionalFlow", "FlowArchitecture", "FlowTrainConfig", "build_flow",
+             "flow_condition", "flow_forward", "flow_gradients", "flow_inverse",
+             "flow_log_prob", "flow_nll", "flow_train"],
+    "gmm": ["ClassConditionalGmm", "EmOptions", "GaussianComponent", "Gmm", "em_fit",
+            "fit_class_conditional", "gmm_log_prob"],
+    "linalg": ["CholeskyFactor", "PcaModel", "cholesky", "log_det", "logsumexp", "pca_fit",
+               "pca_transform"],
+    "metrics": ["CalibrationCurve", "auroc", "average_precision", "calibration_curve",
+                "discrete_entropy", "fpr_at_tpr", "rmse_below_uncertainty"],
+    "mlp": ["MlpModel", "MlpTrainConfig", "latent_extract", "mlp_init", "mlp_predict",
+            "mlp_train"],
+    "priors": ["BetaPrimePrior", "CategoricalPrior", "HistogramPrior", "OutputPrior",
+               "UniformPrior", "betaprime_fit_mom", "fit_categorical", "fit_histogram"],
+    "toy": ["EnsembleModel", "ToyClassificationSpec", "ToyRegressionSpec", "ensemble_scores",
+            "gen_classification_data", "gen_ood_data", "gen_regression_data", "perturb",
+            "regression_target", "run_classification_study", "run_regression_study",
+            "train_ensemble"],
+}
+
+
+@pytest.mark.parametrize("module", list(EXPORTED))
+def test_every_exported_name_resolves_to_its_module(module):
+    defining = importlib.import_module(f"luq.{module}")
+    assert getattr(luq, module) is defining
+    for name in EXPORTED[module]:
+        assert getattr(luq, name) is getattr(defining, name)
+        assert name in dir(luq)
+    exec(f"from luq import {', '.join(EXPORTED[module])}", {})
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        luq.no_such_name
+    assert not hasattr(luq, "as_matrix")  # defined in linalg, but not exported
+    with pytest.raises(ImportError):
+        exec("from luq import no_such_name", {})
+
+
+LIST_LOADED = """import sys
+import luq
+if sys.argv[1:]:
+    from luq.cli import main
+    assert main(sys.argv[1:]) == 0
+print(*sorted(m[4:] for m in sys.modules if m.startswith("luq.")))
+"""
+
+
+def loaded_modules(cwd, *argv) -> set[str]:
+    """The ``luq`` submodules loaded by ``import luq`` and, given ``argv``,
+    by one ``luq`` command, in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", LIST_LOADED, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=True)
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_import_luq_loads_no_submodule(tmp_path):
+    assert loaded_modules(tmp_path) == {"_pool"}
+
+
+def test_gmm_commands_load_only_what_they_run(tmp_path):
+    rng = np.random.default_rng(0)
+    write_matrix(tmp_path / "f.luq", rng.normal(size=(40, 2)) + np.repeat([[0], [4]], 20, 0))
+    write_matrix(tmp_path / "p.luq", np.repeat([0.0, 1.0], 20)[:, None])
+    fit = loaded_modules(tmp_path, "fit", "--features", "f.luq", "--predictions", "p.luq",
+                         "--model", "gmm", "--output", "m.luqm")
+    score = loaded_modules(tmp_path, "score", "--model", "m.luqm", "--features", "f.luq",
+                           "--output", "s.csv")
+    unused = {"flow", "mlp", "toy", "metrics", "plots"}
+    assert {"cli", "gmm", "fileio"} <= fit and not fit & (unused | {"engine"})
+    assert {"cli", "gmm", "engine"} <= score and not score & unused
