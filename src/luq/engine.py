@@ -5,9 +5,11 @@ the training-set latent density p(z) = sum_y w_y p(z|y) p(y); aleatoric
 uncertainty is the entropy of the Bayes posterior p(y|z).  One kernel,
 ``_posterior_scores``, computes both from log p(z|y) + log p(y) and the
 quadrature weights w_y: 1 for classes, trapezoid weights on a support grid
-for scalar outputs.  The single-row ``epistemic_*`` and ``aleatoric_*``
-functions are views of ``score_classification`` and ``score_regression``.
-Regression scoring conditions the flow on the support grid once per call
+for scalar outputs.  A ``SupportGrid`` is its range and point count
+(lo, hi, n); its points and spacing follow from them.  The single-row
+``epistemic_*`` and ``aleatoric_*`` functions are views of
+``score_classification`` and ``score_regression``.  Regression scoring
+conditions the flow on the support grid once per call
 (``flow.flow_condition``) and runs each latent row against that shared
 conditioning.  All sums of densities run in log space with a max shift.
 """
@@ -15,7 +17,7 @@ conditioning.  All sums of densities run in log space with a max shift.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -31,41 +33,35 @@ if TYPE_CHECKING:  # flow loads where regression scoring runs, not for class sco
 
 @dataclass(frozen=True)
 class SupportGrid:
-    """Equidistant output values used for the regression marginalization."""
+    """``n`` equidistant output values from ``lo`` to ``hi``, used for the
+    regression marginalization; ``points`` and ``spacing`` follow from
+    them."""
 
-    points: np.ndarray
-    spacing: float
+    lo: float
+    hi: float
+    n: int
+    points: np.ndarray = field(init=False, repr=False, compare=False)
+    spacing: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 1 or pts.size < 2:
-            raise ValueError("support grid needs at least 2 points")
-        diffs = np.diff(pts)
-        if np.any(diffs <= 0):
-            raise ValueError("support grid must be strictly increasing")
-        if np.abs(diffs - self.spacing).max() > 1e-12 * max(1.0, abs(self.spacing)):
-            raise ValueError("support grid must be equidistant")
-        object.__setattr__(self, "points", pts)
+        if not (self.lo < self.hi and self.n >= 2):
+            raise ValueError(f"a support grid needs lo < hi and at least 2 points, "
+                             f"got [{self.lo}, {self.hi}] with {self.n}")
+        object.__setattr__(self, "points", np.linspace(self.lo, self.hi, self.n))
+        object.__setattr__(self, "spacing", (self.hi - self.lo) / (self.n - 1))
 
     @classmethod
     def from_range(cls, lo: float, hi: float, n: int) -> "SupportGrid":
-        if not lo < hi:
-            raise ValueError("need lo < hi")
-        if n < 2:
-            raise ValueError(f"support grid needs at least 2 points, got {n}")
-        pts = np.linspace(lo, hi, n)
-        return cls(points=pts, spacing=(hi - lo) / (n - 1))
+        return cls(lo, hi, n)
 
     def trapezoid_weights(self) -> np.ndarray:
-        w = np.full(self.points.size, self.spacing)
+        w = np.full(self.n, self.spacing)
         w[0] = w[-1] = 0.5 * self.spacing
         return w
 
     def refined(self) -> "SupportGrid":
         """Same range at half the spacing (keeps the original points)."""
-        return SupportGrid.from_range(
-            float(self.points[0]), float(self.points[-1]), 2 * self.points.size - 1
-        )
+        return SupportGrid(self.lo, self.hi, 2 * self.n - 1)
 
 
 @dataclass(frozen=True)
@@ -174,15 +170,15 @@ def score_regression(flow: ConditionalFlow, prior: OutputPrior, grid: SupportGri
     from .flow import flow_condition, flow_log_prob
 
     z = as_matrix(z)
-    n, g = z.shape[0], grid.points.size
+    n = z.shape[0]
     log_prior_grid = prior.log_pdf(grid.points)
     if not np.any(log_prior_grid > -np.inf):
         raise ValueError(f"the prior puts no mass on the support grid "
-                         f"[{grid.points[0]:g}, {grid.points[-1]:g}]")
+                         f"[{grid.lo:g}, {grid.hi:g}]")
     cond = flow_condition(flow, grid.points[:, None])
     w = grid.trapezoid_weights()
     epi, ale = np.empty(n), np.empty(n)
-    post = np.empty((n, g)) if keep_posteriors else None
+    post = np.empty((n, grid.n)) if keep_posteriors else None
     for i in range(n):
         log_joint = flow_log_prob(flow, z[i:i + 1], cond) + log_prior_grid
         epi[i:i + 1], ale[i:i + 1], q = _posterior_scores(log_joint[None, :], w)

@@ -3,7 +3,12 @@
 Two little-endian binary containers: "LUQ1" matrix files (raw float64
 feature matrices) and "LUQM" model files (typed, length-prefixed, CRC-32
 checked sections holding an optional PCA, the density model, and the
-output prior).  Feature readers return plain (n, d) float64 arrays.  CSV
+output prior).  The section readers check the byte layout only; the rules
+on the values read (matching shapes, the coupling partition, one density
+section per model) live in the constructors of ``PcaModel``,
+``GaussianComponent``, ``Gmm``, ``ConditionalFlow`` and ``ModelBundle``,
+and ``read_model`` reports their errors as ``DataFormatError``s naming the
+file and section.  Feature readers return plain (n, d) float64 arrays.  CSV
 is accepted as an alternate feature input and is the output format for
 scores and metrics: `.` decimal, LF line endings, 17 significant digits so
 every float64 round-trips exactly.
@@ -44,6 +49,11 @@ SECTION_FLOW = b"FLOW"
 SECTION_PRIOR = b"PRIR"
 
 
+def _truncated(name, at: int, needed: int, size: int) -> DataFormatError:
+    return DataFormatError(f"{name}: truncated at byte offset {at} "
+                           f"(needed {needed} more bytes, file has {size})")
+
+
 class _Reader:
     """Cursor over bytes that reports the offset of any short read."""
 
@@ -54,10 +64,7 @@ class _Reader:
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
-            raise DataFormatError(
-                f"{self.name}: truncated at byte offset {self.pos} "
-                f"(needed {n} more bytes, file has {len(self.data)})"
-            )
+            raise _truncated(self.name, self.pos, n, len(self.data))
         out = self.data[self.pos : self.pos + n]
         self.pos += n
         return out
@@ -108,30 +115,25 @@ def _matrix_from(fh, path, magic: bytes) -> np.ndarray:
     ``magic``, are read.  The sizes are checked against the file's before
     the payload is read, straight into the returned array."""
     size = os.fstat(fh.fileno()).st_size
-
-    def truncated(at: int, needed: int):
-        return DataFormatError(f"{path}: truncated at byte offset {at} "
-                               f"(needed {needed} more bytes, file has {size})")
-
     if len(magic) < 4:
-        raise truncated(0, 4)
+        raise _truncated(path, 0, 4, size)
     if magic != MATRIX_MAGIC:
         raise DataFormatError(f"{path}: bad magic {magic!r}, expected {MATRIX_MAGIC!r}")
     header = fh.read(10)
     if len(header) < 10:
-        raise truncated(4, 10)
+        raise _truncated(path, 4, 10, size)
     version, rows, cols = struct.unpack("<HII", header)
     if version != FORMAT_VERSION:
         raise DataFormatError(f"{path}: unrecognized version {version}")
     end = 14 + 8 * rows * cols
     if end > size:
-        raise truncated(14, end - 14)
+        raise _truncated(path, 14, end - 14, size)
     if end < size:
         raise DataFormatError(f"{path}: {size - end} trailing bytes after payload "
                               f"(offset {end})")
     out = np.empty((rows, cols), dtype="<f8")
     if fh.readinto(out) != end - 14:
-        raise truncated(14, end - 14)  # the file shrank while it was read
+        raise _truncated(path, 14, end - 14, size)  # the file shrank while it was read
     return out
 
 
@@ -306,16 +308,13 @@ def _unpack_flow(r: _Reader) -> ConditionalFlow:
 
     dim, cond_dim, n_layers = r.unpack("III")
     layers = []
-    for k in range(n_layers):
+    for _ in range(n_layers):
         (clamp,) = r.unpack("d")
         parts = []
         for _ in range(2):
             (size,) = r.unpack("I")
             raw = r.take(4 * size)
             parts.append(np.frombuffer(raw, dtype="<u4").astype(np.intp))
-        if not np.array_equal(np.sort(np.concatenate(parts)), np.arange(dim)):
-            raise DataFormatError(f"{r.name}: layer {k}: the coupling parts do not "
-                                  f"partition the {dim} latent dimensions")
         scale, translate, cond = (ReluNet(*_unpack_net(r, lifted))
                                   for lifted in (True, True, False))
         layers.append(
@@ -373,8 +372,10 @@ class ModelBundle:
     pca: PcaModel | None = None
 
     def __post_init__(self):
-        if self.class_gmms is None and self.flow is None:
-            raise ValueError("model bundle needs a density section")
+        found = (self.class_gmms is not None) + (self.flow is not None)
+        if found != 1:
+            raise ValueError(f"a model holds exactly one density section, GMMS or FLOW; "
+                             f"found {found}")
 
     @property
     def feature_dim(self) -> int:
@@ -440,10 +441,11 @@ def read_model(path) -> ModelBundle:
         )
     if SECTION_PRIOR not in found:
         raise DataFormatError(f"{path}: missing prior section")
-    if SECTION_GMMS not in found and SECTION_FLOW not in found:
-        raise DataFormatError(f"{path}: missing density section")
-    return ModelBundle(prior=found[SECTION_PRIOR], class_gmms=found.get(SECTION_GMMS),
-                       flow=found.get(SECTION_FLOW), pca=found.get(SECTION_PCA))
+    try:
+        return ModelBundle(prior=found[SECTION_PRIOR], class_gmms=found.get(SECTION_GMMS),
+                           flow=found.get(SECTION_FLOW), pca=found.get(SECTION_PCA))
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 # --- text formats --------------------------------------------------------
@@ -457,11 +459,10 @@ def format_float(x: float) -> str:
 def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
     """CSV with `.` decimals, LF endings, and round-trip-exact floats.
 
-    Integer columns print as integers, every other column as floats in the
-    ``format_float`` form; columns are formatted whole, one at a time.
+    Integer columns print as integers, every other column through
+    ``format_float``; columns are formatted whole, one at a time.
     """
-    cells = [[str(v) for v in col.tolist()] if col.dtype.kind in "iu"
-             else [f"{v:.17g}" for v in col.tolist()]
+    cells = [list(map(str if col.dtype.kind in "iu" else format_float, col.tolist()))
              for col in map(np.asarray, columns)]
     lines = [",".join(header), *map(",".join, zip(*cells, strict=True))]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

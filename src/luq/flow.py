@@ -15,6 +15,9 @@ run against every condition row.  Regression scoring conditions on the
 support grid this way once per score call and reuses it for every latent
 row.
 
+``ConditionalFlow``'s constructor checks the partition and the net shapes
+of every layer, whether built by ``build_flow`` or read from a model file.
+
 The raw scale output is soft-clamped to s = clamp * tanh(raw / clamp)
 before exponentiation, which keeps the map invertible and the
 log-determinant bounded regardless of what the subnets produce.
@@ -177,13 +180,51 @@ class FlowArchitecture:
             raise ValueError("hidden layer widths must be >= 1")
 
 
+def _net_width(net: ReluNet, where: str, n_in: int, lift_rows: int | None) -> int:
+    """The output width of ``net`` once its weights and biases are checked
+    to chain from ``n_in`` input columns, and its lift to take
+    ``lift_rows`` features (no lift when None)."""
+    if not net.weights or len(net.biases) != len(net.weights):
+        raise DimMismatchError(f"{where}: {len(net.weights)} weights, {len(net.biases)} biases")
+    width = n_in
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        if w.ndim != 2 or w.shape[0] != width or b.shape != w.shape[1:]:
+            raise DimMismatchError(f"{where}: weight {i} is {w.shape} with bias {b.shape}, "
+                                   f"expected {width} rows and one bias per column")
+        width = w.shape[1]
+    lift = None if net.lift is None else net.lift.shape
+    expected = None if lift_rows is None else (lift_rows, net.weights[0].shape[1])
+    if lift != expected:
+        raise DimMismatchError(f"{where}: lift is {lift}, expected {expected}")
+    return width
+
+
 @dataclass
 class ConditionalFlow:
-    """Stack of conditional coupling layers over a standard-normal base."""
+    """Stack of conditional coupling layers over a standard-normal base.
+
+    The constructor checks every layer, built or read from a file: its two
+    parts partition the ``dim`` latent coordinates, the condition net takes
+    ``cond_dim`` columns, and each subnet maps the copied part, plus the
+    lifted condition feature, to the transformed part.
+    """
 
     dim: int
     cond_dim: int
     layers: list[CouplingLayer]
+
+    def __post_init__(self):
+        for k, layer in enumerate(self.layers):
+            parts = np.concatenate([layer.part1, layer.part2])
+            if not np.array_equal(np.sort(parts), np.arange(self.dim)):
+                raise ValueError(f"layer {k}: the coupling parts do not partition the "
+                                 f"{self.dim} latent dimensions")
+            feat = _net_width(layer.cond_net, f"layer {k}: condition net", self.cond_dim, None)
+            for name, net in (("scale", layer.scale_net), ("translate", layer.translate_net)):
+                out = _net_width(net, f"layer {k}: {name} net", layer.part1.size, feat)
+                if out != layer.part2.size:
+                    raise DimMismatchError(f"layer {k}: {name} net has {out} outputs, "
+                                           f"expected {layer.part2.size}")
 
     def params(self):
         out = []

@@ -42,6 +42,11 @@ class GaussianComponent:
     mean: np.ndarray
     cov_chol: CholeskyFactor
 
+    def __post_init__(self):
+        if np.shape(self.mean) != (self.cov_chol.dim,):
+            raise DimMismatchError(f"component mean has shape {np.shape(self.mean)}, "
+                                   f"covariance factor is {self.cov_chol.dim}-D")
+
 
 @dataclass(frozen=True)
 class Gmm:
@@ -59,6 +64,8 @@ class Gmm:
     def __post_init__(self):
         if not self.components:
             raise ValueError("mixture needs at least one component")
+        if any(c.cov_chol.dim != self.dim for c in self.components):
+            raise DimMismatchError(f"a component is not {self.dim}-D")
         total = logsumexp(np.array([c.log_weight for c in self.components]))
         if abs(total) > 1e-9:
             raise ValueError(f"mixture weights sum to exp({total}), not 1")

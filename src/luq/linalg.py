@@ -116,6 +116,13 @@ class PcaModel:
     eigenvalues: np.ndarray
     whiten: bool = False
 
+    def __post_init__(self):
+        shape = np.shape(self.basis)
+        if (len(shape) != 2 or np.shape(self.mean) != shape[:1]
+                or np.shape(self.eigenvalues) != shape[1:]):
+            raise DimMismatchError(f"PCA mean {np.shape(self.mean)}, basis {shape} and "
+                                   f"eigenvalues {np.shape(self.eigenvalues)} do not match")
+
     @property
     def input_dim(self) -> int:
         return self.basis.shape[0]

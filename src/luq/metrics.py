@@ -22,43 +22,40 @@ def _binary_set(scores, labels):
         raise ValueError("scores and labels must be equal-length vectors")
     if scores.size == 0:
         raise EmptyInputError("empty score set")
+    if np.isnan(scores).any():
+        raise ValueError("scores hold NaN, which has no rank")
     pos = labels == 1
     if pos.all() or not pos.any():
         raise OneClassOnlyError("ranking metrics need both classes present")
     return scores, pos
 
 
-def auroc(scores, labels) -> float:
-    """Probability that a random positive outranks a random negative.
-
-    Mann-Whitney form; ties count 1/2.
-    """
-    scores, pos = _binary_set(scores, labels)
-    n_pos = int(pos.sum())
-    n_neg = scores.size - n_pos
-    # average ranks: a tied group spanning ranks [first, last] gets their mean
-    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
-    u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
-
-
 def _threshold_counts(scores, pos):
-    """Cumulative TP/FP counts at each distinct score, descending.
+    """Cumulative TP/FP counts at each distinct score, descending; the last
+    entries are the class sizes.
 
     A threshold t classifies score >= t as positive; tied scores are
     collapsed into a single threshold so the result is independent of input
     order.
     """
-    order = np.argsort(-scores, kind="stable")
+    order = np.argsort(-scores)  # not stable: each tie is counted whole
     sorted_scores = scores[order]
     sorted_pos = pos[order]
-    # last index of each tied group marks the threshold boundary
-    boundary = np.nonzero(np.diff(sorted_scores))[0]
+    # last index of each tied group (!=, as a difference splits ties at inf)
+    boundary = np.nonzero(sorted_scores[1:] != sorted_scores[:-1])[0]
     boundary = np.append(boundary, scores.size - 1)
     tp = np.cumsum(sorted_pos)[boundary]
     fp = np.cumsum(~sorted_pos)[boundary]
     return tp, fp
+
+
+def auroc(scores, labels) -> float:
+    """Probability that a random positive outranks a random negative, ties
+    counting 1/2: the trapezoid area under the ROC steps of
+    ``_threshold_counts``, summed exactly in integer counts."""
+    scores, pos = _binary_set(scores, labels)
+    tp, fp = (np.concatenate(([0], c)) for c in _threshold_counts(scores, pos))
+    return float(np.sum(np.diff(fp) * (tp[1:] + tp[:-1])) / (2 * tp[-1] * fp[-1]))
 
 
 def average_precision(s_scores, labels) -> float:
@@ -69,9 +66,8 @@ def average_precision(s_scores, labels) -> float:
     tie-order expectation (all scores equal with p positives of n gives p/n).
     """
     scores, pos = _binary_set(s_scores, labels)
-    n_pos = int(pos.sum())
     tp, fp = _threshold_counts(scores, pos)
-    recall = tp / n_pos
+    recall = tp / tp[-1]
     precision = tp / (tp + fp)
     d_recall = np.diff(np.concatenate(([0.0], recall)))
     return float(np.sum(d_recall * precision))
@@ -83,15 +79,13 @@ def fpr_at_tpr(scores, labels, tpr_target: float = 0.95) -> float:
     if not 0.0 < tpr_target <= 1.0:
         raise ValueError("tpr_target must be in (0, 1]")
     scores, pos = _binary_set(scores, labels)
-    n_pos = int(pos.sum())
-    n_neg = scores.size - n_pos
     tp, fp = _threshold_counts(scores, pos)
-    tpr = tp / n_pos
+    tpr = tp / tp[-1]
     ok = tpr >= tpr_target
     # FPR is non-decreasing as the threshold is lowered, so the first
     # admissible threshold is the minimizer
     first = int(np.argmax(ok))
-    return float(fp[first] / n_neg)
+    return float(fp[first] / fp[-1])
 
 
 @dataclass(frozen=True)

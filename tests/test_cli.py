@@ -864,6 +864,64 @@ def _gmms_without_classes(tmp_path, blob_files):
             f"{model}[GMMS]", "holds no classes")
 
 
+def _two_d_gmm_bundle(mean_length=2):
+    """A checksum-valid two-class 2-D GMM model whose first component mean
+    has ``mean_length`` entries (set past the component's own check)."""
+    comps = [GaussianComponent(0.0, np.full(2, float(c)), cholesky(np.eye(2))) for c in (0, 1)]
+    object.__setattr__(comps[0], "mean", np.zeros(mean_length))
+    return ModelBundle(
+        prior=CategoricalPrior(classes=(0, 1), log_probs=np.log([0.5, 0.5])),
+        class_gmms=ClassConditionalGmm(dim=2, classes=(0, 1), per_class={
+            c: Gmm(dim=2, components=(comp,)) for c, comp in enumerate(comps)}))
+
+
+def _gmm_mean_of_wrong_length(tmp_path, blob_files):
+    model = tmp_path / "mean.luqm"
+    write_model(model, _two_d_gmm_bundle(mean_length=3))
+    return (["score", "--model", str(model), "--features", str(blob_files[0])],
+            f"{model}[GMMS]", "component mean has shape (3,)")
+
+
+def _pca_mean_of_wrong_length(tmp_path, blob_files):
+    from luq.linalg import PcaModel
+
+    pca = PcaModel(mean=np.zeros(3), basis=np.eye(3)[:, :2], eigenvalues=np.ones(2))
+    object.__setattr__(pca, "mean", np.zeros(4))
+    bundle = _two_d_gmm_bundle()
+    bundle.pca = pca
+    model = tmp_path / "pca.luqm"
+    write_model(model, bundle)
+    features = tmp_path / "x3.luq"  # three columns, so the stored PCA would apply
+    write_matrix(features, np.ones((4, 3)))
+    return (["score", "--model", str(model), "--features", str(features)],
+            f"{model}[PCA]", "PCA mean (4,), basis (3, 2)")
+
+
+def _flow_net_of_wrong_width(tmp_path, blob_files):
+    # layer 0 copies one latent coordinate, its scale net takes two
+    from luq.flow import FlowArchitecture, build_flow
+    from luq.priors import UniformPrior
+
+    flow = build_flow(2, 1, FlowArchitecture(n_layers=2, hidden=(4,), cond_hidden=(4,),
+                                             cond_feat_dim=4), seed=0)
+    flow.layers[0].scale_net.weights[0] = np.zeros((2, 4))
+    model = tmp_path / "net.luqm"
+    write_model(model, ModelBundle(prior=UniformPrior(-3.0, 3.0), flow=flow))
+    return (["score", "--model", str(model), "--features", str(blob_files[0]), "--grid", "8"],
+            f"{model}[FLOW]", "layer 0: scale net: weight 0 is (2, 4)")
+
+
+def _two_density_sections(tmp_path, blob_files):
+    from luq.flow import build_flow
+
+    bundle = _two_d_gmm_bundle()
+    bundle.flow = build_flow(2, 1, seed=0)
+    model = tmp_path / "both.luqm"
+    write_model(model, bundle)
+    return (["score", "--model", str(model), "--features", str(blob_files[0])],
+            model, "exactly one density section, GMMS or FLOW; found 2")
+
+
 def _inf_named_header(tmp_path, blob_files):
     csv = tmp_path / "scores.csv"
     csv.write_text("score,inf\n0.9,1\n0.1,0\n")
@@ -894,6 +952,10 @@ class TestFailureTable:
         "flow-with-categorical-prior": _unpaired_prior("flow"),
         "flow-parts-outside-latent": _flow_parts_outside_latent,
         "gmm-section-without-classes": _gmms_without_classes,
+        "gmm-mean-of-wrong-length": _gmm_mean_of_wrong_length,
+        "pca-mean-of-wrong-length": _pca_mean_of_wrong_length,
+        "flow-net-of-wrong-width": _flow_net_of_wrong_width,
+        "gmm-and-flow-sections": _two_density_sections,
         "inf-named-header": _inf_named_header,
         "nan-inf-first-feature-row": _nonfinite_first_feature_row,
     }
@@ -908,4 +970,22 @@ class TestFailureTable:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and str(named) in proc.stderr
         assert text in proc.stderr
+        assert not out.exists()
+
+    def test_grid_outside_the_prior_stays_a_usage_error(self, tmp_path):
+        from luq.flow import build_flow
+        from luq.priors import UniformPrior
+
+        model = tmp_path / "u.luqm"
+        write_model(model, ModelBundle(prior=UniformPrior(-10.0, 10.0),
+                                       flow=build_flow(2, 1, seed=0)))
+        features = tmp_path / "z.luq"
+        write_matrix(features, np.zeros((2, 2)))
+        out = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-m", "luq", "score", "--model", str(model),
+                               "--features", str(features), "--grid-range", "20:30",
+                               "--output", str(out)],
+                              capture_output=True, env=subprocess_env(), text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("usage error: --grid-range: the prior puts no mass")
         assert not out.exists()

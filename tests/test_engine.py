@@ -46,9 +46,17 @@ class TestSupportGrid:
         assert g.points.size == 1000
         assert g.spacing == pytest.approx(20.0 / 999)
 
-    def test_rejects_uneven(self):
+    def test_range_defines_points_and_spacing(self):
+        g = SupportGrid(-1.0, 2.0, 7)
+        assert g == SupportGrid.from_range(-1.0, 2.0, 7)
+        np.testing.assert_array_equal(g.points, np.linspace(-1.0, 2.0, 7))
+        assert g.spacing == 3.0 / 6
+        assert g.refined() == SupportGrid(-1.0, 2.0, 13)
+
+    @pytest.mark.parametrize("lo, hi, n", [(1.0, 1.0, 5), (2.0, 1.0, 5), (0.0, 1.0, 1)])
+    def test_rejects_empty_range(self, lo, hi, n):
         with pytest.raises(ValueError):
-            SupportGrid(points=np.array([0.0, 1.0, 3.0]), spacing=1.0)
+            SupportGrid(lo, hi, n)
 
     def test_trapezoid_weights_sum_to_range(self):
         g = SupportGrid.from_range(2.0, 5.0, 31)

@@ -290,6 +290,18 @@ class TestModelFile:
         with pytest.raises(ValueError):
             ModelBundle(prior=UniformPrior(0.0, 1.0))
 
+    def test_holds_one_density_section(self, tmp_path):
+        bundle, _ = small_gmm_bundle()
+        flow = small_flow_bundle().flow
+        with pytest.raises(ValueError, match="exactly one density section"):
+            ModelBundle(prior=bundle.prior, class_gmms=bundle.class_gmms, flow=flow)
+        bundle.flow = flow  # written as two sections, each with a valid CRC
+        p = tmp_path / "both.luqm"
+        write_model(p, bundle)
+        with pytest.raises(DataFormatError, match=r"both\.luqm: a model holds exactly one "
+                                                  "density section, GMMS or FLOW; found 2"):
+            read_model(p)
+
 
 class TestModelCorruption:
     """Every truncation, every 0x01, 0x80 and 0xFF flip of each byte, and

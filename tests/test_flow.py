@@ -5,6 +5,7 @@ import pytest
 
 from luq.errors import DimMismatchError
 from luq.flow import (
+    ConditionalFlow,
     FlowArchitecture,
     FlowTrainConfig,
     build_flow,
@@ -335,3 +336,42 @@ class TestFlowTrain:
             flow_train(z, rng.normal(size=(40, 1)),
                        FlowTrainConfig(max_epochs=5, batch_size=40, seed=0),
                        arch=SMALL_ARCH)
+
+
+class TestFlowConstruction:
+    """A hand-built flow is checked as one read from a file is."""
+
+    @pytest.mark.parametrize("part2", [[5], [0, 0], []],
+                             ids=["out-of-range", "repeated", "missing"])
+    def test_parts_must_partition_the_latent(self, part2):
+        layers = build_flow(2, 1, SMALL_ARCH).layers
+        layers[1].part2 = np.array(part2, dtype=np.intp)
+        with pytest.raises(ValueError, match="layer 1: the coupling parts do not "
+                                             "partition the 2 latent dimensions"):
+            ConditionalFlow(dim=2, cond_dim=1, layers=layers)
+
+    def test_subnet_must_take_the_copied_part(self):
+        layers = build_flow(2, 1, SMALL_ARCH).layers
+        layers[0].scale_net.weights[0] = np.zeros((2, 6))
+        with pytest.raises(DimMismatchError, match=r"layer 0: scale net: weight 0 is \(2, 6\)"):
+            ConditionalFlow(dim=2, cond_dim=1, layers=layers)
+
+    def test_subnet_must_give_the_transformed_part(self):
+        layers = build_flow(2, 1, SMALL_ARCH).layers
+        layers[1].translate_net.weights[-1] = np.zeros((5, 2))
+        layers[1].translate_net.biases[-1] = np.zeros(2)
+        with pytest.raises(DimMismatchError, match="layer 1: translate net has 2 outputs, "
+                                                   "expected 1"):
+            ConditionalFlow(dim=2, cond_dim=1, layers=layers)
+
+    def test_condition_net_must_take_cond_dim(self):
+        layers = build_flow(2, 1, SMALL_ARCH).layers
+        with pytest.raises(DimMismatchError, match="layer 0: condition net: weight 0 is "
+                                                   r"\(1, 4\)"):
+            ConditionalFlow(dim=2, cond_dim=3, layers=layers)
+
+    def test_lift_must_take_the_condition_feature(self):
+        layers = build_flow(2, 1, SMALL_ARCH).layers
+        layers[0].translate_net.lift = np.zeros((2, 6))
+        with pytest.raises(DimMismatchError, match=r"lift is \(2, 6\), expected \(3, 6\)"):
+            ConditionalFlow(dim=2, cond_dim=1, layers=layers)

@@ -483,3 +483,13 @@ class TestFitClassConditionalWorkers:
             "class 2 has 4 samples; reducing components 8 -> 2",
         ]
         assert warned_in == [threading.current_thread()] * 2
+
+
+class TestComponentShapes:
+    def test_mean_must_match_the_factor(self):
+        with pytest.raises(DimMismatchError, match=r"mean has shape \(3,\)"):
+            GaussianComponent(0.0, np.zeros(3), cholesky(np.eye(2)))
+
+    def test_components_must_match_the_mixture(self):
+        with pytest.raises(DimMismatchError, match="not 3-D"):
+            Gmm(dim=3, components=(make_gaussian(np.zeros(2), np.eye(2)),))

@@ -11,6 +11,7 @@ from luq.errors import (
     TooFewSamplesError,
 )
 from luq.linalg import (
+    PcaModel,
     as_matrix,
     cholesky,
     log_det,
@@ -217,3 +218,14 @@ class TestAsMatrix:
     def test_rejects_bad_shape(self):
         with pytest.raises(DimMismatchError):
             as_matrix(np.zeros((2, 2, 2)))
+
+
+class TestPcaModelShapes:
+    @pytest.mark.parametrize("mean, basis, eig", [
+        (np.zeros(4), np.eye(3)[:, :2], np.ones(2)),
+        (np.zeros(3), np.eye(3)[:, :2], np.ones(3)),
+        (np.zeros(3), np.zeros(3), np.ones(1)),
+    ], ids=["mean", "eigenvalues", "basis-not-2d"])
+    def test_parts_must_match(self, mean, basis, eig):
+        with pytest.raises(DimMismatchError, match="do not match"):
+            PcaModel(mean=mean, basis=basis, eigenvalues=eig)
