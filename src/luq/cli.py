@@ -28,7 +28,6 @@ from .gmm import EmOptions, fit_class_conditional
 from .linalg import pca_fit, pca_transform
 from .priors import (
     BetaPrimePrior,
-    CategoricalPrior,
     UniformPrior,
     betaprime_fit_mom,
     fit_categorical,
@@ -227,17 +226,10 @@ def _grid_range(bundle: fileio.ModelBundle, args) -> tuple[float, float]:
 
 
 def cmd_score(args) -> int:
-    from .engine import SupportGrid, score_classification, score_regression
+    from .engine import SupportGrid, prior_on_grid, score_classification, score_regression
 
     _require(args.grid >= 2, "--grid", "at least 2", args.grid)
     bundle = fileio.read_model(args.model)
-    gmm = bundle.class_gmms is not None
-    if isinstance(bundle.prior, CategoricalPrior) != gmm:
-        raise fileio.DataFormatError(
-            f"{args.model}: a {'gmm' if gmm else 'flow'} model cannot use a "
-            f"{type(bundle.prior).__name__}; gmm takes a categorical prior, flow a "
-            "prior over outputs"
-        )
     x = fileio.read_features(args.features)
     if bundle.pca is not None and x.shape[1] == bundle.pca.input_dim:
         x = pca_transform(bundle.pca, x)
@@ -246,12 +238,13 @@ def cmd_score(args) -> int:
             f"{args.features}: feature dim {x.shape[1]} does not match "
             f"model dim {bundle.feature_dim}"
         )
-    if gmm:
+    if bundle.class_gmms is not None:
         scores = score_classification(bundle.class_gmms, bundle.prior, x)
     else:
         grid = SupportGrid.from_range(*_grid_range(bundle, args), args.grid)
-        with _usage("--grid-range: "):
-            scores = score_regression(bundle.flow, bundle.prior, grid, x)
+        with _usage("--grid-range: "):  # the one scoring error the option causes
+            prior_on_grid(bundle.prior, grid)
+        scores = score_regression(bundle.flow, bundle.prior, grid, x)
     unscored = ~np.isfinite(scores.epistemic)
     if unscored.any():
         raise fileio.DataFormatError(f"{args.features}: data row {np.argmax(unscored) + 1} has "
@@ -374,7 +367,6 @@ def _toy_spec(args):
 
 
 def _toy_regression(args, spec, out) -> int:
-    from .mlp import mlp_predict
     from .toy import run_regression_study
 
     study = run_regression_study(
@@ -389,10 +381,8 @@ def _toy_regression(args, spec, out) -> int:
     fileio.write_csv(out / "mlp_loss.csv",
                      ["epoch", "loss"],
                      [np.arange(len(study.mlp_losses)), study.mlp_losses])
-    fileio.write_matrix(out / "train_latents.luq",
-                        study.latents_for(study.train_x[:, 0]))
-    train_preds = mlp_predict(study.model, study.train_x)[:, 0]
-    fileio.write_matrix(out / "train_predictions.luq", train_preds[:, None])
+    fileio.write_matrix(out / "train_latents.luq", study.train_latents)
+    fileio.write_matrix(out / "train_predictions.luq", study.train_predictions[:, None])
     fileio.write_model(out / "model.luqm",
                        fileio.ModelBundle(prior=study.prior, flow=study.flow))
     fileio.write_scores_csv(out / "scores.csv", study.scores.epistemic,
@@ -431,16 +421,14 @@ def _toy_regression(args, spec, out) -> int:
 
 def _toy_classification(args, spec, em_opts, out) -> int:
     from .metrics import calibration_curve
-    from .mlp import mlp_predict
     from .toy import gen_ood_data, run_classification_study
 
     study = run_classification_study(spec, em_opts=em_opts)
     fileio.write_csv(out / "train_data.csv", ["x0", "x1", "label"],
                      [study.train_x[:, 0], study.train_x[:, 1], study.train_labels])
-    fileio.write_matrix(out / "train_latents.luq", study.latents_for(study.train_x))
-    predicted = mlp_predict(study.model, study.train_x).argmax(axis=1)
+    fileio.write_matrix(out / "train_latents.luq", study.train_latents)
     fileio.write_matrix(out / "train_predicted_labels.luq",
-                        predicted.astype(np.float64)[:, None])
+                        study.train_predicted.astype(np.float64)[:, None])
     fileio.write_model(out / "model.luqm",
                        fileio.ModelBundle(prior=study.prior, class_gmms=study.density))
     fileio.write_scores_csv(out / "scores.csv", study.test_scores.epistemic,
@@ -532,7 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--flow-layers", type=int, default=3)
     p_fit.add_argument("--flow-hidden", type=int, default=64)
     p_fit.add_argument("--seed", type=int, default=0)
-    p_fit.add_argument("--config", default=None)
     p_fit.set_defaults(func=cmd_fit)
 
     p_score = sub.add_parser("score", help="score features with a fitted model")
@@ -541,7 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--output", required=True)
     p_score.add_argument("--grid", type=int, default=1000)
     p_score.add_argument("--grid-range", default=None)
-    p_score.add_argument("--config", default=None)
     p_score.set_defaults(func=cmd_score)
 
     p_eval = sub.add_parser("eval", help="threshold-free metrics over a scores CSV")
@@ -551,7 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--plot", default=None)
     p_eval.add_argument("--percentile-step", type=float, default=5.0)
     p_eval.add_argument("--thresholds", default=None)
-    p_eval.add_argument("--config", default=None)
     p_eval.set_defaults(func=cmd_eval)
 
     p_toy = sub.add_parser("toy", help="run a self-contained toy experiment")
@@ -570,7 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_toy.add_argument("--per-class", type=int, default=500)
     p_toy.add_argument("--cluster-sigma", type=float, default=0.4)
     p_toy.add_argument("--plot", action="store_true")
-    p_toy.add_argument("--config", default=None)
     p_toy.set_defaults(func=cmd_toy)
 
     p_pca = sub.add_parser("pca", help="fit PCA and write transformed features")
@@ -578,9 +562,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_pca.add_argument("--out-dim", type=int, required=True)
     p_pca.add_argument("--output", required=True)
     p_pca.add_argument("--whiten", action="store_true")
-    p_pca.add_argument("--config", default=None)
     p_pca.set_defaults(func=cmd_pca)
 
+    for p in sub.choices.values():  # last, so --help lists it last
+        p.add_argument("--config", default=None)
     return parser
 
 

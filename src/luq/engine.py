@@ -158,6 +158,16 @@ class RegressionPosterior:
     log_marginal: float
 
 
+def prior_on_grid(prior: OutputPrior, grid: SupportGrid) -> np.ndarray:
+    """log p(y) at the grid points; a ValueError if the prior puts no mass
+    on the grid, where no posterior exists."""
+    log_prior_grid = prior.log_pdf(grid.points)
+    if not np.any(log_prior_grid > -np.inf):
+        raise ValueError(f"the prior puts no mass on the support grid "
+                         f"[{grid.lo:g}, {grid.hi:g}]")
+    return log_prior_grid
+
+
 def score_regression(flow: ConditionalFlow, prior: OutputPrior, grid: SupportGrid,
                      z, keep_posteriors: bool = False) -> UncertaintyScores:
     """Both regression scores for a batch of latent vectors.
@@ -165,16 +175,13 @@ def score_regression(flow: ConditionalFlow, prior: OutputPrior, grid: SupportGri
     The flow is conditioned on the grid once; each row is then scored
     against the whole grid with one flow call.  Pass ``keep_posteriors``
     to retain the (n, grid) posterior densities.  A grid on which the prior
-    density is zero everywhere is a ValueError: no posterior exists there.
+    density is zero everywhere is a ValueError (``prior_on_grid``).
     """
     from .flow import flow_condition, flow_log_prob
 
     z = as_matrix(z)
     n = z.shape[0]
-    log_prior_grid = prior.log_pdf(grid.points)
-    if not np.any(log_prior_grid > -np.inf):
-        raise ValueError(f"the prior puts no mass on the support grid "
-                         f"[{grid.lo:g}, {grid.hi:g}]")
+    log_prior_grid = prior_on_grid(prior, grid)
     cond = flow_condition(flow, grid.points[:, None])
     w = grid.trapezoid_weights()
     epi, ale = np.empty(n), np.empty(n)

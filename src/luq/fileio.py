@@ -3,15 +3,18 @@
 Two little-endian binary containers: "LUQ1" matrix files (raw float64
 feature matrices) and "LUQM" model files (typed, length-prefixed, CRC-32
 checked sections holding an optional PCA, the density model, and the
-output prior).  The section readers check the byte layout only; the rules
-on the values read (matching shapes, the coupling partition, one density
-section per model) live in the constructors of ``PcaModel``,
-``GaussianComponent``, ``Gmm``, ``ConditionalFlow`` and ``ModelBundle``,
-and ``read_model`` reports their errors as ``DataFormatError``s naming the
-file and section.  Feature readers return plain (n, d) float64 arrays.  CSV
-is accepted as an alternate feature input and is the output format for
-scores and metrics: `.` decimal, LF line endings, 17 significant digits so
-every float64 round-trips exactly.
+output prior).  The section readers check the byte layout only.  The
+constructors of the parts (``PcaModel``, ``CholeskyFactor``,
+``GaussianComponent``, ``Gmm``, ``ClassConditionalGmm``, ``ConditionalFlow``
+and the priors) check the values read: shapes, finite values, the coupling
+partition.  ``ModelBundle`` owns the rules across parts: one density
+section, a prior that fits it (categorical over the same classes for GMMs,
+over outputs for a flow) and a PCA as wide as the density.  ``read_model``
+reports their errors as ``DataFormatError``s naming the file and section.
+Feature readers return plain (n, d) float64 arrays.  CSV is accepted as an
+alternate feature input and is the output format for scores and metrics:
+`.` decimal, LF line endings, 17 significant digits so every float64
+round-trips exactly.
 """
 
 from __future__ import annotations
@@ -104,21 +107,11 @@ def write_matrix(path, data) -> None:
         fh.write(arr.tobytes())
 
 
-def read_matrix(path) -> np.ndarray:
-    """The (rows, cols) float64 array of a binary container file."""
-    with open(path, "rb") as fh:
-        return _matrix_from(fh, Path(path), fh.read(4))
-
-
-def _matrix_from(fh, path, magic: bytes) -> np.ndarray:
-    """The array of the open container file ``fh`` whose first four bytes,
-    ``magic``, are read.  The sizes are checked against the file's before
-    the payload is read, straight into the returned array."""
+def _matrix_from(fh, path) -> np.ndarray:
+    """The array of the open container file ``fh`` whose magic is read.
+    The sizes are checked against the file's before the payload is read,
+    straight into the returned array."""
     size = os.fstat(fh.fileno()).st_size
-    if len(magic) < 4:
-        raise _truncated(path, 0, 4, size)
-    if magic != MATRIX_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {magic!r}, expected {MATRIX_MAGIC!r}")
     header = fh.read(10)
     if len(header) < 10:
         raise _truncated(path, 4, 10, size)
@@ -193,8 +186,7 @@ def read_features(path) -> np.ndarray:
     or a CSV file; a NaN or infinite entry is a data error naming the first
     data row holding one."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        x = _matrix_from(fh, Path(path), magic) if magic == MATRIX_MAGIC else None
+        x = _matrix_from(fh, Path(path)) if fh.read(4) == MATRIX_MAGIC else None
     if x is None:
         x = _read_csv(path)[1]
     bad = ~np.isfinite(x).all(axis=1)
@@ -247,8 +239,6 @@ def _pack_gmms(m: ClassConditionalGmm) -> bytes:
 
 def _unpack_gmms(r: _Reader) -> ClassConditionalGmm:
     (n_classes,) = r.unpack("I")
-    if n_classes == 0:
-        raise DataFormatError(f"{r.name}: the section holds no classes")
     per_class = {}
     classes = []
     dim = None
@@ -376,6 +366,17 @@ class ModelBundle:
         if found != 1:
             raise ValueError(f"a model holds exactly one density section, GMMS or FLOW; "
                              f"found {found}")
+        gmm = self.class_gmms is not None
+        if isinstance(self.prior, CategoricalPrior) != gmm:
+            raise ValueError(f"a {'gmm' if gmm else 'flow'} model cannot use a "
+                             f"{type(self.prior).__name__}; gmm takes a categorical prior, "
+                             "flow a prior over outputs")
+        if gmm and set(self.prior.classes) != set(self.class_gmms.classes):
+            raise ValueError(f"the prior's classes {sorted(self.prior.classes)} are not the "
+                             f"density's {sorted(self.class_gmms.classes)}")
+        if self.pca is not None and self.pca.out_dim != self.feature_dim:
+            raise ValueError(f"the PCA gives {self.pca.out_dim} columns, the density "
+                             f"takes {self.feature_dim}")
 
     @property
     def feature_dim(self) -> int:

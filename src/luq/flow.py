@@ -169,7 +169,6 @@ class FlowArchitecture:
     hidden: tuple[int, ...] = (64, 64)
     cond_hidden: tuple[int, ...] = (64,)
     cond_feat_dim: int = 64
-    scale_clamp: float = 2.0
 
     def __post_init__(self):
         if self.n_layers < 1:
@@ -205,8 +204,9 @@ class ConditionalFlow:
 
     The constructor checks every layer, built or read from a file: its two
     parts partition the ``dim`` latent coordinates, the condition net takes
-    ``cond_dim`` columns, and each subnet maps the copied part, plus the
-    lifted condition feature, to the transformed part.
+    ``cond_dim`` columns, each subnet maps the copied part, plus the
+    lifted condition feature, to the transformed part, and its scale clamp
+    and net parameters are finite, the clamp > 0.
     """
 
     dim: int
@@ -225,19 +225,17 @@ class ConditionalFlow:
                 if out != layer.part2.size:
                     raise DimMismatchError(f"layer {k}: {name} net has {out} outputs, "
                                            f"expected {layer.part2.size}")
+            if not 0.0 < layer.scale_clamp < np.inf:
+                raise ValueError(f"layer {k}: scale clamp {layer.scale_clamp} is not "
+                                 "finite and > 0")
+            if not all(np.isfinite(p).all() for p in layer.params()):
+                raise ValueError(f"layer {k}: a net parameter is not finite")
 
     def params(self):
         out = []
         for layer in self.layers:
             out.extend(layer.params())
         return out
-
-    def copy_params(self):
-        return [p.copy() for p in self.params()]
-
-    def load_params(self, values):
-        for p, v in zip(self.params(), values):
-            p[:] = v
 
 
 def _partition(dim: int, layer_index: int):
@@ -278,7 +276,6 @@ def build_flow(dim: int, cond_dim: int, arch: FlowArchitecture | None = None,
                 scale_net=_make_net(rng, subnet_dims, arch.cond_feat_dim),
                 translate_net=_make_net(rng, subnet_dims, arch.cond_feat_dim),
                 cond_net=_make_net(rng, (cond_dim, *arch.cond_hidden, arch.cond_feat_dim)),
-                scale_clamp=arch.scale_clamp,
             )
         )
     return ConditionalFlow(dim=dim, cond_dim=cond_dim, layers=layers)
@@ -491,11 +488,12 @@ def flow_train(z, c, cfg: FlowTrainConfig | None = None,
     z_tr, c_tr = z[train_idx], c[train_idx]
     z_val, c_val = z[val_idx], c[val_idx]
 
-    opt = Adam(flow.params(), cfg.learning_rate, cfg.weight_decay)
+    params = flow.params()
+    opt = Adam(params, cfg.learning_rate, cfg.weight_decay)
     batch = min(cfg.batch_size, len(train_idx))
     train_log, val_log = [], []
     best_val = np.inf
-    best_params = flow.copy_params()
+    best_params = [p.copy() for p in params]
     best_epoch = -1
     since_best = 0
 
@@ -515,7 +513,7 @@ def flow_train(z, c, cfg: FlowTrainConfig | None = None,
         val_log.append(va)
         if va < best_val:
             best_val = va
-            best_params = flow.copy_params()
+            best_params = [p.copy() for p in params]
             best_epoch = epoch
             since_best = 0
         else:
@@ -523,7 +521,8 @@ def flow_train(z, c, cfg: FlowTrainConfig | None = None,
             if since_best >= cfg.patience:
                 break
 
-    flow.load_params(best_params)
+    for p, best in zip(params, best_params):
+        p[:] = best
     log = FlowTrainLog(
         train_nll=np.asarray(train_log),
         val_nll=np.asarray(val_log),

@@ -46,6 +46,8 @@ class GaussianComponent:
         if np.shape(self.mean) != (self.cov_chol.dim,):
             raise DimMismatchError(f"component mean has shape {np.shape(self.mean)}, "
                                    f"covariance factor is {self.cov_chol.dim}-D")
+        if not np.isfinite(self.mean).all():
+            raise ValueError("component mean is not finite")
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ class Gmm:
         if any(c.cov_chol.dim != self.dim for c in self.components):
             raise DimMismatchError(f"a component is not {self.dim}-D")
         total = logsumexp(np.array([c.log_weight for c in self.components]))
-        if abs(total) > 1e-9:
+        if not abs(total) <= 1e-9:
             raise ValueError(f"mixture weights sum to exp({total}), not 1")
 
 
@@ -80,6 +82,8 @@ class ClassConditionalGmm:
     per_class: dict[int, Gmm]
 
     def __post_init__(self):
+        if not self.classes:
+            raise ValueError("the density holds no classes")
         for c in self.classes:
             if c not in self.per_class:
                 raise ValueError(f"class {c} has no density")

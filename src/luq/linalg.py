@@ -46,6 +46,8 @@ class CholeskyFactor:
         lo = np.asarray(self.lower, dtype=np.float64)
         if lo.shape != (self.dim, self.dim):
             raise DimMismatchError(f"factor shape {lo.shape} != ({self.dim}, {self.dim})")
+        if not np.isfinite(lo).all():
+            raise ValueError("factor entries must be finite")
         if np.any(np.diag(lo) <= 0):
             raise NotPositiveDefiniteError("factor diagonal must be strictly positive")
         if self.dim > 1 and np.any(lo[np.triu_indices(self.dim, 1)] != 0.0):
@@ -122,6 +124,8 @@ class PcaModel:
                 or np.shape(self.eigenvalues) != shape[1:]):
             raise DimMismatchError(f"PCA mean {np.shape(self.mean)}, basis {shape} and "
                                    f"eigenvalues {np.shape(self.eigenvalues)} do not match")
+        if not all(np.isfinite(a).all() for a in (self.mean, self.basis, self.eigenvalues)):
+            raise ValueError("PCA mean, basis and eigenvalues must be finite")
 
     @property
     def input_dim(self) -> int:

@@ -34,7 +34,7 @@ class CategoricalPrior:
         lp = np.asarray(self.log_probs, dtype=np.float64)
         if lp.shape != (len(self.classes),):
             raise ValueError("one log-probability per class required")
-        if abs(np.exp(lp).sum() - 1.0) > 1e-9:
+        if not abs(np.exp(lp).sum() - 1.0) <= 1e-9:
             raise ValueError("categorical prior does not normalize")
         object.__setattr__(self, "log_probs", lp)
 
@@ -72,8 +72,8 @@ class BetaPrimePrior:
     beta: float
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("beta-prime parameters must be positive")
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
+            raise ValueError("beta-prime parameters must be finite and positive")
 
     def log_pdf(self, y):
         y = np.asarray(y, dtype=np.float64)
@@ -105,12 +105,13 @@ class HistogramPrior:
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=np.float64)
         ld = np.asarray(self.log_densities, dtype=np.float64)
-        if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-            raise ValueError("histogram edges must be strictly increasing")
+        if (edges.ndim != 1 or edges.size < 2 or not np.isfinite(edges).all()
+                or np.any(np.diff(edges) <= 0)):
+            raise ValueError("histogram edges must be finite and strictly increasing")
         if ld.shape != (edges.size - 1,):
             raise ValueError("one density per bin required")
         mass = float(np.sum(np.exp(ld) * np.diff(edges)))
-        if abs(mass - 1.0) > 1e-9:
+        if not abs(mass - 1.0) <= 1e-9:
             raise ValueError(f"histogram integrates to {mass!r}, not 1")
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "log_densities", ld)

@@ -207,6 +207,8 @@ class RegressionStudy:
     train_y: np.ndarray
     model: MlpModel
     mlp_losses: np.ndarray
+    train_latents: np.ndarray
+    train_predictions: np.ndarray
     flow: ConditionalFlow
     flow_log: FlowTrainLog
     prior: UniformPrior
@@ -223,9 +225,6 @@ class RegressionStudy:
     def train_region_mask(self) -> np.ndarray:
         inside = (self.eval_x >= X_RANGE[0]) & (self.eval_x <= X_RANGE[1])
         return inside & ~self.gap_mask()
-
-    def latents_for(self, x) -> np.ndarray:
-        return latent_extract(self.model, self.model.n_hidden - 1, np.asarray(x)[:, None])
 
 
 REGRESSION_MLP_DIMS = (1, 50, 50, 50, 50, 1)
@@ -320,6 +319,8 @@ def run_regression_study(
         train_y=train_y,
         model=model,
         mlp_losses=losses,
+        train_latents=train_latents,
+        train_predictions=train_preds,
         flow=flow,
         flow_log=flow_log,
         prior=prior,
@@ -342,6 +343,8 @@ class ClassificationStudy:
     latent_layer: int
     train_x: np.ndarray
     train_labels: np.ndarray
+    train_latents: np.ndarray
+    train_predicted: np.ndarray
     test_x: np.ndarray
     test_labels: np.ndarray
     test_scores: UncertaintyScores
@@ -395,6 +398,8 @@ def run_classification_study(
         latent_layer=latent_layer,
         train_x=train_x,
         train_labels=train_labels,
+        train_latents=latents,
+        train_predicted=predicted,
         test_x=test_x,
         test_labels=test_labels,
         test_scores=score_classification(density, prior,

@@ -15,14 +15,14 @@ from luq.engine import SupportGrid
 from luq.fileio import (
     ModelBundle,
     read_csv_columns,
-    read_matrix,
+    read_features,
     read_model,
     write_matrix,
     write_model,
 )
 from luq.gmm import ClassConditionalGmm, GaussianComponent, Gmm
-from luq.linalg import cholesky
-from luq.priors import CategoricalPrior
+from luq.linalg import PcaModel, cholesky
+from luq.priors import BetaPrimePrior, CategoricalPrior, HistogramPrior, UniformPrior
 
 
 def run_cli(*argv) -> int:
@@ -412,7 +412,6 @@ class TestScore:
     @pytest.mark.parametrize("model", ["gmm", "flow"])
     def test_zero_density_rows_exit_3(self, tmp_path, capsys, model):
         from luq.flow import build_flow
-        from luq.priors import UniformPrior
 
         bundle = two_class_reference_model() if model == "gmm" else ModelBundle(
             prior=UniformPrior(-10.0, 10.0), flow=build_flow(1, 1, seed=0))
@@ -457,7 +456,6 @@ class TestScore:
 
     def test_unbounded_prior_needs_grid_range(self, tmp_path):
         from luq.flow import build_flow
-        from luq.priors import BetaPrimePrior
 
         model_path = tmp_path / "bp.luqm"
         write_model(model_path, ModelBundle(prior=BetaPrimePrior(31.76, 3.07),
@@ -475,7 +473,6 @@ class TestScore:
 
     def test_grid_without_prior_mass_exit_2(self, tmp_path, capsys):
         from luq.flow import build_flow
-        from luq.priors import UniformPrior
 
         model_path = tmp_path / "u.luqm"
         write_model(model_path, ModelBundle(prior=UniformPrior(-10.0, 10.0),
@@ -676,7 +673,7 @@ class TestPca:
         out = tmp_path / "t.luq"
         assert run_cli("pca", "--features", str(fpath), "--out-dim", "3",
                        "--output", str(out)) == 0
-        assert read_matrix(out).shape == (40, 3)
+        assert read_features(out).shape == (40, 3)
         assert "eigenvalue_sum=" in capsys.readouterr().out
 
     def test_one_row_exit_3(self, tmp_path, capsys):
@@ -821,31 +818,51 @@ def _unnormalized_prior_section(tmp_path, blob_files):
             f"{model}[PRIR]", "does not normalize")
 
 
-def _unpaired_prior(density):
+def _spoiled(density, spoil, section, text):
+    """A failure-table case: a valid 2-D ``density`` ("gmm" or "flow")
+    model, changed by ``spoil`` after its constructors ran, scores the blob
+    features; the error names the model file, and ``section`` in it when
+    given."""
     def build(tmp_path, blob_files):
         from luq.flow import build_flow
-        from luq.priors import UniformPrior
 
         if density == "gmm":
-            bundle = ModelBundle(prior=UniformPrior(-3.0, 3.0),
-                                 class_gmms=two_class_reference_model().class_gmms)
+            bundle = _two_d_gmm_bundle()
         else:
-            bundle = ModelBundle(prior=two_class_reference_model().prior,
-                                 flow=build_flow(1, 1, seed=0))
+            bundle = ModelBundle(prior=UniformPrior(-3.0, 3.0), flow=build_flow(2, 1, seed=0))
+        spoil(bundle)
         model = tmp_path / f"{density}.luqm"
         write_model(model, bundle)
-        features = tmp_path / "z.luq"
-        write_matrix(features, np.zeros((3, 1)))
-        return (["score", "--model", str(model), "--features", str(features),
-                 "--grid-range=-3:3"], model, f"a {density} model cannot use")
+        return (["score", "--model", str(model), "--features", str(blob_files[0]),
+                 "--grid", "8"], f"{model}[{section}]" if section else model, text)
     return build
+
+
+def _first_component(bundle):
+    return bundle.class_gmms.per_class[0].components[0]
+
+
+def _histogram_prior():
+    return HistogramPrior(np.array([-3.0, 0.0, 3.0]), np.full(2, -np.log(6.0)))
+
+
+def _nan_pca_mean(bundle):
+    bundle.pca = PcaModel(np.zeros(2), np.eye(2), np.ones(2))
+    bundle.pca.mean[0] = np.nan
+
+
+def _prior_spoiled(prior, spoil):
+    """A spoiler that gives the bundle ``prior()`` changed by ``spoil``."""
+    def apply(bundle):
+        bundle.prior = prior()
+        spoil(bundle.prior)
+    return apply
 
 
 def _flow_parts_outside_latent(tmp_path, blob_files):
     # a FLOW section whose CRC holds but whose first layer transforms latent
     # dimension 5 of 2
     from luq.flow import build_flow
-    from luq.priors import UniformPrior
 
     flow = build_flow(2, 1, seed=0)
     flow.layers[0].part2 = np.array([5])
@@ -853,15 +870,6 @@ def _flow_parts_outside_latent(tmp_path, blob_files):
     write_model(model, ModelBundle(prior=UniformPrior(-3.0, 3.0), flow=flow))
     return (["score", "--model", str(model), "--features", str(blob_files[0]), "--grid", "8"],
             f"{model}[FLOW]", "layer 0: the coupling parts do not partition")
-
-
-def _gmms_without_classes(tmp_path, blob_files):
-    model = tmp_path / "empty.luqm"
-    bundle = two_class_reference_model()
-    write_model(model, ModelBundle(prior=bundle.prior, class_gmms=ClassConditionalGmm(
-        dim=2, classes=(), per_class={})))
-    return (["score", "--model", str(model), "--features", str(blob_files[0])],
-            f"{model}[GMMS]", "holds no classes")
 
 
 def _two_d_gmm_bundle(mean_length=2):
@@ -883,8 +891,6 @@ def _gmm_mean_of_wrong_length(tmp_path, blob_files):
 
 
 def _pca_mean_of_wrong_length(tmp_path, blob_files):
-    from luq.linalg import PcaModel
-
     pca = PcaModel(mean=np.zeros(3), basis=np.eye(3)[:, :2], eigenvalues=np.ones(2))
     object.__setattr__(pca, "mean", np.zeros(4))
     bundle = _two_d_gmm_bundle()
@@ -900,7 +906,6 @@ def _pca_mean_of_wrong_length(tmp_path, blob_files):
 def _flow_net_of_wrong_width(tmp_path, blob_files):
     # layer 0 copies one latent coordinate, its scale net takes two
     from luq.flow import FlowArchitecture, build_flow
-    from luq.priors import UniformPrior
 
     flow = build_flow(2, 1, FlowArchitecture(n_layers=2, hidden=(4,), cond_hidden=(4,),
                                              cond_feat_dim=4), seed=0)
@@ -948,14 +953,62 @@ class TestFailureTable:
         "undecodable-eval-csv": _undecodable_eval_csv,
         "undecodable-config": _undecodable_config,
         "checksum-valid-invalid-section": _unnormalized_prior_section,
-        "gmm-with-uniform-prior": _unpaired_prior("gmm"),
-        "flow-with-categorical-prior": _unpaired_prior("flow"),
+        "gmm-with-uniform-prior": _spoiled(
+            "gmm", lambda b: setattr(b, "prior", UniformPrior(-3.0, 3.0)), None,
+            "a gmm model cannot use a UniformPrior"),
+        "flow-with-categorical-prior": _spoiled(
+            "flow", lambda b: setattr(b, "prior", two_class_reference_model().prior), None,
+            "a flow model cannot use a CategoricalPrior"),
         "flow-parts-outside-latent": _flow_parts_outside_latent,
-        "gmm-section-without-classes": _gmms_without_classes,
+        "gmm-section-without-classes": _spoiled(
+            "gmm", lambda b: object.__setattr__(b.class_gmms, "classes", ()), "GMMS",
+            "holds no classes"),
         "gmm-mean-of-wrong-length": _gmm_mean_of_wrong_length,
         "pca-mean-of-wrong-length": _pca_mean_of_wrong_length,
         "flow-net-of-wrong-width": _flow_net_of_wrong_width,
         "gmm-and-flow-sections": _two_density_sections,
+        "nan-cholesky-diagonal": _spoiled(
+            "gmm", lambda b: np.put(_first_component(b).cov_chol.lower, 3, np.nan), "GMMS",
+            "factor entries must be finite"),
+        "nan-component-mean": _spoiled(
+            "gmm", lambda b: np.put(_first_component(b).mean, 0, np.nan), "GMMS",
+            "component mean is not finite"),
+        "nan-gmm-log-weight": _spoiled(
+            "gmm", lambda b: object.__setattr__(_first_component(b), "log_weight", np.nan),
+            "GMMS", "mixture weights sum to exp(nan)"),
+        "nan-categorical-log-prob": _spoiled(
+            "gmm", lambda b: np.put(b.prior.log_probs, 0, np.nan), "PRIR",
+            "categorical prior does not normalize"),
+        "nan-beta-prime-parameter": _spoiled(
+            "flow", _prior_spoiled(lambda: BetaPrimePrior(2.0, 3.0),
+                                   lambda p: object.__setattr__(p, "alpha", np.nan)),
+            "PRIR", "beta-prime parameters must be finite and positive"),
+        "nan-histogram-edge": _spoiled(
+            "flow", _prior_spoiled(_histogram_prior, lambda p: np.put(p.edges, 1, np.nan)),
+            "PRIR", "histogram edges must be finite and strictly increasing"),
+        "nan-histogram-density": _spoiled(
+            "flow", _prior_spoiled(_histogram_prior,
+                                   lambda p: np.put(p.log_densities, 0, np.nan)),
+            "PRIR", "histogram integrates to nan"),
+        "nan-pca-mean": _spoiled("gmm", _nan_pca_mean, "PCA",
+                                 "PCA mean, basis and eigenvalues must be finite"),
+        "nan-flow-net-weight": _spoiled(
+            "flow", lambda b: np.put(b.flow.layers[0].cond_net.weights[0], 0, np.nan), "FLOW",
+            "layer 0: a net parameter is not finite"),
+        "zero-flow-scale-clamp": _spoiled(
+            "flow", lambda b: setattr(b.flow.layers[1], "scale_clamp", 0.0), "FLOW",
+            "layer 1: scale clamp 0.0 is not finite and > 0"),
+        "prior-class-without-density": _spoiled(
+            "gmm", lambda b: setattr(b, "prior", CategoricalPrior(
+                (0, 1, 2), np.log([0.2, 0.3, 0.5]))), None,
+            "the prior's classes [0, 1, 2] are not the density's [0, 1]"),
+        "density-class-without-prior": _spoiled(
+            "gmm", lambda b: setattr(b, "prior", CategoricalPrior((0,), np.zeros(1))), None,
+            "the prior's classes [0] are not the density's [0, 1]"),
+        "pca-wider-than-density": _spoiled(
+            "gmm", lambda b: setattr(b, "pca", PcaModel(np.zeros(2), np.eye(3)[:2],
+                                                        np.ones(3))), None,
+            "the PCA gives 3 columns, the density takes 2"),
         "inf-named-header": _inf_named_header,
         "nan-inf-first-feature-row": _nonfinite_first_feature_row,
     }
@@ -974,7 +1027,6 @@ class TestFailureTable:
 
     def test_grid_outside_the_prior_stays_a_usage_error(self, tmp_path):
         from luq.flow import build_flow
-        from luq.priors import UniformPrior
 
         model = tmp_path / "u.luqm"
         write_model(model, ModelBundle(prior=UniformPrior(-10.0, 10.0),
@@ -989,3 +1041,16 @@ class TestFailureTable:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("usage error: --grid-range: the prior puts no mass")
         assert not out.exists()
+
+    def test_a_scoring_value_error_is_not_a_grid_range_error(self, tmp_path):
+        from luq.flow import build_flow
+
+        model = tmp_path / "u.luqm"
+        write_model(model, ModelBundle(prior=UniformPrior(-10.0, 10.0),
+                                       flow=build_flow(2, 1, seed=0)))
+        features = tmp_path / "z.luq"
+        write_matrix(features, np.zeros((2, 2)))
+        with mock.patch("luq.flow.flow_log_prob", side_effect=ValueError("inside the flow")):
+            with pytest.raises(ValueError, match="inside the flow"):
+                run_cli("score", "--model", str(model), "--features", str(features),
+                        "--grid-range=-2:2", "--output", str(tmp_path / "out"))

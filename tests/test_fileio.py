@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -14,7 +15,6 @@ from luq.fileio import (
     parse_config,
     read_csv_columns,
     read_features,
-    read_matrix,
     read_model,
     read_values,
     write_csv,
@@ -53,17 +53,11 @@ class TestMatrixFile:
         p1 = tmp_path / "a.luq"
         p2 = tmp_path / "b.luq"
         write_matrix(p1, data)
-        x = read_matrix(p1)
+        x = read_features(p1)
         assert x.dtype == np.float64 and x.flags.c_contiguous
         np.testing.assert_array_equal(x, data)
         write_matrix(p2, x)
         assert p1.read_bytes() == p2.read_bytes()
-
-    def test_bad_magic(self, tmp_path):
-        p = tmp_path / "x.luq"
-        p.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(DataFormatError, match="bad magic"):
-            read_matrix(p)
 
     def test_truncated_cites_offset(self, tmp_path):
         p = tmp_path / "t.luq"
@@ -71,16 +65,16 @@ class TestMatrixFile:
         whole = p.read_bytes()
         p.write_bytes(whole[:30])
         with pytest.raises(DataFormatError, match="byte offset"):
-            read_matrix(p)
+            read_features(p)
 
     def test_trailing_garbage_rejected(self, tmp_path):
         p = tmp_path / "g.luq"
         write_matrix(p, np.ones((2, 2)))
         p.write_bytes(p.read_bytes() + b"xx")
         with pytest.raises(DataFormatError, match="trailing"):
-            read_matrix(p)
+            read_features(p)
 
-    @pytest.mark.parametrize("reader", [read_matrix, read_features])
+    @pytest.mark.parametrize("reader", [read_features])
     def test_every_truncation_and_an_appended_byte(self, tmp_path, reader):
         p = tmp_path / "c.luq"
         write_matrix(p, np.arange(6.0).reshape(3, 2))
@@ -93,18 +87,18 @@ class TestMatrixFile:
         with pytest.raises(DataFormatError, match=r"1 trailing bytes after payload \(offset 62\)"):
             reader(p)
 
-    @pytest.mark.parametrize("n, at, needed", [(0, 0, 4), (3, 0, 4), (4, 4, 10), (13, 4, 10),
-                                               (14, 14, 48), (61, 14, 48)])
+    @pytest.mark.parametrize("n, at, needed", [(4, 4, 10), (13, 4, 10), (14, 14, 48),
+                                               (61, 14, 48)])
     def test_truncation_message(self, tmp_path, n, at, needed):
         p = tmp_path / "c.luq"
         write_matrix(p, np.arange(6.0).reshape(3, 2))
         p.write_bytes(p.read_bytes()[:n])
         with pytest.raises(DataFormatError) as err:
-            read_matrix(p)
+            read_features(p)
         assert str(err.value) == (f"{p}: truncated at byte offset {at} "
                                   f"(needed {needed} more bytes, file has {n})")
 
-    @pytest.mark.parametrize("reader", [read_matrix, read_features])
+    @pytest.mark.parametrize("reader", [read_features])
     def test_returns_an_owned_writable_array(self, tmp_path, reader):
         p = tmp_path / "o.luq"
         write_matrix(p, np.arange(6.0).reshape(3, 2))
@@ -204,15 +198,17 @@ class TestModelFile:
     @pytest.mark.parametrize(
         "prior",
         [
-            CategoricalPrior(classes=(0, 2, 5), log_probs=np.log([0.2, 0.5, 0.3])),
+            CategoricalPrior(classes=(0, 1), log_probs=np.log([0.2, 0.8])),
             UniformPrior(-10.0, 10.0),
             BetaPrimePrior(31.76, 3.07),
             fit_histogram(np.random.default_rng(3).normal(5, 1, size=400), bins=12),
         ],
     )
     def test_every_prior_kind_round_trips(self, tmp_path, prior):
-        bundle, _ = small_gmm_bundle()
-        bundle = ModelBundle(prior=prior, class_gmms=bundle.class_gmms)
+        if isinstance(prior, CategoricalPrior):
+            bundle = ModelBundle(prior=prior, class_gmms=small_gmm_bundle()[0].class_gmms)
+        else:
+            bundle = ModelBundle(prior=prior, flow=small_flow_bundle().flow)
         p = tmp_path / "p.luqm"
         write_model(p, bundle)
         loaded = read_model(p)
@@ -280,10 +276,13 @@ class TestModelFile:
 
     def test_gmm_section_needs_a_class(self, tmp_path):
         bundle, _ = small_gmm_bundle()
-        empty = ClassConditionalGmm(dim=3, classes=(), per_class={})
+        with pytest.raises(ValueError, match="the density holds no classes"):
+            ClassConditionalGmm(dim=3, classes=(), per_class={})
+        object.__setattr__(bundle.class_gmms, "classes", ())  # written as zero classes
         p = tmp_path / "g.luqm"
-        write_model(p, ModelBundle(prior=bundle.prior, class_gmms=empty))
-        with pytest.raises(DataFormatError, match=r"g\.luqm\[GMMS\]: the section holds no"):
+        write_model(p, bundle)
+        with pytest.raises(DataFormatError,
+                           match=r"g\.luqm\[GMMS\]: the density holds no classes"):
             read_model(p)
 
     def test_requires_density_section(self):
@@ -329,6 +328,46 @@ class TestModelCorruption:
             p.write_bytes(bad)
             with pytest.raises(DataFormatError):
                 read_model(p)
+
+
+def nan_setters(bundle):
+    """(section tag, setter) for every float parameter array and scalar of
+    ``bundle``; a setter puts a NaN in its parameter, at the flat index it
+    is given modulo the size, past the constructors' checks."""
+    prior = vars(bundle.prior).items()
+    arrays = [("PRIR", v) for _, v in prior if isinstance(v, np.ndarray)]
+    scalars = [("PRIR", bundle.prior, name) for name, v in prior if isinstance(v, float)]
+    if bundle.pca is not None:
+        arrays += [("PCA", a) for a in (bundle.pca.mean, bundle.pca.basis,
+                                        bundle.pca.eigenvalues)]
+    if bundle.class_gmms is not None:
+        for g in bundle.class_gmms.per_class.values():
+            for comp in g.components:
+                arrays += [("GMMS", comp.mean), ("GMMS", comp.cov_chol.lower)]
+                scalars.append(("GMMS", comp, "log_weight"))
+    else:
+        arrays += [("FLOW", a) for a in bundle.flow.params()]
+        scalars += [("FLOW", layer, "scale_clamp") for layer in bundle.flow.layers]
+    return ([(tag, lambda i, a=a: np.put(a, i % a.size, np.nan)) for tag, a in arrays]
+            + [(tag, lambda i, o=o, n=n: object.__setattr__(o, n, np.nan))
+               for tag, o, n in scalars])
+
+
+class TestNonFiniteParameters:
+    """A NaN in any parameter of a model file is a DataFormatError naming
+    the section that holds it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), model=st.sampled_from(["gmm", "flow"]))
+    def test_a_nan_names_its_section(self, tmp_path_factory, data, model):
+        bundle = small_gmm_bundle(with_pca=True)[0] if model == "gmm" else small_flow_bundle()
+        setters = nan_setters(bundle)
+        tag, set_nan = setters[data.draw(st.integers(0, len(setters) - 1), label="parameter")]
+        set_nan(data.draw(st.integers(0, 2**16), label="entry"))
+        p = tmp_path_factory.mktemp("nan") / "m.luqm"
+        write_model(p, bundle)
+        with pytest.raises(DataFormatError, match=re.escape(f"{p}[{tag}]: ")):
+            read_model(p)
 
 
 class TestCsv:
@@ -459,9 +498,14 @@ class TestModelProperties:
             prior = BetaPrimePrior(data.draw(positive), data.draw(positive))
         else:
             prior = random_histogram(data)
-        gmms = small_gmm_bundle()[0].class_gmms
-        loaded = rewrites_identically(tmp_path_factory.mktemp("prior"),
-                                      ModelBundle(prior=prior, class_gmms=gmms)).prior
+        if kind == "categorical":  # one mixture serves every class of the prior
+            mixture = small_gmm_bundle()[0].class_gmms.per_class[0]
+            bundle = ModelBundle(prior=prior, class_gmms=ClassConditionalGmm(
+                dim=mixture.dim, classes=prior.classes,
+                per_class=dict.fromkeys(prior.classes, mixture)))
+        else:
+            bundle = ModelBundle(prior=prior, flow=small_flow_bundle().flow)
+        loaded = rewrites_identically(tmp_path_factory.mktemp("prior"), bundle).prior
         assert type(loaded) is type(prior)
         for name, value in vars(prior).items():
             if isinstance(value, np.ndarray):
