@@ -111,8 +111,8 @@ def _parse_range(text: str, flag: str):
         raise UsageError(f"{flag} expects LO:HI")
     with _usage(f"{flag}: "):
         lo, hi = float(parts[0]), float(parts[1])
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise UsageError(f"{flag}: need finite LO < HI")
+    if not (lo < hi and np.isfinite(hi - lo)):
+        raise UsageError(f"{flag}: need finite LO < HI with a finite HI - LO")
     return lo, hi
 
 
@@ -130,10 +130,7 @@ def _fit_options(args):
                 max_iter=args.max_iter,
                 tol=args.tol,
                 cov_reg=args.cov_reg,
-                covariance_mode=(
-                    "tied_across_components" if args.covariance == "tied"
-                    else "full_per_component"
-                ),
+                covariance_mode=args.covariance,
                 seed=args.seed,
             )
         from .flow import FlowArchitecture, FlowTrainConfig

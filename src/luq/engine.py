@@ -44,9 +44,10 @@ class SupportGrid:
     spacing: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.lo < self.hi and self.n >= 2):
-            raise ValueError(f"a support grid needs lo < hi and at least 2 points, "
-                             f"got [{self.lo}, {self.hi}] with {self.n}")
+        if not (self.lo < self.hi and np.isfinite(float(self.hi) - float(self.lo))
+                and self.n >= 2):
+            raise ValueError(f"a support grid needs lo < hi with a finite hi - lo and at "
+                             f"least 2 points, got [{self.lo}, {self.hi}] with {self.n}")
         object.__setattr__(self, "points", np.linspace(self.lo, self.hi, self.n))
         object.__setattr__(self, "spacing", (self.hi - self.lo) / (self.n - 1))
 
@@ -121,21 +122,17 @@ def class_log_joint(d: ClassConditionalGmm, prior: CategoricalPrior, z) -> np.nd
     return np.stack(cols, axis=1)
 
 
-def epistemic_classification(d: ClassConditionalGmm, prior: CategoricalPrior, z):
-    """-log p(z) by summing the class-conditional densities against the
-    class prior."""
-    single = np.asarray(z).ndim == 1
-    epi = score_classification(d, prior, z).epistemic
-    return float(epi[0]) if single else epi
+def epistemic_classification(d: ClassConditionalGmm, prior: CategoricalPrior, z) -> float:
+    """-log p(z) of one latent vector by summing the class-conditional
+    densities against the class prior."""
+    return float(score_classification(d, prior, np.reshape(z, (1, -1))).epistemic[0])
 
 
 def aleatoric_classification(d: ClassConditionalGmm, prior: CategoricalPrior, z):
-    """Entropy of the Bayes posterior over classes, plus that posterior."""
-    single = np.asarray(z).ndim == 1
-    s = score_classification(d, prior, z)
-    if single:
-        return float(s.aleatoric[0]), s.posterior[0]
-    return s.aleatoric, s.posterior
+    """Entropy of the Bayes posterior over classes for one latent vector,
+    plus that posterior."""
+    s = score_classification(d, prior, np.reshape(z, (1, -1)))
+    return float(s.aleatoric[0]), s.posterior[0]
 
 
 def score_classification(d: ClassConditionalGmm, prior: CategoricalPrior, z) -> UncertaintyScores:

@@ -3,10 +3,12 @@
 Two little-endian binary containers: "LUQ1" matrix files (raw float64
 feature matrices) and "LUQM" model files (typed, length-prefixed, CRC-32
 checked sections holding an optional PCA, the density model, and the
-output prior).  The section readers check the byte layout only.  The
-constructors of the parts (``PcaModel``, ``CholeskyFactor``,
-``GaussianComponent``, ``Gmm``, ``ClassConditionalGmm``, ``ConditionalFlow``
-and the priors) check the values read: shapes, finite values, the coupling
+output prior).  ``_SECTIONS`` is the one place that maps each section tag
+to its ``ModelBundle`` field and codec; a file holds each tag at most once.
+The section readers check the byte layout only.  The constructors of the
+parts (``PcaModel``, ``CholeskyFactor``, ``GaussianComponent``, ``Gmm``,
+``ClassConditionalGmm``, ``ConditionalFlow`` and the priors) check the
+values read: shapes, finite values, distinct class ids, the coupling
 partition.  ``ModelBundle`` owns the rules across parts: one density
 section, a prior that fits it (categorical over the same classes for GMMs,
 over outputs for a flow) and a PCA as wide as the density.  ``read_model``
@@ -385,19 +387,18 @@ class ModelBundle:
         return self.flow.dim
 
 
-_UNPACK = {SECTION_PCA: _unpack_pca, SECTION_GMMS: _unpack_gmms, SECTION_FLOW: _unpack_flow,
-           SECTION_PRIOR: _unpack_prior}
+# (tag, ModelBundle field, pack, unpack) of each section, in write order
+_SECTIONS = (
+    (SECTION_PCA, "pca", _pack_pca, _unpack_pca),
+    (SECTION_GMMS, "class_gmms", _pack_gmms, _unpack_gmms),
+    (SECTION_FLOW, "flow", _pack_flow, _unpack_flow),
+    (SECTION_PRIOR, "prior", _pack_prior, _unpack_prior),
+)
 
 
 def write_model(path, bundle: ModelBundle) -> None:
-    sections = []
-    if bundle.pca is not None:
-        sections.append((SECTION_PCA, _pack_pca(bundle.pca)))
-    if bundle.class_gmms is not None:
-        sections.append((SECTION_GMMS, _pack_gmms(bundle.class_gmms)))
-    if bundle.flow is not None:
-        sections.append((SECTION_FLOW, _pack_flow(bundle.flow)))
-    sections.append((SECTION_PRIOR, _pack_prior(bundle.prior)))
+    sections = [(tag, pack(part)) for tag, name, pack, _ in _SECTIONS
+                if (part := getattr(bundle, name)) is not None]
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<HH", FORMAT_VERSION, len(sections)))
@@ -416,6 +417,7 @@ def read_model(path) -> ModelBundle:
     version, n_sections = r.unpack("HH")
     if version != FORMAT_VERSION:
         raise DataFormatError(f"{path}: unrecognized version {version}")
+    layout = {tag: (name, unpack) for tag, name, _, unpack in _SECTIONS}
     found = {}
     for _ in range(n_sections):
         tag = r.take(4)
@@ -426,11 +428,15 @@ def read_model(path) -> ModelBundle:
             raise DataFormatError(
                 f"{path}: checksum mismatch in section {tag!r} at byte offset {at}"
             )
-        if tag not in _UNPACK:
+        if tag not in layout:
             raise DataFormatError(f"{path}: unknown section tag {tag!r}")
-        sec = _Reader(payload, f"{path}[{tag.decode('latin-1').strip()}]")
+        name, unpack = layout[tag]
+        label = tag.decode("latin-1").strip()
+        if name in found:
+            raise DataFormatError(f"{path}: section {label!r} appears twice")
+        sec = _Reader(payload, f"{path}[{label}]")
         try:
-            found[tag] = _UNPACK[tag](sec)
+            found[name] = unpack(sec)
         except DataFormatError:
             raise
         except (ValueError, LuqError) as exc:  # values that pass the checksum but no constructor
@@ -440,11 +446,10 @@ def read_model(path) -> ModelBundle:
             f"{path}: {len(r.data) - r.pos} trailing bytes after the last section "
             f"(offset {r.pos})"
         )
-    if SECTION_PRIOR not in found:
+    if "prior" not in found:
         raise DataFormatError(f"{path}: missing prior section")
     try:
-        return ModelBundle(prior=found[SECTION_PRIOR], class_gmms=found.get(SECTION_GMMS),
-                           flow=found.get(SECTION_FLOW), pca=found.get(SECTION_PCA))
+        return ModelBundle(**found)
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
 

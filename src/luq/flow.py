@@ -31,10 +31,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimMismatchError, DivergedError, TooFewSamplesError
-from .linalg import as_matrix
+from .linalg import LOG_2PI, as_matrix
 from .mlp import Adam, dense_init, glorot_uniform, relu_backward, relu_forward
-
-LOG_2PI = float(np.log(2.0 * np.pi))
 
 MIN_TRAIN_ROWS = 10  # flow_train's minimum
 

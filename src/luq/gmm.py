@@ -28,12 +28,10 @@ from .errors import (
     NotPositiveDefiniteError,
     TooFewSamplesError,
 )
-from .linalg import CholeskyFactor, as_matrix, logsumexp
+from .linalg import LOG_2PI, CholeskyFactor, as_matrix, logsumexp
 
-LOG_2PI = float(np.log(2.0 * np.pi))
-
-FULL_COVARIANCE = "full_per_component"
-TIED_COVARIANCE = "tied_across_components"
+FULL_COVARIANCE = "full"
+TIED_COVARIANCE = "tied"
 
 
 @dataclass(frozen=True)
@@ -84,9 +82,10 @@ class ClassConditionalGmm:
     def __post_init__(self):
         if not self.classes:
             raise ValueError("the density holds no classes")
+        if sorted(self.classes) != sorted(self.per_class):
+            raise ValueError(f"the classes {list(self.classes)} are not those with a "
+                             f"density, {sorted(self.per_class)}, each once")
         for c in self.classes:
-            if c not in self.per_class:
-                raise ValueError(f"class {c} has no density")
             if self.per_class[c].dim != self.dim:
                 raise DimMismatchError(f"class {c} density has wrong dimension")
 
@@ -188,12 +187,15 @@ def _factor(scatters: np.ndarray, reg: float) -> np.ndarray:
 def em_fit(data, opts: EmOptions) -> Gmm:
     """Fit a Gaussian mixture by expectation-maximization.
 
-    The recorded mean log-likelihood (``Gmm.em_log``) is non-decreasing
-    across iterations; fitting stops when the relative improvement drops
-    below ``opts.tol`` or after ``opts.max_iter`` iterations.  A component
-    whose responsibility mass underflows is re-seeded from the point the
-    current model finds most surprising; the fit fails only if that recovery
-    is needed more than twice for the same component.
+    The mean log-likelihood is recorded at each iteration (``Gmm.em_log``).
+    An exact M-step would never lower it; the covariance ridge makes the
+    step inexact, so it may fall slightly, as for a component that
+    collapses onto a few rows.  Fitting stops at the first value that
+    exceeds the one before by less than ``opts.tol`` relative, a fall
+    included, or after ``opts.max_iter`` iterations.  A component whose
+    responsibility mass underflows is re-seeded from the point the current
+    model finds most surprising; the fit fails only if that recovery is
+    needed more than twice for the same component.
     """
     x = as_matrix(data)
     n, d = x.shape

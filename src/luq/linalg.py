@@ -21,6 +21,8 @@ from .errors import (
     RankDeficientWarning,
 )
 
+LOG_2PI = float(np.log(2.0 * np.pi))  # in the Gaussian log-densities of GMMs and flows
+
 
 def as_matrix(x) -> np.ndarray:
     """``x`` as a 2-D float64 array; a 1-D input becomes one row.

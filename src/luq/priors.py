@@ -34,6 +34,8 @@ class CategoricalPrior:
         lp = np.asarray(self.log_probs, dtype=np.float64)
         if lp.shape != (len(self.classes),):
             raise ValueError("one log-probability per class required")
+        if len(set(self.classes)) < len(self.classes):
+            raise ValueError(f"a class id repeats in {list(self.classes)}")
         if not abs(np.exp(lp).sum() - 1.0) <= 1e-9:
             raise ValueError("categorical prior does not normalize")
         object.__setattr__(self, "log_probs", lp)
@@ -55,8 +57,8 @@ class UniformPrior:
     hi: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
-            raise ValueError("uniform prior needs finite lo < hi")
+        if not (self.lo < self.hi and math.isfinite(float(self.hi) - float(self.lo))):
+            raise ValueError("uniform prior needs finite lo < hi with a finite hi - lo")
 
     def log_pdf(self, y):
         y = np.asarray(y, dtype=np.float64)
@@ -106,8 +108,10 @@ class HistogramPrior:
         edges = np.asarray(self.edges, dtype=np.float64)
         ld = np.asarray(self.log_densities, dtype=np.float64)
         if (edges.ndim != 1 or edges.size < 2 or not np.isfinite(edges).all()
+                or not math.isfinite(float(edges[-1]) - float(edges[0]))
                 or np.any(np.diff(edges) <= 0)):
-            raise ValueError("histogram edges must be finite and strictly increasing")
+            raise ValueError("histogram edges must be finite and strictly increasing, "
+                             "with a finite span")
         if ld.shape != (edges.size - 1,):
             raise ValueError("one density per bin required")
         mass = float(np.sum(np.exp(ld) * np.diff(edges)))

@@ -350,11 +350,9 @@ class ClassificationStudy:
     test_scores: UncertaintyScores
     test_predictions: np.ndarray
 
-    def latents_for(self, x) -> np.ndarray:
-        return latent_extract(self.model, self.latent_layer, x)
-
     def score_inputs(self, x) -> UncertaintyScores:
-        return score_classification(self.density, self.prior, self.latents_for(x))
+        return score_classification(self.density, self.prior,
+                                    latent_extract(self.model, self.latent_layer, x))
 
 
 CLASSIFICATION_MLP_HIDDEN = (50, 50)

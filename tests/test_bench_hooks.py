@@ -1,16 +1,20 @@
 """The names the benchmark's hooks reach into luq by still exist.
 
 ``bench/tracer.py`` wraps luq functions by name and the ``log_pdf`` of
-each prior class; ``bench/pinned_toy.py`` replaces ``toy.MlpTrainConfig``.
-A rename in ``src/`` would break ``bench/run.py --trace 1`` and the toy
-workload without failing any other test.  Both files are loaded by path;
-``bench/run.py`` is not imported, because it sets the BLAS thread
-variables in ``os.environ`` when imported.
+each prior class; ``bench/pinned_toy.py`` replaces ``toy.MlpTrainConfig``;
+``bench/workloads.py`` recomputes scores from the fields of the
+``ModelBundle`` that ``read_model`` returns.  A rename in ``src/`` would
+break ``bench/run.py`` without failing any other test.  The files are
+loaded by path; ``bench/run.py`` is not imported, because it sets the BLAS
+thread variables in ``os.environ`` when imported.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
+
+import numpy as np
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -18,6 +22,7 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 def _load(name):
     spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
@@ -62,3 +67,34 @@ def test_pinned_toy_sets_every_mlp_budget():
     assert (regressor.max_epochs, regressor.improvement_window) == (3, 3)
     assert (ensemble.max_epochs, ensemble.improvement_window) == (2, 2)
     assert isinstance(regressor, original) and regressor.seed == 1
+
+
+def test_workload_references_agree_with_the_engine(tmp_path):
+    workloads = _load("workloads")
+    from luq.engine import SupportGrid, score_classification, score_regression
+    from luq.fileio import ModelBundle, read_model, write_model
+    from luq.flow import build_flow
+    from luq.gmm import EmOptions, fit_class_conditional
+    from luq.linalg import pca_fit, pca_transform
+    from luq.priors import UniformPrior, fit_categorical
+
+    def reread(bundle):
+        write_model(tmp_path / "m.luqm", bundle)
+        return read_model(tmp_path / "m.luqm")
+
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(60, 4))
+    labels = (x[:, 0] > 0).astype(int)
+    pca = pca_fit(x, 3, whiten=True)
+    density = fit_class_conditional(pca_transform(pca, x), labels, EmOptions(n_components=2))
+    gmm = reread(ModelBundle(prior=fit_categorical(labels), class_gmms=density, pca=pca))
+    got = score_classification(gmm.class_gmms, gmm.prior, pca_transform(gmm.pca, x))
+    epistemic, aleatoric = workloads.gmm_reference_scores(gmm, x)
+    assert workloads.close(got.epistemic, epistemic, workloads.SCORE_RTOL)[0]
+    assert workloads.close(got.aleatoric, aleatoric, workloads.SCORE_RTOL)[0]
+
+    flow = reread(ModelBundle(prior=UniformPrior(-2.0, 3.0), flow=build_flow(2, 1, seed=0)))
+    z = rng.normal(size=(5, 2))
+    got = score_regression(flow.flow, flow.prior, SupportGrid(-2.0, 3.0, 50), z)
+    reference = workloads.flow_reference_epistemic(flow, z, 50)
+    assert workloads.close(got.epistemic, reference, workloads.SCORE_RTOL)[0]

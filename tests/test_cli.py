@@ -291,6 +291,7 @@ class TestOptionValues:
         ["fit", "--model", "flow", "--prior", "uniform:1"],
         ["fit", "--model", "flow", "--prior", "uniform:1:-1"],
         ["fit", "--model", "flow", "--prior", "uniform:-inf:inf"],
+        ["fit", "--model", "flow", "--prior", "uniform:-1e308:1e308"],
         ["fit", "--model", "flow", "--prior", "betaprime:1:-2"],
         ["fit", "--model", "flow", "--prior", "histogram:0"],
         ["fit", "--model", "flow", "--prior", "categorical"],
@@ -489,6 +490,10 @@ class TestScore:
         assert run_cli("score", "--model", str(model_path), "--features", str(fpath),
                        "--output", str(out), "--grid-range=-inf:30") == 2
         assert "need finite LO < HI" in capsys.readouterr().err
+        assert not out.exists()
+        assert run_cli("score", "--model", str(model_path), "--features", str(fpath),
+                       "--output", str(out), "--grid-range=-1e308:1e308") == 2
+        assert "--grid-range: need finite LO < HI with a finite HI - LO" in capsys.readouterr().err
         assert not out.exists()
         # a grid that overlaps the support scores
         assert run_cli("score", "--model", str(model_path), "--features", str(fpath),
@@ -812,7 +817,9 @@ def _unnormalized_prior_section(tmp_path, blob_files):
     payload = (struct.pack("<BI", 0, 2) + np.array([0, 1], dtype="<i8").tobytes()
                + fileio._pack_array(np.log([0.5, 0.6])))
     model = tmp_path / "bad_prior.luqm"
-    with mock.patch.object(fileio, "_pack_prior", lambda prior: payload):
+    sections = tuple((tag, name, (lambda prior: payload) if name == "prior" else pack, unpack)
+                     for tag, name, pack, unpack in fileio._SECTIONS)
+    with mock.patch.object(fileio, "_SECTIONS", sections):
         write_model(model, two_class_reference_model())
     return (["score", "--model", str(model), "--features", str(blob_files[0])],
             f"{model}[PRIR]", "does not normalize")
@@ -835,6 +842,17 @@ def _spoiled(density, spoil, section, text):
         write_model(model, bundle)
         return (["score", "--model", str(model), "--features", str(blob_files[0]),
                  "--grid", "8"], f"{model}[{section}]" if section else model, text)
+    return build
+
+
+def _repeated(tag, density="gmm", spoil=lambda bundle: None):
+    """A failure-table case: a valid ``density`` model, changed by
+    ``spoil``, written with its ``tag`` section twice."""
+    def build(tmp_path, blob_files):
+        sections = fileio._SECTIONS + tuple(row for row in fileio._SECTIONS if row[0] == tag)
+        with mock.patch.object(fileio, "_SECTIONS", sections):
+            argv, model, _ = _spoiled(density, spoil, None, None)(tmp_path, blob_files)
+        return argv, model, f"section {tag.decode().strip()!r} appears twice"
     return build
 
 
@@ -1005,6 +1023,28 @@ class TestFailureTable:
         "density-class-without-prior": _spoiled(
             "gmm", lambda b: setattr(b, "prior", CategoricalPrior((0,), np.zeros(1))), None,
             "the prior's classes [0] are not the density's [0, 1]"),
+        "repeated-prior-section": _repeated(fileio.SECTION_PRIOR),
+        "repeated-gmm-section": _repeated(fileio.SECTION_GMMS),
+        "repeated-flow-section": _repeated(fileio.SECTION_FLOW, "flow"),
+        "repeated-pca-section": _repeated(
+            fileio.SECTION_PCA, spoil=lambda b: setattr(b, "pca", PcaModel(
+                np.zeros(2), np.eye(2), np.ones(2)))),
+        "repeated-prior-class": _spoiled(
+            "gmm", _prior_spoiled(lambda: CategoricalPrior((0, 1, 2), np.log([0.25, 0.25, 0.5])),
+                                  lambda p: object.__setattr__(p, "classes", (0, 0, 1))),
+            "PRIR", "a class id repeats in [0, 0, 1]"),
+        "repeated-density-class": _spoiled(
+            "gmm", lambda b: object.__setattr__(b.class_gmms, "classes", (0, 0, 1)), "GMMS",
+            "the classes [0, 0, 1] are not those with a density, [0, 1], each once"),
+        "overflowing-uniform-width": _spoiled(
+            "flow", lambda b: (object.__setattr__(b.prior, "lo", -1e308),
+                               object.__setattr__(b.prior, "hi", 1e308)),
+            "PRIR", "uniform prior needs finite lo < hi with a finite hi - lo"),
+        "overflowing-histogram-span": _spoiled(
+            "flow", _prior_spoiled(_histogram_prior, lambda p: (
+                np.copyto(p.edges, [-1.5e308, 0.0, 1.5e308]),
+                np.copyto(p.log_densities, [-np.log(1.5e308), -np.inf]))),
+            "PRIR", "with a finite span"),
         "pca-wider-than-density": _spoiled(
             "gmm", lambda b: setattr(b, "pca", PcaModel(np.zeros(2), np.eye(3)[:2],
                                                         np.ones(3))), None,

@@ -53,7 +53,9 @@ class TestSupportGrid:
         assert g.spacing == 3.0 / 6
         assert g.refined() == SupportGrid(-1.0, 2.0, 13)
 
-    @pytest.mark.parametrize("lo, hi, n", [(1.0, 1.0, 5), (2.0, 1.0, 5), (0.0, 1.0, 1)])
+    @pytest.mark.parametrize("lo, hi, n", [(1.0, 1.0, 5), (2.0, 1.0, 5), (0.0, 1.0, 1),
+                                           (-1e308, 1e308, 5),
+                                           (np.float64(-1e308), np.float64(1e308), 5)])
     def test_rejects_empty_range(self, lo, hi, n):
         with pytest.raises(ValueError):
             SupportGrid(lo, hi, n)

@@ -23,7 +23,14 @@ from luq.fileio import (
     write_scores_csv,
 )
 from luq.flow import FlowArchitecture, build_flow, flow_log_prob
-from luq.gmm import ClassConditionalGmm, EmOptions, fit_class_conditional, gmm_log_prob
+from luq.gmm import (
+    FULL_COVARIANCE,
+    TIED_COVARIANCE,
+    ClassConditionalGmm,
+    EmOptions,
+    fit_class_conditional,
+    gmm_log_prob,
+)
 from luq.linalg import pca_fit
 from luq.priors import (
     BetaPrimePrior,
@@ -514,8 +521,8 @@ class TestModelProperties:
                 assert getattr(loaded, name) == value
 
     @settings(max_examples=8, deadline=None)
-    @given(seed=st.integers(0, 2**16), covariance=st.sampled_from(["full_per_component",
-                                                                  "tied_across_components"]),
+    @given(seed=st.integers(0, 2**16),
+           covariance=st.sampled_from([FULL_COVARIANCE, TIED_COVARIANCE]),
            with_pca=st.booleans())
     def test_gmm_bundle(self, tmp_path_factory, seed, covariance, with_pca):
         rng = np.random.default_rng(seed)

@@ -28,6 +28,11 @@ from luq.gmm import (
 from luq.linalg import cholesky
 
 
+# the ids say what each mode fits: a covariance per component, or one tied across them
+COVARIANCE_MODES = [pytest.param(FULL_COVARIANCE, id="full_per_component"),
+                    pytest.param(TIED_COVARIANCE, id="tied_across_components")]
+
+
 def make_gaussian(mean, cov, log_weight=0.0):
     mean = np.asarray(mean, dtype=float)
     return GaussianComponent(
@@ -140,7 +145,7 @@ class TestStackedKernel:
     """``gmm_log_prob`` and EM's E-step run every component through one
     stacked kernel; both must agree with the per-component reference."""
 
-    @pytest.mark.parametrize("mode", [FULL_COVARIANCE, TIED_COVARIANCE])
+    @pytest.mark.parametrize("mode", COVARIANCE_MODES)
     @pytest.mark.parametrize("k, d", [(1, 1), (1, 4), (3, 1), (4, 3)])
     def test_matches_per_component_solve(self, mode, k, d):
         rng = np.random.default_rng(10 * k + d)
@@ -152,7 +157,7 @@ class TestStackedKernel:
         # the E-step's mean log-likelihood under the final parameters
         assert g.em_log[-1] == pytest.approx(np.mean(reference_log_prob(g, x)), abs=1e-12)
 
-    @pytest.mark.parametrize("mode", [FULL_COVARIANCE, TIED_COVARIANCE])
+    @pytest.mark.parametrize("mode", COVARIANCE_MODES)
     def test_large_batch(self, mode):
         rng = np.random.default_rng(13)
         x = correlated_data(rng, 20_400, 6)
@@ -161,7 +166,7 @@ class TestStackedKernel:
         np.testing.assert_allclose(gmm_log_prob(g, z), reference_log_prob(g, z),
                                    rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("mode", [FULL_COVARIANCE, TIED_COVARIANCE])
+    @pytest.mark.parametrize("mode", COVARIANCE_MODES)
     def test_rank_deficient_without_ridge_raises(self, mode):
         # the second coordinate is always 0: every scatter is singular
         x = np.column_stack([np.random.default_rng(14).normal(size=40), np.zeros(40)])
@@ -293,6 +298,26 @@ class TestEmFit:
         with pytest.raises(TooFewSamplesError):
             em_fit(np.zeros((2, 1)), EmOptions(n_components=3))
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_dead_component_is_reseeded(self, monkeypatch, k):
+        # a mean seeded far from both blobs gets no responsibility mass; EM
+        # must move it onto the data and finish, not divide by that mass
+        rng = np.random.default_rng(0)
+        x = np.vstack([rng.normal(size=(200, 2)) + 5.0, rng.normal(size=(200, 2)) - 5.0])
+        seed_means = gmm._kmeanspp_means
+
+        def one_far_mean(x, k, rng):
+            means = seed_means(x, k, rng)
+            means[0] = 1e4
+            return means
+
+        monkeypatch.setattr(gmm, "_kmeanspp_means", one_far_mean)
+        opts = EmOptions(n_components=k, seed=1)
+        g = em_fit(x, opts)
+        assert len(g.em_log) - 1 < opts.max_iter
+        assert np.abs(g.components[0].mean).max() < 10.0
+        assert all(np.exp(c.log_weight) > 0.0 for c in g.components)
+
     def test_monotone_log_likelihood(self):
         rng = np.random.default_rng(4)
         for trial in range(20):
@@ -408,7 +433,7 @@ def three_class_data():
 
 
 class TestFitClassConditionalWorkers:
-    @pytest.mark.parametrize("mode", [FULL_COVARIANCE, TIED_COVARIANCE])
+    @pytest.mark.parametrize("mode", COVARIANCE_MODES)
     def test_same_mixtures_with_one_and_three_workers(self, workers, mode):
         x, labels = three_class_data()
         opts = EmOptions(n_components=4, covariance_mode=mode, seed=5)
@@ -493,3 +518,9 @@ class TestComponentShapes:
     def test_components_must_match_the_mixture(self):
         with pytest.raises(DimMismatchError, match="not 3-D"):
             Gmm(dim=3, components=(make_gaussian(np.zeros(2), np.eye(2)),))
+
+    @pytest.mark.parametrize("classes", [(0, 0, 1), (0,), (0, 1, 2)])
+    def test_classes_are_the_density_keys_each_once(self, classes):
+        g = Gmm(dim=2, components=(make_gaussian(np.zeros(2), np.eye(2)),))
+        with pytest.raises(ValueError, match=r"not those with a density, \[0, 1\], each once"):
+            ClassConditionalGmm(dim=2, classes=classes, per_class={0: g, 1: g})

@@ -59,9 +59,11 @@ class TestPriorLogPdf:
         assert p.log_pdf(11.0) == -np.inf
 
     @pytest.mark.parametrize("lo, hi", [(0.0, 0.0), (1.0, -1.0), (-np.inf, 1.0),
-                                        (0.0, np.inf), (np.nan, 1.0)])
+                                        (0.0, np.inf), (np.nan, 1.0), (-1e308, 1e308),
+                                        (np.float64(-1e308), np.float64(1e308))])
     def test_uniform_needs_finite_range(self, lo, hi):
-        # an infinite range has density 0 everywhere, so no posterior
+        # an infinite range, or one whose width overflows, has density 0
+        # everywhere, so no posterior
         with pytest.raises(ValueError, match="finite lo < hi"):
             UniformPrior(lo, hi)
 
@@ -75,6 +77,10 @@ class TestPriorLogPdf:
         p = CategoricalPrior(classes=(0, 1), log_probs=np.log([0.75, 0.25]))
         assert p.log_pdf(1) == pytest.approx(math.log(0.25), abs=1e-12)
         assert p.log_pdf(7) == -np.inf
+
+    def test_categorical_class_ids_are_distinct(self):
+        with pytest.raises(ValueError, match=r"a class id repeats in \[0, 0, 1\]"):
+            CategoricalPrior(classes=(0, 0, 1), log_probs=np.log([0.25, 0.25, 0.5]))
 
     def test_finite_inside_support(self):
         hist = fit_histogram(np.random.default_rng(1).uniform(2, 5, size=500), bins=8)
@@ -142,6 +148,12 @@ class TestNormalization:
     def test_histogram_invariant_enforced(self):
         with pytest.raises(ValueError):
             HistogramPrior(edges=np.array([0.0, 1.0]), log_densities=np.array([1.0]))
+
+    def test_histogram_span_must_be_finite(self):
+        # normalized, but the support grid over it would have infinite spacing
+        with pytest.raises(ValueError, match="with a finite span"):
+            HistogramPrior(edges=np.array([-1.5e308, 0.0, 1.5e308]),
+                           log_densities=np.array([-np.log(1.5e308), -np.inf]))
 
 
 class TestBetaPrimeMoments:
