@@ -169,7 +169,10 @@ def cmd_fit(args) -> int:
                 f"{args.predictions}: data row {row + 1} holds {predictions[row]:g}, "
                 "not an integer class id"
             )
-    prior = build_prior(predictions)
+    try:
+        prior = build_prior(predictions)
+    except OverflowError as exc:  # a histogram over predictions too far apart
+        raise fileio.DataFormatError(f"--predictions {args.predictions}: {exc}") from exc
 
     pca = None
     if args.pca is not None:
@@ -197,7 +200,8 @@ def cmd_fit(args) -> int:
         from .flow import flow_train
 
         cfg, arch = options
-        flow, log = flow_train(x, predictions, cfg, arch=arch)
+        with _usage("--val-fraction: "):  # the split depends on the rows read
+            flow, log = flow_train(x, predictions, cfg, arch=arch)
         _emit("epochs_run", len(log.train_nll))
         _emit("best_epoch", log.best_epoch)
         _emit("best_val_nll", log.best_val_nll)
@@ -524,7 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--features", required=True)
     p_score.add_argument("--output", required=True)
     p_score.add_argument("--grid", type=int, default=1000)
-    p_score.add_argument("--grid-range", default=None)
+    p_score.add_argument("--grid-range", default=None,
+                         help="LO:HI; write --grid-range=LO:HI when LO is negative")
     p_score.set_defaults(func=cmd_score)
 
     p_eval = sub.add_parser("eval", help="threshold-free metrics over a scores CSV")
@@ -533,7 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--output", required=True)
     p_eval.add_argument("--plot", default=None)
     p_eval.add_argument("--percentile-step", type=float, default=5.0)
-    p_eval.add_argument("--thresholds", default=None)
+    p_eval.add_argument("--thresholds", default=None,
+                        help="T1,T2,...; write --thresholds=T1,T2 when T1 is negative")
     p_eval.set_defaults(func=cmd_eval)
 
     p_toy = sub.add_parser("toy", help="run a self-contained toy experiment")
@@ -543,7 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_toy.add_argument("--mass", type=float, default=0.2)
     p_toy.add_argument("--grid", type=int, default=1000)
     p_toy.add_argument("--n-train", type=int, default=750)
-    p_toy.add_argument("--gap", default="-0.25:0.25")
+    p_toy.add_argument("--gap", default="-0.25:0.25",
+                       help="LO:HI; write --gap=LO:HI when LO is negative")
     p_toy.add_argument("--noise", type=float, default=0.0)
     p_toy.add_argument("--eval-points", type=int, default=201)
     p_toy.add_argument("--ensemble", action="store_true")
@@ -609,7 +616,7 @@ def _merge_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]
             if value.lower() in ("1", "true", "yes", "on"):
                 injected.append(f"--{key}")
         else:
-            injected.extend([f"--{key}", value])
+            injected.append(f"--{key}={value}")  # a value may begin with "-"
     return argv[:insert] + injected + argv[insert:]
 
 

@@ -482,6 +482,9 @@ def flow_train(z, c, cfg: FlowTrainConfig | None = None,
     rng = np.random.default_rng(cfg.seed + 1)
     perm = rng.permutation(n)
     n_val = max(1, int(round(cfg.val_fraction * n)))
+    if n_val >= n:
+        raise ValueError(f"val_fraction {cfg.val_fraction:g} of {n} rows leaves no "
+                         "training rows")
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     z_tr, c_tr = z[train_idx], c[train_idx]
     z_val, c_val = z[val_idx], c[val_idx]

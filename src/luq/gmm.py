@@ -194,8 +194,11 @@ def em_fit(data, opts: EmOptions) -> Gmm:
     exceeds the one before by less than ``opts.tol`` relative, a fall
     included, or after ``opts.max_iter`` iterations.  A component whose
     responsibility mass underflows is re-seeded from the point the current
-    model finds most surprising; the fit fails only if that recovery is
-    needed more than twice for the same component.
+    model finds most surprising, with uniform weights and the initial
+    covariance; the step after a re-seed is never taken as convergence,
+    since the model was changed by fiat.  The fit fails with
+    DegenerateComponentError if the same component needs that recovery a
+    third time.
     """
     x = as_matrix(data)
     n, d = x.shape
@@ -215,20 +218,23 @@ def em_fit(data, opts: EmOptions) -> Gmm:
     tied = opts.covariance_mode == TIED_COVARIANCE
     history: list[float] = []
     recoveries = np.zeros(k, dtype=int)
+    reseeded = False
 
     xt = np.ascontiguousarray(x.T)
     for it in range(opts.max_iter + 1):  # the last pass only records the likelihood
         joint = _log_joint(xt, log_w, means, lowers)
         row_ll = logsumexp(joint, axis=0)
         history.append(float(np.mean(row_ll)))
-        converged = it > 0 and history[-1] - history[-2] < opts.tol * abs(history[-2])
+        converged = (it > 0 and not reseeded
+                     and history[-1] - history[-2] < opts.tol * abs(history[-2]))
         if converged or it == opts.max_iter:
             break
 
         resp = np.exp(joint - row_ll)
         mass = resp.sum(axis=1)
         dead = np.nonzero(mass < 1e-10)[0]
-        if dead.size:
+        reseeded = dead.size > 0
+        if reseeded:
             for j in dead:
                 recoveries[j] += 1
                 if recoveries[j] > 2:

@@ -7,7 +7,9 @@ ReLU; the head is either an identity map (regression) or softmax over K
 classes (classification).  One head loss (``_loss_and_grads``) and one
 full-batch Adam loop (``_fit``) train both a single network
 (``mlp_train``) and an ensemble whose parameters are stacked on a leading
-member axis (``mlp_train_many``).
+member axis (``mlp_train_many``).  Adam runs at a fixed learning rate of
+1e-3 with no weight decay, and training stops once the loss improves by
+less than 1e-7 over the configured window of epochs.
 """
 
 from __future__ import annotations
@@ -176,10 +178,7 @@ def _loss_and_grads(weights, biases, head, x, y):
 
 @dataclass
 class MlpTrainConfig:
-    learning_rate: float = 1e-3
-    weight_decay: float = 0.0
     max_epochs: int = 5000
-    improvement_tol: float = 1e-7
     improvement_window: int = 100
     seed: int = 0
 
@@ -205,24 +204,23 @@ def _window_stalled(bests, loss, window, tol) -> bool:
 
 
 def _fit(weights, biases, head, x, y, cfg: MlpTrainConfig) -> np.ndarray:
-    """Full-batch Adam on ``weights`` and ``biases``, updated in place;
-    returns the per-epoch loss log.
-
-    Stops early once the loss improves by less than ``improvement_tol``
-    over ``improvement_window`` epochs.
+    """Full-batch Adam at learning rate 1e-3, without weight decay, on
+    ``weights`` and ``biases``, updated in place; returns the per-epoch loss
+    log.  Stops early once the loss improves by less than 1e-7 over
+    ``cfg.improvement_window`` epochs.
     """
     if x.shape[0] == 0:
         raise ValueError("training needs data")
-    opt = Adam(weights + biases, cfg.learning_rate, cfg.weight_decay)
+    opt = Adam(weights + biases, 1e-3)
     losses = []
     bests = []
     for _ in range(cfg.max_epochs):
         loss, grads = _loss_and_grads(weights, biases, head, x, y)
         if not np.isfinite(loss):
-            raise DivergedError(f"loss became {loss!r}; lower the learning rate")
+            raise DivergedError(f"loss became {loss!r}")
         opt.step(grads)
         losses.append(loss)
-        if _window_stalled(bests, loss, cfg.improvement_window, cfg.improvement_tol):
+        if _window_stalled(bests, loss, cfg.improvement_window, 1e-7):
             break
     return np.asarray(losses)
 

@@ -31,13 +31,9 @@ class _Scale:
         return self.out_lo + t * (self.out_hi - self.out_lo)
 
 
-def _polyline(xs, ys, sx, sy, color, dash=None):
+def _polyline(xs, ys, sx, sy, color):
     pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
-    dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-    return (
-        f'<polyline fill="none" stroke="{color}" stroke-width="1.6"{dash_attr} '
-        f'points="{pts}"/>'
-    )
+    return f'<polyline fill="none" stroke="{color}" stroke-width="1.6" points="{pts}"/>'
 
 
 def svg_line_plot(path, x, series, band=None, title="", x_label="", y_label=""):

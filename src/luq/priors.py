@@ -186,11 +186,14 @@ def betaprime_fit_mom(samples) -> BetaPrimePrior:
 
 
 def fit_histogram(samples, bins: int = 32) -> HistogramPrior:
-    """Equal-width histogram density of scalar samples."""
+    """Equal-width histogram density of scalar samples.  Samples whose range
+    is wider than the largest float are an OverflowError."""
     x = np.asarray(samples, dtype=np.float64)
     if x.size == 0:
         raise EmptyInputError("fit_histogram on empty samples")
     lo, hi = float(x.min()), float(x.max())
+    if math.isinf(hi - lo):
+        raise OverflowError(f"the samples span [{lo:g}, {hi:g}], wider than the largest float")
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
     edges = np.linspace(lo, hi, bins + 1)

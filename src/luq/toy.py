@@ -158,14 +158,14 @@ class EnsembleModel:
 
 
 def train_ensemble(x, y, layer_dims, head=REGRESSION, cfg: MlpTrainConfig | None = None,
-                   n_members: int = 10, base_seed: int = 0) -> EnsembleModel:
-    """Train ``n_members`` identical architectures from different seeds.
+                   base_seed: int = 0) -> EnsembleModel:
+    """Train 10 identical architectures from the seeds ``base_seed`` on.
 
     Members train in lockstep (vectorized over the member axis), which is
     equivalent to independent runs with a shared epoch budget.
     """
     cfg = cfg or MlpTrainConfig()
-    seeds = [base_seed + i for i in range(n_members)]
+    seeds = [base_seed + i for i in range(10)]
     members, _ = mlp_train_many(x, y, layer_dims, head, cfg, seeds)
     return EnsembleModel(members=tuple(members))
 
@@ -245,8 +245,6 @@ def run_regression_study(
     eval_points: int = 201,
     band_mass: float = 0.2,
     grid_points: int = 1000,
-    mlp_cfg: MlpTrainConfig | None = None,
-    flow_cfg: FlowTrainConfig | None = None,
     with_ensemble: bool = False,
     ensemble_cfg: MlpTrainConfig | None = None,
 ) -> RegressionStudy:
@@ -270,8 +268,8 @@ def run_regression_study(
     eval_x = regression_eval_x(spec, eval_points)
     train_x, train_y = gen_regression_data(spec)
 
-    mlp_cfg = mlp_cfg or MlpTrainConfig(seed=spec.seed)
-    regressor_args = (train_x, train_y, REGRESSION_MLP_DIMS, REGRESSION, mlp_cfg)
+    regressor_args = (train_x, train_y, REGRESSION_MLP_DIMS, REGRESSION,
+                      MlpTrainConfig(seed=spec.seed))
     regressor = ensemble = None
     if with_ensemble:
         ensemble_cfg = ensemble_cfg or MlpTrainConfig(max_epochs=600, seed=spec.seed)
@@ -290,10 +288,8 @@ def run_regression_study(
 
     # full batch; the modest epoch budget keeps the conditioning soft so the
     # posterior over outputs stays wider than the regressor's error
-    flow_cfg = flow_cfg or FlowTrainConfig(
-        batch_size=spec.n_train, max_epochs=40, seed=spec.seed
-    )
-    flow, flow_log = flow_train(train_latents, train_preds, flow_cfg)
+    flow, flow_log = flow_train(train_latents, train_preds, FlowTrainConfig(
+        batch_size=spec.n_train, max_epochs=40, seed=spec.seed))
 
     prior = UniformPrior(*PRIOR_RANGE)
     grid = SupportGrid.from_range(*PRIOR_RANGE, grid_points)
@@ -362,7 +358,6 @@ def run_classification_study(
     spec: ToyClassificationSpec | None = None,
     em_opts: EmOptions | None = None,
     latent_layer: int = 0,
-    mlp_cfg: MlpTrainConfig | None = None,
 ) -> ClassificationStudy:
     """Full toy classification pipeline.
 
@@ -377,8 +372,8 @@ def run_classification_study(
     test_x, test_labels = gen_classification_data(spec, seed_offset=1)
 
     dims = (2, *CLASSIFICATION_MLP_HIDDEN, N_CLASSES)
-    mlp_cfg = mlp_cfg or MlpTrainConfig(max_epochs=800, seed=spec.seed)
-    model, _ = mlp_train(train_x, train_labels, dims, CLASSIFICATION, mlp_cfg)
+    model, _ = mlp_train(train_x, train_labels, dims, CLASSIFICATION,
+                         MlpTrainConfig(max_epochs=800, seed=spec.seed))
 
     latents = latent_extract(model, latent_layer, train_x)
     predicted = mlp_predict(model, train_x).argmax(axis=1)

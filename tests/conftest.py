@@ -18,3 +18,21 @@ def workers(monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: n)
 
     return use
+
+
+@pytest.fixture
+def toy_mlp_epochs(monkeypatch):
+    """``toy_mlp_epochs(n)`` caps at ``n`` epochs every MLP training config
+    the toy studies build for themselves, by substituting
+    ``toy.MlpTrainConfig`` as ``bench/pinned_toy.py`` does; the
+    improvement-window stop stays on."""
+    from luq import toy
+    from luq.mlp import MlpTrainConfig
+
+    def use(n: int):
+        def capped(**kwargs):
+            return MlpTrainConfig(**{**kwargs, "max_epochs": n})
+
+        monkeypatch.setattr(toy, "MlpTrainConfig", capped)
+
+    return use

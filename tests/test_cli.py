@@ -251,6 +251,40 @@ class TestFit:
         assert captured.out == ""
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("rows, fraction", [(10, "0.99"), (40, "0.99"), (10, "0.95")])
+    def test_val_fraction_leaving_no_training_rows_exit_2(self, tmp_path, capsys, rows,
+                                                           fraction):
+        # 0.95 of 10 rows rounds to all 10; the bound depends on the file
+        rng = np.random.default_rng(1)
+        fpath, ppath = tmp_path / "f.luq", tmp_path / "p.luq"
+        write_matrix(fpath, rng.normal(size=(rows, 2)))
+        write_matrix(ppath, rng.normal(size=(rows, 1)))
+        model_path = tmp_path / "m.luqm"
+        assert run_cli("fit", "--features", str(fpath), "--predictions", str(ppath),
+                       "--model", "flow", "--val-fraction", fraction,
+                       "--output", str(model_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --val-fraction: ")
+        assert f"of {rows} rows leaves no training rows" in err
+        assert not model_path.exists()
+
+    def test_histogram_over_overflowing_range_exit_3(self, tmp_path, capsys):
+        # the predictions span more than the largest float: a data error,
+        # raised with no RuntimeWarning (Tier-1 turns those into errors)
+        rng = np.random.default_rng(1)
+        fpath, ppath = tmp_path / "f.luq", tmp_path / "p.luq"
+        write_matrix(fpath, rng.normal(size=(30, 2)))
+        write_matrix(ppath, np.where(np.arange(30) % 2, 1e308, -1e308)[:, None])
+        model_path = tmp_path / "m.luqm"
+        assert run_cli("fit", "--features", str(fpath), "--predictions", str(ppath),
+                       "--model", "flow", "--prior", "histogram:4",
+                       "--output", str(model_path)) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: --predictions {ppath}: ")
+        assert "wider than the largest float" in captured.err
+        assert captured.out == ""
+        assert not model_path.exists()
+
     def test_pca_above_feature_count_exit_2(self, tmp_path, blob_files, capsys):
         # the bound depends on the file: the blob features have 2 columns
         fpath, ppath = blob_files
@@ -312,6 +346,30 @@ class TestOptionValues:
         assert run_cli(*argv, *files, *output) == 2
         assert "usage error" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == []
+
+
+class TestNegativeOptionValues:
+    """argparse takes ``--gap -0.5:0.5`` for a flag with no value; the
+    ``--flag=VALUE`` form and a config file carry a value that begins with
+    a minus sign."""
+
+    @pytest.mark.parametrize("argv, dest, value", [
+        (["toy", "regression", "--out", "o", "--gap=-0.5:0.5"], "gap", "-0.5:0.5"),
+        (["score", "--model", "m", "--features", "f", "--output", "o",
+          "--grid-range=-2:9"], "grid_range", "-2:9"),
+        (["eval", "--mode", "rmse", "--input", "i", "--output", "o",
+          "--thresholds=-70,-60"], "thresholds", "-70,-60"),
+    ], ids=["gap", "grid-range", "thresholds"])
+    def test_equals_form_parses(self, argv, dest, value):
+        assert getattr(cli.build_parser().parse_args(argv), dest) == value
+
+    def test_config_value_with_leading_minus(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gap = -0.5:0.5\n")
+        parser = cli.build_parser()
+        argv = cli._merge_config(["toy", "regression", "--out", "o", "--config", str(cfg)],
+                                 parser)
+        assert parser.parse_args(argv).gap == "-0.5:0.5"
 
 
 class TestNonFiniteFeatures:

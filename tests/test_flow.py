@@ -326,6 +326,13 @@ class TestFlowTrain:
         with pytest.raises(TooFewSamplesError, match="at least 10 rows, got 9"):
             flow_train(rng.normal(size=(9, 2)), rng.normal(size=(9, 1)), arch=SMALL_ARCH)
 
+    def test_val_fraction_leaving_no_training_rows(self):
+        rng = np.random.default_rng(12)
+        cfg = FlowTrainConfig(val_fraction=0.95)  # round(9.5) is 10
+        with pytest.raises(ValueError, match="of 10 rows leaves no training rows"):
+            flow_train(rng.normal(size=(10, 2)), rng.normal(size=(10, 1)), cfg,
+                       arch=SMALL_ARCH)
+
     def test_non_finite_data_raises_diverged(self):
         from luq.errors import DivergedError
 

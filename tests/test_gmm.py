@@ -9,6 +9,7 @@ import pytest
 from luq import gmm
 from luq.errors import (
     ClassTooSmallError,
+    DegenerateComponentError,
     DimMismatchError,
     NotPositiveDefiniteError,
     TooFewSamplesError,
@@ -179,7 +180,8 @@ def reference_em(x, opts):
     """EM on rows stored (n, d): per component, one solve of the triangular
     system in the E-step and one two-pass scatter (mean first, then the
     weighted residual products) in the M-step, with em_fit's seeding, ridge,
-    tied running sum, stopping rule and re-seeding of dead components.
+    tied running sum, stopping rule (never on the step after a re-seed) and
+    re-seeding of dead components.
     Returns (em_log, log-weights, means, lower factors)."""
     n, d = x.shape
     k = opts.n_components
@@ -193,7 +195,7 @@ def reference_em(x, opts):
                   max(opts.cov_reg, 1e-12))
     lowers = [init] * k
     log_w = np.full(k, -np.log(k))
-    history, recoveries = [], [0] * k
+    history, recoveries, dead = [], [0] * k, []
     for it in range(opts.max_iter + 1):
         joint = np.empty((n, k))
         for j in range(k):
@@ -203,7 +205,7 @@ def reference_em(x, opts):
                                             + np.sum(sol * sol, axis=0))
         row_ll = np.logaddexp.reduce(joint, axis=1)
         history.append(float(np.mean(row_ll)))
-        if it == opts.max_iter or (it > 0 and history[-1] - history[-2]
+        if it == opts.max_iter or (it > 0 and not dead and history[-1] - history[-2]
                                    < opts.tol * abs(history[-2])):
             break
         resp = np.exp(joint - row_ll[:, None])
@@ -317,6 +319,26 @@ class TestEmFit:
         assert len(g.em_log) - 1 < opts.max_iter
         assert np.abs(g.components[0].mean).max() < 10.0
         assert all(np.exp(c.log_weight) > 0.0 for c in g.components)
+
+    def test_reseed_step_is_not_convergence(self, monkeypatch):
+        # component 0 never gets mass: the step after each re-seed repeats
+        # the likelihood exactly, which must not read as convergence; the
+        # third re-seed of the same component ends the fit
+        rng = np.random.default_rng(0)
+        x = np.vstack([rng.normal(size=(200, 2)) + 5.0, rng.normal(size=(200, 2)) - 5.0])
+        log_joint = gmm._log_joint
+        calls = []
+
+        def starve_component_0(*args):
+            joint = log_joint(*args)
+            joint[0] = -np.inf
+            calls.append(None)
+            return joint
+
+        monkeypatch.setattr(gmm, "_log_joint", starve_component_0)
+        with pytest.raises(DegenerateComponentError, match="component 0"):
+            em_fit(x, EmOptions(n_components=2, seed=1))
+        assert len(calls) == 3
 
     def test_monotone_log_likelihood(self):
         rng = np.random.default_rng(4)

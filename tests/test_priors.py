@@ -145,6 +145,11 @@ class TestNormalization:
             1.0, abs=1e-3
         )
 
+    def test_histogram_over_overflowing_range(self):
+        # the bin width would overflow; no RuntimeWarning on the way
+        with pytest.raises(OverflowError, match="wider than the largest float"):
+            fit_histogram(np.array([-1e308, 1e308, 0.0]), bins=4)
+
     def test_histogram_invariant_enforced(self):
         with pytest.raises(ValueError):
             HistogramPrior(edges=np.array([0.0, 1.0]), log_densities=np.array([1.0]))

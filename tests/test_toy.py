@@ -6,7 +6,6 @@ import pytest
 
 from luq import toy
 from luq.errors import BadKindError
-from luq.flow import FlowTrainConfig
 from luq.gmm import EmOptions
 from luq.mlp import CLASSIFICATION, MlpModel, MlpTrainConfig, mlp_train, mlp_predict
 from luq.toy import (
@@ -157,7 +156,7 @@ class TestEnsembleScores:
         x = np.random.default_rng(3).normal(size=(40, 1))
         y = x[:, 0] * 0.5
         ens = train_ensemble(
-            x, y, (1, 8, 1), cfg=MlpTrainConfig(max_epochs=50, seed=0), n_members=3
+            x, y, (1, 8, 1), cfg=MlpTrainConfig(max_epochs=50, seed=0)
         )
         epi, ale = ensemble_scores(ens, x)
         preds = np.stack([mlp_predict(m, x)[:, 0] for m in ens.members])
@@ -175,15 +174,10 @@ class TestEnsembleScores:
 
 
 class TestStudySmoke:
-    def test_regression_study_shapes(self):
+    def test_regression_study_shapes(self, toy_mlp_epochs):
+        toy_mlp_epochs(300)
         spec = ToyRegressionSpec(n_train=120, seed=0)
-        study = run_regression_study(
-            spec,
-            eval_points=41,
-            grid_points=200,
-            mlp_cfg=MlpTrainConfig(max_epochs=300, seed=0),
-            flow_cfg=FlowTrainConfig(batch_size=120, max_epochs=8, seed=0),
-        )
+        study = run_regression_study(spec, eval_points=41, grid_points=200)
         assert study.eval_x.shape == (41,)
         assert study.scores.epistemic.shape == (41,)
         assert len(study.bands) == 41
@@ -191,12 +185,11 @@ class TestStudySmoke:
             assert band.lower <= pred <= band.upper
         assert study.gap_mask().sum() + study.train_region_mask().sum() == 41
 
-    def test_classification_study_smoke(self):
+    def test_classification_study_smoke(self, toy_mlp_epochs):
+        toy_mlp_epochs(200)
         spec = ToyClassificationSpec(n_per_class=60, seed=0)
         study = run_classification_study(
-            spec,
-            em_opts=EmOptions(n_components=2, cov_reg=1e-4, seed=0),
-            mlp_cfg=MlpTrainConfig(max_epochs=200, seed=0),
+            spec, em_opts=EmOptions(n_components=2, cov_reg=1e-4, seed=0)
         )
         n_test = study.test_x.shape[0]
         assert study.test_scores.epistemic.shape == (n_test,)
@@ -209,14 +202,13 @@ class TestStudySmoke:
         ood = study.score_inputs(ood_x)
         assert ood.epistemic.mean() > study.test_scores.epistemic.mean()
 
-    def test_median_epistemic_monotone_in_noise(self):
+    def test_median_epistemic_monotone_in_noise(self, toy_mlp_epochs):
         from scipy.stats import spearmanr
 
+        toy_mlp_epochs(400)
         spec = ToyClassificationSpec(n_per_class=150, seed=0)
         study = run_classification_study(
-            spec,
-            em_opts=EmOptions(n_components=5, cov_reg=1e-4, seed=0),
-            mlp_cfg=MlpTrainConfig(max_epochs=400, seed=0),
+            spec, em_opts=EmOptions(n_components=5, cov_reg=1e-4, seed=0)
         )
         sigmas = [0.0, 0.5, 1.0, 2.0, 4.0]
         medians = []
@@ -229,7 +221,8 @@ class TestStudySmoke:
 
 
 class TestRegressionStudyWorkers:
-    def test_same_study_with_one_and_two_threads(self, workers, monkeypatch):
+    def test_same_study_with_one_and_two_threads(self, workers, toy_mlp_epochs,
+                                                 monkeypatch):
         events = {}
         together = threading.Barrier(2, timeout=30)
 
@@ -245,6 +238,7 @@ class TestRegressionStudyWorkers:
 
         monkeypatch.setattr(toy, "mlp_train", recorded(toy.mlp_train))
         monkeypatch.setattr(toy, "train_ensemble", recorded(toy.train_ensemble))
+        toy_mlp_epochs(60)
         studies = []
         for n in (1, 2):
             workers(n)
@@ -253,8 +247,6 @@ class TestRegressionStudyWorkers:
                 ToyRegressionSpec(n_train=80, seed=2),
                 eval_points=21,
                 grid_points=100,
-                mlp_cfg=MlpTrainConfig(max_epochs=60, seed=2),
-                flow_cfg=FlowTrainConfig(batch_size=80, max_epochs=4, seed=2),
                 with_ensemble=True,
                 ensemble_cfg=MlpTrainConfig(max_epochs=40, seed=2),
             ))
