@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fileio
 from ._pool import thread_cap
-from .errors import LuqError, NotPositiveDefiniteError
+from .errors import DivergedError, LuqError, NotPositiveDefiniteError
 # fileio loads gmm, linalg and priors for every command; every other module
 # is imported by the command that runs it
 from .gmm import EmOptions, fit_class_conditional
@@ -200,11 +200,15 @@ def cmd_fit(args) -> int:
         from .flow import flow_train
 
         cfg, arch = options
-        with _usage("--val-fraction: "):  # the split depends on the rows read
-            flow, log = flow_train(x, predictions, cfg, arch=arch)
+        try:
+            with _usage("--val-fraction: "):  # the split depends on the rows read
+                flow, log = flow_train(x, predictions, cfg, arch=arch)
+        except DivergedError as exc:  # the flow trains on the raw values read
+            raise DivergedError(f"--predictions {args.predictions}, --features "
+                                f"{args.features}: {exc}") from exc
         _emit("epochs_run", len(log.train_nll))
         _emit("best_epoch", log.best_epoch)
-        _emit("best_val_nll", log.best_val_nll)
+        _emit("best_val_nll", log.val_nll[log.best_epoch])
         _emit("final_train_nll", float(log.train_nll[-1]))
         bundle = fileio.ModelBundle(prior=prior, flow=flow, pca=pca)
 
@@ -307,7 +311,7 @@ def _eval_columns(path, names: list[str], binary: str | None = None) -> dict:
 def cmd_eval(args) -> int:
     from .metrics import calibration_curve, rmse_below_uncertainty
 
-    _require(0.0 < args.percentile_step <= 100.0, "--percentile-step", "in (0, 100]",
+    _require(0.01 <= args.percentile_step <= 100.0, "--percentile-step", "in [0.01, 100]",
              args.percentile_step)
     thresholds = None
     if args.thresholds:
@@ -604,9 +608,6 @@ def _merge_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]
             path = value if eq else (argv[i + 1] if i + 1 < len(argv) else None)
     if path is None:
         return argv
-    insert = cmd_idx + 1
-    while insert < len(argv) and not argv[insert].startswith("-"):
-        insert += 1  # keep positionals (e.g. the toy kind) in front
     injected = []
     for lineno, key, value in fileio.parse_config(path):
         if key not in known_flags:
@@ -617,7 +618,7 @@ def _merge_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]
                 injected.append(f"--{key}")
         else:
             injected.append(f"--{key}={value}")  # a value may begin with "-"
-    return argv[:insert] + injected + argv[insert:]
+    return argv[:cmd_idx + 1] + injected + argv[cmd_idx + 1:]
 
 
 def main(argv=None) -> int:

@@ -69,7 +69,6 @@ class SupportGrid:
 class ConfidenceRegion:
     lower: float
     upper: float
-    mass: float
 
 
 @dataclass(frozen=True)
@@ -109,19 +108,6 @@ def _posterior_scores(log_joint: np.ndarray, weights=1.0):
     return -(top + log_norm)[:, 0], ent, post
 
 
-def class_log_joint(d: ClassConditionalGmm, prior: CategoricalPrior, z) -> np.ndarray:
-    """(n, K) matrix of log p(z|k) + log p(k) over the prior's classes."""
-    missing = [c for c in prior.classes if c not in d.per_class]
-    if missing:
-        raise MissingClassDensityError(f"no density for classes {missing}")
-    z = as_matrix(z)
-    cols = [
-        gmm_log_prob(d.per_class[c], z) + prior.log_probs[i]
-        for i, c in enumerate(prior.classes)
-    ]
-    return np.stack(cols, axis=1)
-
-
 def epistemic_classification(d: ClassConditionalGmm, prior: CategoricalPrior, z) -> float:
     """-log p(z) of one latent vector by summing the class-conditional
     densities against the class prior."""
@@ -136,8 +122,15 @@ def aleatoric_classification(d: ClassConditionalGmm, prior: CategoricalPrior, z)
 
 
 def score_classification(d: ClassConditionalGmm, prior: CategoricalPrior, z) -> UncertaintyScores:
-    """Both classification scores for a batch, sharing one density pass."""
-    epi, ent, post = _posterior_scores(class_log_joint(d, prior, z))
+    """Both classification scores for a batch, sharing one density pass
+    over the (n, K) matrix of log p(z|k) + log p(k)."""
+    missing = [c for c in prior.classes if c not in d.per_class]
+    if missing:
+        raise MissingClassDensityError(f"no density for classes {missing}")
+    z = as_matrix(z)
+    log_joint = np.stack([gmm_log_prob(d.per_class[c], z) + prior.log_probs[i]
+                          for i, c in enumerate(prior.classes)], axis=1)
+    epi, ent, post = _posterior_scores(log_joint)
     return UncertaintyScores(epistemic=epi, aleatoric=ent, posterior=post)
 
 
@@ -253,5 +246,4 @@ def confidence_region(posterior: RegressionPosterior, prediction: float,
     return ConfidenceRegion(
         lower=float(min(pts[visited.min()], prediction)),
         upper=float(max(pts[visited.max()], prediction)),
-        mass=mass,
     )

@@ -32,11 +32,6 @@ class DegenerateComponentError(LuqError):
 class ClassTooSmallError(LuqError):
     """A class has fewer samples than the fit requires."""
 
-    def __init__(self, class_id, count):
-        self.class_id = class_id
-        self.count = count
-        super().__init__(f"class {class_id} has only {count} sample(s)")
-
 
 class MissingClassDensityError(LuqError):
     """The prior references a class the density model does not cover."""

@@ -120,6 +120,8 @@ def _matrix_from(fh, path) -> np.ndarray:
     version, rows, cols = struct.unpack("<HII", header)
     if version != FORMAT_VERSION:
         raise DataFormatError(f"{path}: unrecognized version {version}")
+    if rows == 0 or cols == 0:
+        raise DataFormatError(f"{path}: a matrix of {rows} rows and {cols} columns holds no data")
     end = 14 + 8 * rows * cols
     if end > size:
         raise _truncated(path, 14, end - 14, size)

@@ -455,7 +455,6 @@ class FlowTrainLog:
     train_nll: np.ndarray
     val_nll: np.ndarray
     best_epoch: int
-    best_val_nll: float
 
 
 def flow_train(z, c, cfg: FlowTrainConfig | None = None,
@@ -463,9 +462,12 @@ def flow_train(z, c, cfg: FlowTrainConfig | None = None,
     """Train a conditional flow by maximum likelihood with Adam and
     decoupled weight decay.
 
-    Early stopping tracks validation NLL with the configured patience; the
-    returned flow carries the best-validation parameters.  Deterministic for
-    a fixed seed.
+    The best epoch is the first minimum of the validation-NLL log; training
+    stops once ``patience`` epochs have passed since it, or after
+    ``max_epochs``.  The returned flow carries the best epoch's parameters.
+    A non-finite NLL, or a floating-point overflow anywhere in a training
+    step (conditions or latents too large for the raw-valued flow), is a
+    DivergedError.  Deterministic for a fixed seed.
     """
     cfg = cfg or FlowTrainConfig()
     z = as_matrix(z)
@@ -493,41 +495,32 @@ def flow_train(z, c, cfg: FlowTrainConfig | None = None,
     opt = Adam(params, cfg.learning_rate, cfg.weight_decay)
     batch = min(cfg.batch_size, len(train_idx))
     train_log, val_log = [], []
-    best_val = np.inf
-    best_params = [p.copy() for p in params]
-    best_epoch = -1
-    since_best = 0
 
-    for epoch in range(cfg.max_epochs):
-        order = rng.permutation(len(train_idx))
-        for start in range(0, len(order), batch):
-            sel = order[start : start + batch]
-            nll, grads = flow_gradients(flow, z_tr[sel], c_tr[sel])
-            if not np.isfinite(nll):
-                raise DivergedError("training NLL became non-finite")
-            opt.step(grads)
-        tr = flow_nll(flow, z_tr, c_tr)
-        va = flow_nll(flow, z_val, c_val)
-        if not (np.isfinite(tr) and np.isfinite(va)):
-            raise DivergedError("NLL became non-finite; lower the learning rate")
-        train_log.append(tr)
-        val_log.append(va)
-        if va < best_val:
-            best_val = va
-            best_params = [p.copy() for p in params]
-            best_epoch = epoch
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= cfg.patience:
-                break
+    try:
+        with np.errstate(over="raise"):  # an overflowing step is a diverged fit
+            for epoch in range(cfg.max_epochs):
+                order = rng.permutation(len(train_idx))
+                for start in range(0, len(order), batch):
+                    sel = order[start : start + batch]
+                    nll, grads = flow_gradients(flow, z_tr[sel], c_tr[sel])
+                    if not np.isfinite(nll):
+                        raise DivergedError("training NLL became non-finite")
+                    opt.step(grads)
+                tr = flow_nll(flow, z_tr, c_tr)
+                va = flow_nll(flow, z_val, c_val)
+                if not (np.isfinite(tr) and np.isfinite(va)):
+                    raise DivergedError("NLL became non-finite; lower the learning rate")
+                train_log.append(tr)
+                val_log.append(va)
+                best_epoch = int(np.argmin(val_log))
+                if best_epoch == epoch:
+                    best_params = [p.copy() for p in params]
+                elif epoch - best_epoch >= cfg.patience:
+                    break
+    except FloatingPointError as exc:
+        raise DivergedError(f"training hit {exc}; the flow trains on raw latent and "
+                            "condition values, so rescale them") from exc
 
     for p, best in zip(params, best_params):
         p[:] = best
-    log = FlowTrainLog(
-        train_nll=np.asarray(train_log),
-        val_nll=np.asarray(val_log),
-        best_epoch=best_epoch,
-        best_val_nll=float(best_val),
-    )
-    return flow, log
+    return flow, FlowTrainLog(np.asarray(train_log), np.asarray(val_log), best_epoch)

@@ -294,7 +294,7 @@ def fit_class_conditional(features, predicted_labels, opts: EmOptions,
         rows = x[labels == c]
         count = rows.shape[0]
         if count == 0:
-            raise ClassTooSmallError(c, 0)
+            raise ClassTooSmallError(f"class {c} has only 0 sample(s)")
         k = opts.n_components
         if count < k:
             k = max(1, count // 2)

@@ -153,8 +153,7 @@ def fit_categorical(predicted_labels, classes=None) -> CategoricalPrior:
     counts = np.array([np.sum(labels == c) for c in classes], dtype=np.float64)
     if np.any(counts == 0):
         counts = counts + 1.0
-    with np.errstate(divide="ignore"):
-        log_probs = np.log(counts / counts.sum())
+    log_probs = np.log(counts / counts.sum())
     return CategoricalPrior(classes=classes, log_probs=log_probs)
 
 

@@ -23,7 +23,7 @@ from .engine import (
     score_classification,
     score_regression,
 )
-from .errors import BadKindError
+from .errors import BadKindError, LuqError
 from .flow import (
     MIN_TRAIN_ROWS,
     ConditionalFlow,
@@ -253,7 +253,9 @@ def run_regression_study(
     Trains the regressor on the gapped sinusoid, fits a conditional flow on
     penultimate-layer latents conditioned on the network's own predictions,
     assumes a uniform output prior, and scores a dense x grid with both
-    uncertainties plus a predictive confidence band.
+    uncertainties plus a predictive confidence band.  A prediction outside
+    ``PRIOR_RANGE``, where that prior is 0, is a LuqError raised before any
+    score or band is computed.
 
     With ``with_ensemble``, and when ``_pool.worker_count`` allows two
     threads, the regressor trains on a ``_pool.worker_pool`` thread beside
@@ -296,6 +298,11 @@ def run_regression_study(
 
     eval_latents = latent_extract(model, model.n_hidden - 1, eval_x[:, None])
     predictions = mlp_predict(model, eval_x[:, None])[:, 0]
+    outside = (predictions < PRIOR_RANGE[0]) | (predictions > PRIOR_RANGE[1])
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise LuqError(f"prediction {predictions[i]:g} at x={eval_x[i]:g} lies outside the "
+                       f"output range {PRIOR_RANGE[0]:g}:{PRIOR_RANGE[1]:g} of the toy's prior")
     scores = score_regression(flow, prior, grid, eval_latents, keep_posteriors=True)
 
     bands = []

@@ -285,6 +285,24 @@ class TestFit:
         assert captured.out == ""
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("scale, prior", [(1e308, []),
+                                              (1e300, ["--prior", "uniform:-1e301:1e301"])])
+    def test_flow_on_overflowing_predictions_exit_3(self, tmp_path, capsys, scale, prior):
+        # the flow conditions on the raw predictions; a training step that
+        # overflows is a data error, raised with no RuntimeWarning
+        rng = np.random.default_rng(1)
+        fpath, ppath = tmp_path / "f.luq", tmp_path / "p.luq"
+        write_matrix(fpath, rng.normal(size=(30, 2)))
+        write_matrix(ppath, np.where(np.arange(30) % 2, scale, -scale)[:, None])
+        model_path = tmp_path / "m.luqm"
+        assert run_cli("fit", "--features", str(fpath), "--predictions", str(ppath),
+                       "--model", "flow", "--max-epochs", "3", *prior,
+                       "--output", str(model_path)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --predictions {ppath}, --features {fpath}: ")
+        assert "overflow" in err
+        assert not model_path.exists()
+
     def test_pca_above_feature_count_exit_2(self, tmp_path, blob_files, capsys):
         # the bound depends on the file: the blob features have 2 columns
         fpath, ppath = blob_files
@@ -321,6 +339,7 @@ class TestOptionValues:
         ["toy", "classification", "--seed", "-1"],
         ["pca", "--out-dim", "0"],
         ["eval", "--mode", "calibration", "--percentile-step", "0"],
+        ["eval", "--mode", "calibration", "--percentile-step", "1e-300"],
         ["eval", "--mode", "rmse", "--thresholds", "a,b"],
         ["fit", "--model", "flow", "--prior", "uniform:1"],
         ["fit", "--model", "flow", "--prior", "uniform:1:-1"],
@@ -442,6 +461,39 @@ class TestHeaderOnlyCsv:
         out = tmp_path / "o.csv"
         assert run_cli("eval", "--mode", mode, "--input", str(csv), "--output", str(out)) == 3
         assert f"{csv}: no data rows" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestEmptyMatrix:
+    """A LUQ1 file with no rows or no columns is a data error naming the
+    file, as a header-only CSV is."""
+
+    @pytest.mark.parametrize("shape", [(40, 0), (0, 3)], ids=["40x0", "0x3"])
+    @pytest.mark.parametrize("command", ["fit", "score", "pca"])
+    def test_exit_3_names_file(self, tmp_path, blob_files, capsys, command, shape):
+        fpath = tmp_path / "empty.luq"
+        write_matrix(fpath, np.zeros(shape))
+        model_path = tmp_path / "ref.luqm"
+        write_model(model_path, two_class_reference_model())
+        out = tmp_path / "out"
+        argv = {
+            "fit": ["--predictions", str(blob_files[1]), "--model", "gmm"],
+            "score": ["--model", str(model_path)],
+            "pca": ["--out-dim", "1"],
+        }[command]
+        assert run_cli(command, "--features", str(fpath), *argv, "--output", str(out)) == 3
+        err = capsys.readouterr().err
+        assert f"{fpath}: a matrix of {shape[0]} rows and {shape[1]} columns holds no data" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["gmm", "flow"])
+    def test_empty_predictions_exit_3(self, tmp_path, blob_files, capsys, model):
+        ppath = tmp_path / "empty.luq"
+        write_matrix(ppath, np.zeros((120, 0)))
+        out = tmp_path / "out"
+        assert run_cli("fit", "--features", str(blob_files[0]), "--predictions", str(ppath),
+                       "--model", model, "--output", str(out)) == 3
+        assert f"error: {ppath}: a matrix of 120 rows" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -719,6 +771,17 @@ class TestToy:
                        "--config", str(cfg))
         assert code == 3
         assert "line 1" in capsys.readouterr().err
+
+    def test_prediction_outside_the_prior_range_exit_3(self, tmp_path, capsys):
+        # at --noise 2 the regressor predicts below -10, where the toy's
+        # uniform prior, and so every confidence band, is 0
+        out = tmp_path / "noisy"
+        assert run_cli("toy", "regression", "--out", str(out), "--noise", "2",
+                       "--n-train", "60", "--eval-points", "21", "--grid", "100") == 3
+        err = capsys.readouterr().err
+        assert re.search(r"error: prediction -?[0-9.]+ at x=\S+ lies outside the output "
+                         "range -10:10", err), err
+        assert list(out.iterdir()) == []
 
     def test_unwritable_out_dir_exit_3(self, tmp_path):
         blocker = tmp_path / "blocker"

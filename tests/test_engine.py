@@ -512,7 +512,7 @@ def walked_region(post, prediction, mass):
             raise MassUnreachableError("both grid ends reached before the target mass")
         go_right = not go_right
     return ConfidenceRegion(lower=float(min(pts[left], prediction)),
-                            upper=float(max(pts[right], prediction)), mass=mass)
+                            upper=float(max(pts[right], prediction)))
 
 
 class TestConfidenceRegion:

@@ -94,6 +94,14 @@ class TestMatrixFile:
         with pytest.raises(DataFormatError, match=r"1 trailing bytes after payload \(offset 62\)"):
             reader(p)
 
+    @pytest.mark.parametrize("shape", [(40, 0), (0, 3)])
+    def test_no_rows_or_no_columns_rejected(self, tmp_path, shape):
+        p = tmp_path / "e.luq"
+        write_matrix(p, np.zeros(shape))
+        with pytest.raises(DataFormatError, match=f"{shape[0]} rows and {shape[1]} columns "
+                                                  "holds no data"):
+            read_features(p)
+
     @pytest.mark.parametrize("n, at, needed", [(4, 4, 10), (13, 4, 10), (14, 14, 48),
                                                (61, 14, 48)])
     def test_truncation_message(self, tmp_path, n, at, needed):

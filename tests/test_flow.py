@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from luq.errors import DimMismatchError
+from luq.errors import DimMismatchError, DivergedError
 from luq.flow import (
     ConditionalFlow,
     FlowArchitecture,
@@ -17,6 +17,7 @@ from luq.flow import (
     flow_nll,
     flow_train,
 )
+from luq.mlp import Adam
 
 SMALL_ARCH = FlowArchitecture(n_layers=2, hidden=(6, 5), cond_hidden=(4,), cond_feat_dim=3)
 
@@ -293,7 +294,7 @@ class TestFlowTrain:
         c = rng.normal(size=(200, 1))
         cfg = FlowTrainConfig(max_epochs=40, batch_size=64, seed=1)
         flow, log = flow_train(z, c, cfg, arch=SMALL_ARCH)
-        assert log.best_val_nll <= log.val_nll[0] + 1e-12
+        assert log.val_nll[log.best_epoch] <= log.val_nll[0] + 1e-12
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)
@@ -334,8 +335,6 @@ class TestFlowTrain:
                        arch=SMALL_ARCH)
 
     def test_non_finite_data_raises_diverged(self):
-        from luq.errors import DivergedError
-
         rng = np.random.default_rng(11)
         z = rng.normal(size=(40, 2))
         z[3, 0] = np.nan
@@ -343,6 +342,63 @@ class TestFlowTrain:
             flow_train(z, rng.normal(size=(40, 1)),
                        FlowTrainConfig(max_epochs=5, batch_size=40, seed=0),
                        arch=SMALL_ARCH)
+
+    @pytest.mark.parametrize("scale", [1e308, 1e300])
+    def test_overflowing_conditions_raise_diverged(self, scale):
+        rng = np.random.default_rng(13)
+        c = scale * np.where(np.arange(30) % 2, 1.0, -1.0)
+        with pytest.raises(DivergedError, match="overflow"):
+            flow_train(rng.normal(size=(30, 2)), c, FlowTrainConfig(max_epochs=3))
+
+
+def reference_flow_train(z, c, cfg, arch):
+    """flow_train with the early-stopping loop it had before the best epoch
+    was read off the validation log: a running best value and a count of
+    epochs since it."""
+    flow = build_flow(z.shape[1], c.shape[1], arch=arch, seed=cfg.seed)
+    rng = np.random.default_rng(cfg.seed + 1)
+    perm = rng.permutation(z.shape[0])
+    n_val = max(1, int(round(cfg.val_fraction * z.shape[0])))
+    val_idx, train_idx = perm[:n_val], perm[n_val:]
+    params = flow.params()
+    opt = Adam(params, cfg.learning_rate, cfg.weight_decay)
+    batch = min(cfg.batch_size, len(train_idx))
+    best_val, best_epoch, since_best = np.inf, -1, 0
+    for epoch in range(cfg.max_epochs):
+        order = rng.permutation(len(train_idx))
+        for start in range(0, len(order), batch):
+            sel = train_idx[order[start : start + batch]]
+            opt.step(flow_gradients(flow, z[sel], c[sel])[1])
+        va = flow_nll(flow, z[val_idx], c[val_idx])
+        if va < best_val:
+            best_val, best_epoch, since_best = va, epoch, 0
+            best_params = [p.copy() for p in params]
+        else:
+            since_best += 1
+            if since_best >= cfg.patience:
+                break
+    for p, best in zip(params, best_params):
+        p[:] = best
+    return flow, best_epoch, epoch + 1
+
+
+def test_early_stopping_matches_the_running_best_rule():
+    rng = np.random.default_rng(14)
+    stopped = []
+    for case in range(20):
+        n = int(rng.integers(20, 60))
+        z = rng.normal(size=(n, int(rng.integers(1, 4))))
+        c = rng.normal(size=(n, 1))
+        cfg = FlowTrainConfig(learning_rate=0.01, batch_size=int(rng.integers(4, 40)),
+                              max_epochs=int(rng.integers(3, 16)),
+                              patience=int(rng.integers(1, 4)), seed=case)
+        flow, log = flow_train(z, c, cfg, arch=SMALL_ARCH)
+        want, best_epoch, epochs = reference_flow_train(z, c, cfg, SMALL_ARCH)
+        assert (log.best_epoch, len(log.train_nll)) == (best_epoch, epochs)
+        for got, ref in zip(flow.params(), want.params()):
+            np.testing.assert_array_equal(got, ref)
+        stopped.append(epochs < cfg.max_epochs)
+    assert 0 < sum(stopped) < len(stopped)  # both stop rules are exercised
 
 
 class TestFlowConstruction:

@@ -423,7 +423,7 @@ class TestFitClassConditional:
 
     def test_declared_class_with_no_rows_raises(self):
         x = np.zeros((3, 1))
-        with pytest.raises(ClassTooSmallError):
+        with pytest.raises(ClassTooSmallError, match=r"^class 1 has only 0 sample\(s\)$"):
             fit_class_conditional(
                 x, np.zeros(3, dtype=int), EmOptions(n_components=1), classes=[0, 1]
             )
