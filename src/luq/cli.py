@@ -6,9 +6,9 @@ calibration metrics), ``toy`` (self-contained desk-scale experiments), and
 ``pca`` (standalone dimensionality reduction).
 
 Exit codes: 0 success, 2 usage error, 3 data error; ``main`` maps every
-failure to one of them.  The worker threads and ``LUQ_THREADS`` follow
-``luq._pool``; a bad ``LUQ_THREADS`` is a usage error, reported before
-any file is read.
+failure to one of them and prints a command's ``key=value`` results only
+on success.  The worker threads and ``LUQ_THREADS`` follow ``luq._pool``;
+a bad ``LUQ_THREADS`` is a usage error, reported before any file is read.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 
+END_MASS_LIMIT = 1e-3  # a row's posterior mass in a grid's end cell that cuts it off
+
 
 class UsageError(Exception):
     """Bad flag combination or value; maps to exit code 2."""
@@ -57,12 +59,6 @@ def _usage(prefix: str = ""):
         yield
     except ValueError as exc:
         raise UsageError(f"{prefix}{exc}") from exc
-
-
-def _emit(key, value):
-    if isinstance(value, float):
-        value = fileio.format_float(value)
-    print(f"{key}={value}")
 
 
 _PRIOR_ARITY = {"categorical": (0,), "uniform": (2,), "betaprime": (0, 2), "histogram": (0, 1)}
@@ -151,7 +147,7 @@ def _fit_options(args):
         return cfg, arch
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> dict:
     options = _fit_options(args)
     build_prior = _prior_spec(args.prior, args.model)
     x = fileio.read_features(args.features)
@@ -179,10 +175,10 @@ def cmd_fit(args) -> int:
         with _usage("--pca: "):  # the bound depends on the file read
             pca = pca_fit(x, args.pca, whiten=args.whiten)
         x = pca_transform(pca, x)
-        _emit("pca_dim", args.pca)
 
-    _emit("n_rows", x.shape[0])
-    _emit("dim", x.shape[1])
+    results = {"pca_dim": args.pca} if pca is not None else {}
+    results["n_rows"] = x.shape[0]
+    results["dim"] = x.shape[1]
 
     if args.model == "gmm":
         labels = predictions.astype(np.int64)
@@ -193,8 +189,8 @@ def cmd_fit(args) -> int:
                 f"{exc}: a covariance is singular; raise --cov-reg (now {args.cov_reg:g})"
             ) from exc
         for c in density.classes:
-            _emit(f"class_{c}_count", int(np.sum(labels == c)))
-            _emit(f"class_{c}_final_ll", density.per_class[c].em_log[-1])
+            results[f"class_{c}_count"] = int(np.sum(labels == c))
+            results[f"class_{c}_final_ll"] = density.per_class[c].em_log[-1]
         bundle = fileio.ModelBundle(prior=prior, class_gmms=density, pca=pca)
     else:
         from .flow import flow_train
@@ -206,15 +202,15 @@ def cmd_fit(args) -> int:
         except DivergedError as exc:  # the flow trains on the raw values read
             raise DivergedError(f"--predictions {args.predictions}, --features "
                                 f"{args.features}: {exc}") from exc
-        _emit("epochs_run", len(log.train_nll))
-        _emit("best_epoch", log.best_epoch)
-        _emit("best_val_nll", log.val_nll[log.best_epoch])
-        _emit("final_train_nll", float(log.train_nll[-1]))
+        results["epochs_run"] = len(log.train_nll)
+        results["best_epoch"] = log.best_epoch
+        results["best_val_nll"] = log.val_nll[log.best_epoch]
+        results["final_train_nll"] = float(log.train_nll[-1])
         bundle = fileio.ModelBundle(prior=prior, flow=flow, pca=pca)
 
     fileio.write_model(args.output, bundle)
-    _emit("model_file", args.output)
-    return EXIT_OK
+    results["model_file"] = args.output
+    return results
 
 
 # --- score -----------------------------------------------------------------
@@ -230,7 +226,7 @@ def _grid_range(bundle: fileio.ModelBundle, args) -> tuple[float, float]:
     raise UsageError("the prior has unbounded support; pass --grid-range LO:HI")
 
 
-def cmd_score(args) -> int:
+def cmd_score(args) -> dict:
     from .engine import SupportGrid, prior_on_grid, score_classification, score_regression
 
     _require(args.grid >= 2, "--grid", "at least 2", args.grid)
@@ -250,14 +246,20 @@ def cmd_score(args) -> int:
         with _usage("--grid-range: "):  # the one scoring error the option causes
             prior_on_grid(bundle.prior, grid)
         scores = score_regression(bundle.flow, bundle.prior, grid, x)
+        cut = np.sum(scores.end_mass > END_MASS_LIMIT, axis=0)
+        ends = [f"{side} end {end:g} ({k} rows)" for side, end, k
+                in zip(("lower", "upper"), (grid.lo, grid.hi), cut) if k]
+        if ends:
+            raise UsageError(f"--grid-range: the grid cuts the posterior off at its "
+                             f"{' and its '.join(ends)}: more than {END_MASS_LIMIT:g} of it lies "
+                             "in the end cell, inside the prior's support; widen the range")
     unscored = ~np.isfinite(scores.epistemic)
     if unscored.any():
         raise fileio.DataFormatError(f"{args.features}: data row {np.argmax(unscored) + 1} has "
                                      f"density 0 under the model ({unscored.sum()} such rows)")
     fileio.write_scores_csv(args.output, scores.epistemic, scores.aleatoric)
-    _emit("rows_scored", x.shape[0])
-    _emit("scores_file", args.output)
-    return EXIT_OK
+    return {"rows_scored": x.shape[0],
+            "scores_file": args.output}
 
 
 # --- eval ------------------------------------------------------------------
@@ -308,7 +310,7 @@ def _eval_columns(path, names: list[str], binary: str | None = None) -> dict:
     return cols
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> dict:
     from .metrics import calibration_curve, rmse_below_uncertainty
 
     _require(0.01 <= args.percentile_step <= 100.0, "--percentile-step", "in [0.01, 100]",
@@ -319,22 +321,19 @@ def cmd_eval(args) -> int:
             thresholds = np.array([float(t) for t in args.thresholds.split(",")])
         _require(np.isfinite(thresholds).all(), "--thresholds", "finite numbers",
                  args.thresholds)
+    results = {"plot_file": args.plot} if args.plot else {}
     if args.mode == "ood":
         if args.plot:
             raise UsageError("--plot applies to calibration and rmse modes")
         cols = _eval_columns(args.input, ["score", "label"], binary="label")
-        values = _write_ood_metrics(args.output, cols["score"], cols["label"].astype(int))
-        for k, v in values.items():
-            _emit(k, v)
+        results |= _write_ood_metrics(args.output, cols["score"], cols["label"].astype(int))
     elif args.mode == "calibration":
         cols = _eval_columns(args.input, ["uncertainty", "correct"], binary="correct")
         curve = calibration_curve(cols["uncertainty"], cols["correct"],
                                   percentile_step=args.percentile_step)
         _write_curve(args.output, args.plot, "percentile", curve.percentiles, "accuracy",
                      curve.accuracies, "calibration", "uncertainty percentile")
-        if args.plot:
-            _emit("plot_file", args.plot)
-        _emit("final_accuracy", float(curve.accuracies[-1]))
+        results["final_accuracy"] = float(curve.accuracies[-1])
     else:  # rmse
         cols = _eval_columns(args.input, ["error", "uncertainty"])
         if thresholds is None:
@@ -342,10 +341,8 @@ def cmd_eval(args) -> int:
         values = rmse_below_uncertainty(cols["error"], cols["uncertainty"], thresholds)
         _write_curve(args.output, args.plot, "threshold", thresholds, "rmse", values,
                      "error below uncertainty", "uncertainty threshold")
-        if args.plot:
-            _emit("plot_file", args.plot)
-    _emit("metrics_file", args.output)
-    return EXIT_OK
+    results["metrics_file"] = args.output
+    return results
 
 
 # --- toy -------------------------------------------------------------------
@@ -371,7 +368,7 @@ def _toy_spec(args):
         return spec, None
 
 
-def _toy_regression(args, spec, out) -> int:
+def _toy_regression(args, spec, out) -> dict:
     from .toy import run_regression_study
 
     study = run_regression_study(
@@ -414,17 +411,17 @@ def _toy_regression(args, spec, out) -> int:
         svg_line_plot(out / "epistemic.svg", study.eval_x,
                       [("epistemic", study.scores.epistemic)],
                       title="epistemic uncertainty", x_label="x", y_label="nats")
-        _emit("plots", str(out / "prediction_band.svg"))
+    results = {"plots": str(out / "prediction_band.svg")} if args.plot else {}
     gap = study.gap_mask()
     train_region = study.train_region_mask()
-    _emit("mlp_epochs", len(study.mlp_losses))
-    _emit("flow_best_epoch", study.flow_log.best_epoch)
-    _emit("epistemic_gap_mean", float(study.scores.epistemic[gap].mean()))
-    _emit("epistemic_train_mean", float(study.scores.epistemic[train_region].mean()))
-    return EXIT_OK
+    results["mlp_epochs"] = len(study.mlp_losses)
+    results["flow_best_epoch"] = study.flow_log.best_epoch
+    results["epistemic_gap_mean"] = float(study.scores.epistemic[gap].mean())
+    results["epistemic_train_mean"] = float(study.scores.epistemic[train_region].mean())
+    return results
 
 
-def _toy_classification(args, spec, em_opts, out) -> int:
+def _toy_classification(args, spec, em_opts, out) -> dict:
     from .metrics import calibration_curve
     from .toy import gen_ood_data, run_classification_study
 
@@ -451,15 +448,14 @@ def _toy_classification(args, spec, em_opts, out) -> int:
     plot = out / "calibration.svg" if args.plot else None
     _write_curve(out / "calibration.csv", plot, "percentile", curve.percentiles, "accuracy",
                  curve.accuracies, "calibration", "aleatoric percentile")
-    if plot:
-        _emit("plots", str(plot))
+    results = {"plots": str(plot)} if plot else {}
     for k, v in values.items():
-        _emit(f"ood_{k}", v)
-    _emit("test_accuracy", float(correct.mean()))
-    return EXIT_OK
+        results[f"ood_{k}"] = v
+    results["test_accuracy"] = float(correct.mean())
+    return results
 
 
-def cmd_toy(args) -> int:
+def cmd_toy(args) -> dict:
     from pathlib import Path
 
     spec, em_opts = _toy_spec(args)
@@ -476,20 +472,18 @@ def cmd_toy(args) -> int:
 # --- pca -------------------------------------------------------------------
 
 
-def cmd_pca(args) -> int:
+def cmd_pca(args) -> dict:
     _require(args.out_dim >= 1, "--out-dim", "at least 1", args.out_dim)
     x = fileio.read_features(args.features)
     with _usage("--out-dim: "):  # the bound depends on the file read
         model = pca_fit(x, args.out_dim, whiten=args.whiten)
     transformed = pca_transform(model, x)
     fileio.write_matrix(args.output, transformed)
-    total = float(np.sum(model.eigenvalues))
-    _emit("input_dim", model.input_dim)
-    _emit("out_dim", model.out_dim)
-    _emit("eigenvalue_sum", total)
-    _emit("top_eigenvalue", float(model.eigenvalues[0]))
-    _emit("output_file", args.output)
-    return EXIT_OK
+    return {"input_dim": model.input_dim,
+            "out_dim": model.out_dim,
+            "eigenvalue_sum": float(np.sum(model.eigenvalues)),
+            "top_eigenvalue": float(model.eigenvalues[0]),
+            "output_file": args.output}
 
 
 # --- parser ----------------------------------------------------------------
@@ -628,7 +622,7 @@ def main(argv=None) -> int:
         with _usage():
             thread_cap()
         args = parser.parse_args(_merge_config(argv, parser))
-        return args.func(args)
+        results = args.func(args)
     except SystemExit as exc:  # argparse has printed its message or the help
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except UsageError as exc:
@@ -637,6 +631,11 @@ def main(argv=None) -> int:
     except (LuqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    for key, value in results.items():  # a command that fails prints no result
+        if isinstance(value, float):
+            value = fileio.format_float(value)
+        print(f"{key}={value}")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -12,6 +12,13 @@ for scalar outputs.  A ``SupportGrid`` is its range and point count
 conditions the flow on the support grid once per call
 (``flow.flow_condition``) and runs each latent row against that shared
 conditioning.  All sums of densities run in log space with a max shift.
+
+A grid end that lies strictly inside the prior's support can cut the
+posterior off: the renormalized posterior then piles up against that end
+and reads as falsely certain.  ``score_regression`` reports, per row, the
+posterior mass in the end cell at each such end (the end point's
+trapezoid weight times its density) and leaves what to do about it to the
+caller.
 """
 
 from __future__ import annotations
@@ -74,11 +81,15 @@ class ConfidenceRegion:
 @dataclass(frozen=True)
 class UncertaintyScores:
     """Per-sample (epistemic nats, aleatoric nats) plus the posterior the
-    aleatoric entropy was computed from."""
+    aleatoric entropy was computed from.  Regression scores also carry
+    ``end_mass``, (n, 2): the posterior mass in the cell at the lower and at
+    the upper grid end, 0 at an end where the prior has no density just
+    beyond the grid."""
 
     epistemic: np.ndarray
     aleatoric: np.ndarray
     posterior: np.ndarray | None = None
+    end_mass: np.ndarray | None = None
 
     def __post_init__(self):
         if len(self.epistemic) != len(self.aleatoric):
@@ -165,7 +176,10 @@ def score_regression(flow: ConditionalFlow, prior: OutputPrior, grid: SupportGri
     The flow is conditioned on the grid once; each row is then scored
     against the whole grid with one flow call.  Pass ``keep_posteriors``
     to retain the (n, grid) posterior densities.  A grid on which the prior
-    density is zero everywhere is a ValueError (``prior_on_grid``).
+    density is zero everywhere is a ValueError (``prior_on_grid``).  Each
+    row's ``end_mass`` counts a grid end only where the prior's density one
+    float step beyond it is positive, so a grid that ends at the edge of a
+    bounded prior reports 0 there.
     """
     from .flow import flow_condition, flow_log_prob
 
@@ -174,14 +188,17 @@ def score_regression(flow: ConditionalFlow, prior: OutputPrior, grid: SupportGri
     log_prior_grid = prior_on_grid(prior, grid)
     cond = flow_condition(flow, grid.points[:, None])
     w = grid.trapezoid_weights()
-    epi, ale = np.empty(n), np.empty(n)
+    beyond = prior.log_pdf(np.nextafter([grid.lo, grid.hi], [-np.inf, np.inf]))
+    end_w = np.where(beyond > -np.inf, w[[0, -1]], 0.0)  # the end cells that cut the prior
+    epi, ale, end_mass = np.empty(n), np.empty(n), np.empty((n, 2))
     post = np.empty((n, grid.n)) if keep_posteriors else None
     for i in range(n):
         log_joint = flow_log_prob(flow, z[i:i + 1], cond) + log_prior_grid
         epi[i:i + 1], ale[i:i + 1], q = _posterior_scores(log_joint[None, :], w)
+        end_mass[i] = end_w * q[0, [0, -1]]
         if post is not None:
             post[i] = q[0]
-    return UncertaintyScores(epistemic=epi, aleatoric=ale, posterior=post)
+    return UncertaintyScores(epistemic=epi, aleatoric=ale, posterior=post, end_mass=end_mass)
 
 
 def epistemic_regression(flow: ConditionalFlow, prior: OutputPrior, grid: SupportGrid,

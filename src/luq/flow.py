@@ -9,11 +9,13 @@ hand-rolled reverse mode, no autodiff framework involved.
 The conditioning half of every layer (the condition net's feature and its
 lift into the first hidden pre-activation of both subnets) depends on the
 condition alone.  ``flow_condition`` computes it once for a batch of
-conditions; the result stands in for ``c`` in ``flow_log_prob``,
-``flow_forward`` and ``flow_inverse``, and a single row of ``z`` is then
-run against every condition row.  Regression scoring conditions on the
-support grid this way once per score call and reuses it for every latent
-row.
+conditions.  The ``c`` of ``flow_log_prob``, ``flow_forward``,
+``flow_inverse`` and ``flow_gradients`` takes two forms: such a
+``FlowCondition``, or condition values that reshape to rows of
+``cond_dim`` values.  ``z`` holds one row per condition, or one row that
+is run against every condition (``flow_gradients`` needs one per
+condition).  Regression scoring conditions on the support grid once per
+score call and reuses it for every latent row.
 
 ``ConditionalFlow``'s constructor checks the partition and the net shapes
 of every layer, whether built by ``build_flow`` or read from a model file.
@@ -304,10 +306,9 @@ def flow_condition(flow: ConditionalFlow, c) -> FlowCondition:
 def _as_batch(flow, z, c):
     """(rows of z, their FlowCondition, whether z was one vector).
 
-    ``c`` is either a FlowCondition of this flow, whose rows a single row
-    of z is run against, or condition values that broadcast to one
-    condition per row (a scalar, one condition for every row, or one per
-    row); when cond_dim is 1, a 1-D ``c`` holds one scalar per row.
+    ``c`` is a FlowCondition of this flow, or condition values that reshape
+    to rows of ``cond_dim`` values.  ``z`` holds one row per condition, or
+    one row that is run against every condition.
     """
     z = np.asarray(z, dtype=np.float64)
     single = z.ndim == 1
@@ -315,21 +316,17 @@ def _as_batch(flow, z, c):
         z = z[None, :]
     if z.ndim != 2 or z.shape[1] != flow.dim:
         raise DimMismatchError(f"expected vectors of length {flow.dim}, got {z.shape}")
-    if isinstance(c, FlowCondition):
-        if c.flow is not flow:
-            raise ValueError("the conditioning was computed for another flow")
-        if z.shape[0] not in (1, c.rows):
-            raise DimMismatchError(f"{z.shape[0]} rows against {c.rows} conditions")
-        return z, c, single and c.rows == 1
-    c = np.asarray(c, dtype=np.float64)
-    shape = (z.shape[0], flow.cond_dim)
-    if flow.cond_dim == 1 and c.ndim == 1 and not single:
-        c = c[:, None]  # a column of scalars, one per row
-    try:
-        c = np.broadcast_to(c, shape)
-    except ValueError:
-        raise DimMismatchError(f"condition shape {c.shape}, expected {shape}") from None
-    return z, flow_condition(flow, c), single
+    if not isinstance(c, FlowCondition):
+        c = np.asarray(c, dtype=np.float64)
+        if c.size == 0 or c.size % flow.cond_dim:
+            raise DimMismatchError(f"condition shape {c.shape} is not rows of "
+                                   f"{flow.cond_dim} values")
+        c = flow_condition(flow, c.reshape(-1, flow.cond_dim))
+    elif c.flow is not flow:
+        raise ValueError("the conditioning was computed for another flow")
+    if z.shape[0] not in (1, c.rows):
+        raise DimMismatchError(f"{z.shape[0]} rows against {c.rows} conditions")
+    return z, c, single and c.rows == 1
 
 
 def _forward_layers(flow: ConditionalFlow, z, cond: FlowCondition, caches=None):

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import re
@@ -219,10 +220,11 @@ class TestFit:
                        "--model", "gmm", "--components", "2", "--cov-reg", "0",
                        "--covariance", covariance, "--output", str(model_path))
         assert code == 3
-        err = capsys.readouterr().err
-        assert "not positive definite" in err
-        assert re.search(r"error: class \d+: ", err)  # the class whose fit failed
-        assert "raise --cov-reg (now 0)" in err
+        captured = capsys.readouterr()
+        assert "not positive definite" in captured.err
+        assert re.search(r"error: class \d+: ", captured.err)  # the class whose fit failed
+        assert "raise --cov-reg (now 0)" in captured.err
+        assert captured.out == ""
         assert not model_path.exists()
 
     def test_flow_on_too_few_rows_exit_3(self, tmp_path, capsys):
@@ -263,9 +265,10 @@ class TestFit:
         assert run_cli("fit", "--features", str(fpath), "--predictions", str(ppath),
                        "--model", "flow", "--val-fraction", fraction,
                        "--output", str(model_path)) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage error: --val-fraction: ")
-        assert f"of {rows} rows leaves no training rows" in err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: --val-fraction: ")
+        assert f"of {rows} rows leaves no training rows" in captured.err
+        assert captured.out == ""  # the files were read before the split failed
         assert not model_path.exists()
 
     def test_histogram_over_overflowing_range_exit_3(self, tmp_path, capsys):
@@ -298,10 +301,22 @@ class TestFit:
         assert run_cli("fit", "--features", str(fpath), "--predictions", str(ppath),
                        "--model", "flow", "--max-epochs", "3", *prior,
                        "--output", str(model_path)) == 3
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: --predictions {ppath}, --features {fpath}: ")
-        assert "overflow" in err
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: --predictions {ppath}, --features {fpath}: ")
+        assert "overflow" in captured.err
+        assert captured.out == ""
         assert not model_path.exists()
+
+    def test_unwritable_output_exit_3(self, tmp_path, blob_files, capsys):
+        # the fit has run when the model write fails
+        fpath, ppath = blob_files
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        assert run_cli("fit", "--features", str(fpath), "--predictions", str(ppath),
+                       "--model", "gmm", "--output", str(blocker / "m.luqm")) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(blocker) in captured.err
+        assert captured.out == ""
 
     def test_pca_above_feature_count_exit_2(self, tmp_path, blob_files, capsys):
         # the bound depends on the file: the blob features have 2 columns
@@ -313,6 +328,20 @@ class TestFit:
         err = capsys.readouterr().err
         assert "usage error: --pca" in err and "min(rows, cols)=2" in err
         assert not model_path.exists()
+
+
+def test_only_main_writes_to_stdout():
+    """``main`` prints a command's results after it returns, so a command
+    that fails leaves stdout empty; no other function of cli.py prints."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    in_main = {id(node) for node in ast.walk(main)}
+    writers = [node.lineno for node in ast.walk(tree) if id(node) not in in_main and (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "print"
+        or isinstance(node, ast.Attribute) and node.attr == "stdout")]
+    assert writers == [], f"cli.py writes to stdout outside main at lines {writers}"
 
 
 class TestOptionValues:
@@ -576,8 +605,9 @@ class TestScore:
         out = tmp_path / "s.csv"
         assert run_cli("score", "--model", str(model_path), "--features", str(fpath),
                        "--output", str(out)) == 2
+        # the posterior is the prior: 1:80 holds it, where 3:80 cuts it off
         assert run_cli("score", "--model", str(model_path), "--features", str(fpath),
-                       "--output", str(out), "--grid-range", "3:80",
+                       "--output", str(out), "--grid-range", "1:80",
                        "--grid", "155") == 0
         cols = read_csv_columns(out, ["epistemic_nats"])
         assert len(cols["epistemic_nats"]) == 2
@@ -605,10 +635,48 @@ class TestScore:
                        "--output", str(out), "--grid-range=-1e308:1e308") == 2
         assert "--grid-range: need finite LO < HI with a finite HI - LO" in capsys.readouterr().err
         assert not out.exists()
-        # a grid that overlaps the support scores
+        # a grid that overlaps the support scores (one whose end lies inside
+        # the support cuts this flat posterior off: see the next test)
         assert run_cli("score", "--model", str(model_path), "--features", str(fpath),
-                       "--output", str(out), "--grid-range", "5:30",
+                       "--output", str(out), "--grid-range=-10:30",
                        "--grid", "50") == 0
+
+    @staticmethod
+    def flat_posterior_model(tmp_path):
+        # the untrained flow ignores its condition, so each row's posterior
+        # is the uniform prior on -10:10, cut by any grid end inside it
+        from luq.flow import build_flow
+
+        model_path = tmp_path / "u.luqm"
+        write_model(model_path, ModelBundle(prior=UniformPrior(-10.0, 10.0),
+                                            flow=build_flow(1, 1, seed=0)))
+        fpath = tmp_path / "z.luq"
+        write_matrix(fpath, np.zeros((2, 1)))
+        return model_path, fpath
+
+    @pytest.mark.parametrize("grid_range, ends", [
+        ("5:30", "lower end 5 (2 rows)"),
+        ("-20:5", "upper end 5 (2 rows)"),
+        ("-3:3", "lower end -3 (2 rows) and its upper end 3 (2 rows)"),
+    ])
+    def test_grid_that_cuts_the_posterior_exit_2(self, tmp_path, capsys, grid_range, ends):
+        model_path, fpath = self.flat_posterior_model(tmp_path)
+        out = tmp_path / "s.csv"
+        assert run_cli("score", "--model", str(model_path), "--features", str(fpath),
+                       "--output", str(out), f"--grid-range={grid_range}", "--grid", "50") == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"usage error: --grid-range: the grid cuts the posterior off at its {ends}: ")
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid_range", ["-10:10", "-20:20"])
+    def test_grid_that_ends_at_the_support_edge_scores(self, tmp_path, capsys, grid_range):
+        model_path, fpath = self.flat_posterior_model(tmp_path)
+        out = tmp_path / "s.csv"
+        assert run_cli("score", "--model", str(model_path), "--features", str(fpath),
+                       "--output", str(out), f"--grid-range={grid_range}", "--grid", "50") == 0
+        assert capsys.readouterr().out == f"rows_scored=2\nscores_file={out}\n"
 
     def test_stored_pca_applied(self, tmp_path, blob_files):
         fpath, ppath = blob_files
@@ -1184,6 +1252,7 @@ class TestFailureTable:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and str(named) in proc.stderr
         assert text in proc.stderr
+        assert proc.stdout == ""
         assert not out.exists()
 
     def test_grid_outside_the_prior_stays_a_usage_error(self, tmp_path):

@@ -29,7 +29,7 @@ from luq.flow import FlowArchitecture, build_flow, flow_log_prob
 from luq.gmm import ClassConditionalGmm, GaussianComponent, Gmm, gmm_log_prob
 from luq.linalg import cholesky
 from luq.metrics import discrete_entropy
-from luq.priors import CategoricalPrior, HistogramPrior, UniformPrior
+from luq.priors import BetaPrimePrior, CategoricalPrior, HistogramPrior, UniformPrior
 
 from helpers import (
     condition_free_flow,
@@ -318,6 +318,40 @@ class TestRegressionScores:
         # one grid point inside the support is enough
         grid = SupportGrid.from_range(10.0, 30.0, 50)
         assert np.all(np.isfinite(score_regression(flow, prior, grid, np.zeros((2, 1))).epistemic))
+
+
+class TestEndMass:
+    """``end_mass`` is the posterior mass in each end cell of the grid,
+    counted only at an end inside the prior's support."""
+
+    FLOW = gaussian_conditional_flow(math.log(2.0))  # posterior N(z, 1/4) under a flat prior
+    Z = np.array([[0.0], [2.9], [-9.9]])
+
+    @pytest.mark.parametrize("prior, lo, hi, counted", [
+        (UniformPrior(-10.0, 10.0), -3.0, 3.0, (True, True)),
+        (UniformPrior(-10.0, 10.0), -10.0, 3.0, (False, True)),
+        (UniformPrior(-10.0, 10.0), -10.0, 10.0, (False, False)),
+        (UniformPrior(-3.0, 2.0), -5.0, 5.0, (False, False)),
+        (HistogramPrior(edges=np.array([-2.0, 0.0, 3.0]), log_densities=np.log([0.2, 0.2])),
+         -2.0, 2.9, (False, True)),
+        (BetaPrimePrior(2.0, 3.0), 0.01, 9.0, (True, True)),
+    ])
+    def test_end_cells_inside_the_support(self, prior, lo, hi, counted):
+        grid = SupportGrid.from_range(lo, hi, 300)
+        s = score_regression(self.FLOW, prior, grid, self.Z, keep_posteriors=True)
+        want = grid.trapezoid_weights()[[0, -1]] * s.posterior[:, [0, -1]] * counted
+        np.testing.assert_array_equal(s.end_mass, want)
+
+    def test_cut_posterior_piles_on_the_end(self):
+        # the posterior of z = 2.9 has its mean 0.1 inside the upper end, so
+        # the grid cuts it; where the prior itself ends at 3, nothing is cut
+        cut = score_regression(self.FLOW, UniformPrior(-10.0, 10.0),
+                               SupportGrid.from_range(-3.0, 3.0, 300), self.Z)
+        assert cut.end_mass[1, 1] > 1e-2 and cut.end_mass[0].max() < 1e-9
+        whole = score_regression(self.FLOW, UniformPrior(-10.0, 3.0),
+                                 SupportGrid.from_range(-3.0, 3.0, 300), self.Z)
+        assert whole.end_mass[1, 1] == 0.0
+        np.testing.assert_array_equal(whole.end_mass[:, 0], cut.end_mass[:, 0])
 
 
 def random_flow(dim, n_layers, seed):

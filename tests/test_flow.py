@@ -105,6 +105,7 @@ class TestFlowCondition:
         np.testing.assert_allclose(flow_log_prob(flow, row[None, :], cond), want,
                                    rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(flow_log_prob(flow, row, cond), want, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(flow_log_prob(flow, row, c), want, rtol=1e-13, atol=0.0)
         u, _ = flow_forward(flow, row[None, :], cond)
         back, _ = flow_inverse(flow, u, cond)
         assert np.abs(back - tiled).max() < 1e-9
@@ -120,6 +121,13 @@ class TestFlowCondition:
             flow_condition(flow, np.zeros((4, 2)))
         with pytest.raises(ValueError, match="another flow"):
             flow_log_prob(build_flow(3, 1, SMALL_ARCH, seed=0), np.zeros((4, 3)), cond)
+        # raw conditions take the same rules
+        with pytest.raises(DimMismatchError):
+            flow_gradients(flow, np.zeros((1, 3)), np.zeros((4, 1)))
+        with pytest.raises(DimMismatchError):
+            flow_log_prob(build_flow(3, 2, SMALL_ARCH, seed=0), np.zeros(3), np.zeros(3))
+        with pytest.raises(DimMismatchError):
+            flow_log_prob(flow, np.zeros((4, 3)), np.zeros(1))
 
 
 class TestFlowInvertibility:
