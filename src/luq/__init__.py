@@ -10,13 +10,19 @@ The public names below are served from their submodules, and a submodule
 loads on first use (PEP 562): ``import luq`` loads none of them, and each
 ``luq`` command imports only the modules it runs.
 
-Independent fits run concurrently on worker threads, which ``luq._pool``
-sizes; ``LUQ_THREADS`` caps them and the BLAS pools.  The cap is copied
-into the pools' variables here, before numpy first loads them.
+Independent fits and the blocks of GMM scoring run concurrently on worker
+threads, which ``luq._pool`` sizes; ``LUQ_THREADS`` caps them and the BLAS
+pools.  The cap is copied into the pools' variables here, before numpy
+first loads them.  With neither ``LUQ_THREADS`` nor a pool variable set,
+and numpy not yet loaded, as in the ``luq`` command, the pools get one
+thread, so the default outputs do not depend on how many CPUs the machine
+has, and the CPUs go to luq's workers.  A pool variable that is already
+set wins.
 """
 
 import importlib
 import os
+import sys
 
 from ._pool import POOL_VARS, thread_cap
 
@@ -26,6 +32,11 @@ def _apply_thread_cap():
         cap = thread_cap()
     except ValueError:
         return
+    # once numpy is loaded its BLAS pool is sized, and a variable set now
+    # would only misstate it to ``_pool.worker_count``
+    if cap is None and "numpy" not in sys.modules and not any(
+            os.environ.get(var) for var in POOL_VARS):
+        cap = 1
     if cap:
         for var in POOL_VARS:
             os.environ.setdefault(var, str(cap))

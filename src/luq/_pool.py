@@ -1,9 +1,11 @@
-"""Worker threads for fits that do not depend on each other.
+"""Worker threads for work that splits into independent tasks: the fits
+that do not depend on each other, and the (class, row block) tasks of GMM
+scoring.
 
 ``LUQ_THREADS`` is parsed here and only here: ``luq/__init__.py`` copies it
 into the BLAS pool variables, the CLI turns a bad value into a usage error,
-and ``worker_count`` caps the fit threads with it.  This module imports no numpy,
-so the package can read the cap before numpy starts its BLAS pool.
+and ``worker_count`` caps the worker threads with it.  This module imports
+no numpy, so the package can read the cap before numpy starts its BLAS pool.
 """
 
 from __future__ import annotations
@@ -42,14 +44,14 @@ def _blas_threads(cpus: int) -> int:
 
 
 def worker_count(tasks: int) -> int:
-    """Threads for ``tasks`` independent fits: min(tasks, usable CPUs // BLAS
-    threads, ``LUQ_THREADS``), at least one.
+    """Threads for ``tasks`` independent tasks, fits or score blocks:
+    min(tasks, usable CPUs // BLAS threads, ``LUQ_THREADS``), at least one.
 
-    Fits spend much of their time in BLAS, and a BLAS library that already
-    runs a thread per CPU serializes concurrent calls (OpenBLAS holds one
-    lock over each threaded matrix product): on a 2-vCPU machine with
-    OpenBLAS on both CPUs, a second thread made the fits up to 1.8x slower,
-    so such a BLAS gets one.
+    The tasks spend much of their time in BLAS, and a BLAS library that
+    already runs a thread per CPU serializes concurrent calls (OpenBLAS
+    holds one lock over each threaded matrix product): on a 2-vCPU machine
+    with OpenBLAS on both CPUs, a second thread made the fits up to 1.8x
+    slower, so such a BLAS gets one.
     """
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
@@ -65,7 +67,7 @@ def worker_pool(tasks: int):
     block ends.  One worker runs the same code path, one task at a time.
     """
     # imported here: concurrent.futures costs ``import luq`` about 10 ms,
-    # and commands that fit nothing never need it
+    # and commands that neither fit nor score GMMs never need it
     from concurrent.futures import ThreadPoolExecutor
 
-    return ThreadPoolExecutor(max_workers=worker_count(tasks), thread_name_prefix="luq-fit")
+    return ThreadPoolExecutor(max_workers=worker_count(tasks), thread_name_prefix="luq-worker")

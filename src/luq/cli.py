@@ -252,7 +252,8 @@ def cmd_score(args) -> dict:
         if ends:
             raise UsageError(f"--grid-range: the grid cuts the posterior off at its "
                              f"{' and its '.join(ends)}: more than {END_MASS_LIMIT:g} of it lies "
-                             "in the end cell, inside the prior's support; widen the range")
+                             "in the end cell, half a grid spacing wide, inside the prior's "
+                             "support; widen the range or pass a finer --grid")
     unscored = ~np.isfinite(scores.epistemic)
     if unscored.any():
         raise fileio.DataFormatError(f"{args.features}: data row {np.argmax(unscored) + 1} has "

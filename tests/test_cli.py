@@ -151,6 +151,17 @@ class TestFit:
                             "3", "--seed", "2", "--output", str(models[-1])],
                            env=env, check=True, capture_output=True)
         assert models[0].read_bytes() == models[1].read_bytes()
+        # scored in two blocks of rows per class, on one worker and on two
+        zpath = tmp_path / "z.luq"
+        write_matrix(zpath, rng.normal(scale=3.0, size=(9000, 3)))
+        scores = []
+        for cap in ("1", "2"):
+            env["LUQ_THREADS"] = cap
+            scores.append(tmp_path / f"s{cap}.csv")
+            subprocess.run([sys.executable, "-m", "luq", "score", "--model", str(models[0]),
+                            "--features", str(zpath), "--output", str(scores[-1])],
+                           env=env, check=True, capture_output=True)
+        assert scores[0].read_bytes() == scores[1].read_bytes()
 
     @pytest.mark.parametrize("model, flag, value", [
         ("gmm", "--components", "0"),
@@ -667,8 +678,38 @@ class TestScore:
         captured = capsys.readouterr()
         assert captured.err.startswith(
             f"usage error: --grid-range: the grid cuts the posterior off at its {ends}: ")
+        assert captured.err.endswith("; widen the range or pass a finer --grid\n")
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("grid_range, grid, code", [
+        ("0.001:50", "20", 2),
+        ("0.0001:50", "20", 2),  # the wider range alone does not help
+        ("0.001:50", "10000", 0),
+    ])
+    def test_grid_too_coarse_at_its_end_names_grid(self, tmp_path, capsys, grid_range, grid,
+                                                   code):
+        # the posterior is the beta-prime prior, whose density falls from
+        # 0.2 at 0.001 to 0.03 at 2.6: a grid spacing of 2.6 puts most of it
+        # in the end cell, though the prior holds 1.4e-4 below 0.001
+        from luq.flow import build_flow
+
+        model_path = tmp_path / "b.luqm"
+        write_model(model_path, ModelBundle(prior=BetaPrimePrior(1.5, 3.0),
+                                            flow=build_flow(1, 1, seed=0)))
+        fpath = tmp_path / "z.luq"
+        write_matrix(fpath, np.zeros((2, 1)))
+        out = tmp_path / "s.csv"
+        assert run_cli("score", "--model", str(model_path), "--features", str(fpath),
+                       "--output", str(out), "--grid-range", grid_range, "--grid", grid) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err.startswith("usage error: --grid-range: the grid cuts the posterior off "
+                                  f"at its lower end {grid_range.split(':')[0]} (2 rows): ")
+            assert "pass a finer --grid" in err
+            assert not out.exists()
+        else:
+            assert out.exists()
 
     @pytest.mark.parametrize("grid_range", ["-10:10", "-20:20"])
     def test_grid_that_ends_at_the_support_edge_scores(self, tmp_path, capsys, grid_range):

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from luq import engine
 from luq.engine import (
+    BLOCK,
     ConfidenceRegion,
     RegressionPosterior,
     SupportGrid,
@@ -21,6 +23,7 @@ from luq.engine import (
     score_regression,
 )
 from luq.errors import (
+    DimMismatchError,
     GridTooCoarseWarning,
     MassUnreachableError,
     MissingClassDensityError,
@@ -487,6 +490,58 @@ class TestZeroDensityRows:
         z = np.array([[np.nan, 0.0, 0.0], [1.7e308, 1.7e308, 1.7e308]])
         lp = flow_log_prob(REG_FLOW, z, np.zeros((2, 1)))
         assert np.isnan(lp[0]) and lp[1] == -np.inf
+
+
+def one_pass_scores(z):
+    """The classification scores from one kernel pass per class over the
+    whole batch, as ``score_classification`` computed them before it split
+    the rows into blocks."""
+    log_joint = np.stack([gmm_log_prob(CLASS_DENSITY.per_class[c], z) + CLASS_PRIOR.log_probs[i]
+                          for i, c in enumerate(CLASS_PRIOR.classes)], axis=1)
+    return _posterior_scores(log_joint)
+
+
+class TestScoringWorkers:
+    """``score_classification`` fills its log-joint in (class, row block)
+    tasks on the worker pool: its scores are the same bits on any number of
+    workers, and the same as one kernel pass per class over the batch."""
+
+    @pytest.mark.parametrize("n, far", [
+        (1, None), (BLOCK - 1, None), (BLOCK, None), (BLOCK + 1, None),
+        (2 * BLOCK + BLOCK // 2, None), (3 * BLOCK + 7, None),
+        (1, 0), (2 * BLOCK + 5, BLOCK),  # a row whose p(z) underflows to 0
+    ])
+    def test_same_bits_on_any_worker_count(self, workers, n, far):
+        z = np.random.default_rng(n).normal(scale=2.0, size=(n, 3))
+        if far is not None:
+            z[far] = 1e200
+        want = one_pass_scores(z)
+        for count in (1, 2, 3):
+            workers(count)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = score_classification(CLASS_DENSITY, CLASS_PRIOR, z)
+            for field, ref in zip(("epistemic", "aleatoric", "posterior"), want):
+                np.testing.assert_array_equal(getattr(got, field), ref)  # NaN matches NaN
+            if far is not None:
+                assert got.epistemic[far] == np.inf and np.isnan(got.aleatoric[far])
+                assert np.isnan(got.posterior[far]).all()
+
+    @pytest.mark.parametrize("prior, z, error", [
+        (CLASS_PRIOR, np.zeros((4, 4)), DimMismatchError),
+        (CategoricalPrior(classes=(0, 1, 2, 3), log_probs=np.log([0.1, 0.2, 0.3, 0.4])),
+         np.zeros((4, 3)), MissingClassDensityError),
+    ])
+    def test_bad_input_raises_before_any_task(self, workers, monkeypatch, prior, z, error):
+        workers(2)
+
+        def no_pool(tasks):
+            raise AssertionError("a scoring task was submitted")
+
+        monkeypatch.setattr(engine, "worker_pool", no_pool)
+        with pytest.raises(error) as info:
+            score_classification(CLASS_DENSITY, prior, z)
+        assert info.type is error
 
 
 class TestFarLatentPosterior:

@@ -485,7 +485,7 @@ class TestFitClassConditionalWorkers:
         monkeypatch.setattr(gmm, "em_fit", em_fit_together)
         fit_class_conditional(x, labels, EmOptions(n_components=1, seed=0))
         assert len(set(threads)) == 3
-        assert all(name.startswith("luq-fit") for name in threads)
+        assert all(name.startswith("luq-worker") for name in threads)
 
     def test_lowest_failing_class_is_raised(self, workers, monkeypatch):
         rng = np.random.default_rng(13)

@@ -1,7 +1,8 @@
 """No module of the package imports a name it never uses, or defines a
 module-level private name that it never reads.  ``import luq`` loads no
 submodule, and serves each public name from its defining module on first
-use; the GMM commands load only the modules they run.
+use; the GMM commands load only the modules they run, and only the commands
+that fit or score GMMs load the worker pool's ``concurrent.futures``.
 """
 
 import ast
@@ -121,26 +122,41 @@ def test_an_unknown_name_is_an_attribute_error():
         exec("from luq import no_such_name", {})
 
 
-LIST_LOADED = """import sys
-import luq
-if sys.argv[1:]:
+LIST_LOADED = """import importlib
+import sys
+importlib.import_module(sys.argv[1])
+if sys.argv[2:]:
     from luq.cli import main
-    assert main(sys.argv[1:]) == 0
-print(*sorted(m[4:] for m in sys.modules if m.startswith("luq.")))
+    assert main(sys.argv[2:]) == 0
+print(*sorted(m[4:] for m in sys.modules if m.startswith("luq.")),
+      *(m for m in ["concurrent.futures"] if m in sys.modules))
 """
 
 
-def loaded_modules(cwd, *argv) -> set[str]:
-    """The ``luq`` submodules loaded by ``import luq`` and, given ``argv``,
-    by one ``luq`` command, in a fresh interpreter."""
+def loaded_modules(cwd, *argv, module="luq") -> set[str]:
+    """The ``luq`` submodules loaded by importing ``module`` and, given
+    ``argv``, by one ``luq`` command, in a fresh interpreter; plus
+    ``concurrent.futures``, which the worker pool loads, if it is loaded."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    proc = subprocess.run([sys.executable, "-c", LIST_LOADED, *argv], cwd=cwd, env=env,
-                          capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", LIST_LOADED, module, *argv], cwd=cwd,
+                          env=env, capture_output=True, text=True, check=True)
     return set(proc.stdout.splitlines()[-1].split())
 
 
 def test_import_luq_loads_no_submodule(tmp_path):
     assert loaded_modules(tmp_path) == {"_pool"}
+
+
+def test_worker_pool_loads_only_where_it_runs(tmp_path):
+    write_matrix(tmp_path / "f.luq", np.random.default_rng(0).normal(size=(10, 3)))
+    (tmp_path / "s.csv").write_text("score,label\n0.9,1\n0.1,0\n")
+    cli = loaded_modules(tmp_path, module="luq.cli")
+    pca = loaded_modules(tmp_path, "pca", "--features", "f.luq", "--out-dim", "2",
+                         "--output", "r.luq")
+    ood = loaded_modules(tmp_path, "eval", "--mode", "ood", "--input", "s.csv",
+                         "--output", "m.csv")
+    assert "cli" in cli & pca & ood
+    assert "concurrent.futures" not in cli | pca | ood
 
 
 def test_gmm_commands_load_only_what_they_run(tmp_path):
@@ -154,3 +170,4 @@ def test_gmm_commands_load_only_what_they_run(tmp_path):
     unused = {"flow", "mlp", "toy", "metrics", "plots"}
     assert {"cli", "gmm", "fileio"} <= fit and not fit & (unused | {"engine"})
     assert {"cli", "gmm", "engine"} <= score and not score & unused
+    assert "concurrent.futures" in fit & score

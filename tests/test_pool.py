@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -82,3 +85,38 @@ class TestWorkerPool:
         with worker_pool(4) as pool:
             futures = [pool.submit(pow, 2, i) for i in range(4)]
         assert [f.result() for f in futures] == [1, 2, 4, 8]
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# the pool variables and the OS threads of a fresh interpreter that imports
+# luq.cli and then numpy, as the ``luq`` command does
+AFTER_IMPORT = """import os
+import luq.cli
+import numpy
+from luq._pool import POOL_VARS
+print(*(os.environ.get(var) for var in POOL_VARS))
+print(len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else 1)
+"""
+
+
+def after_import(**pool_vars) -> tuple[list[str], int]:
+    env = {k: v for k, v in os.environ.items() if k not in ("LUQ_THREADS", *POOL_VARS)}
+    env.update(pool_vars, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", AFTER_IMPORT], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    return out[0].split(), int(out[1])
+
+
+class TestDefaultBlasThreads:
+    def test_one_thread_when_nothing_is_set(self):
+        values, threads = after_import()
+        assert values == ["1"] * len(POOL_VARS)
+        assert threads == 1  # numpy's BLAS started no thread of its own
+
+    def test_a_pool_variable_that_is_set_wins(self):
+        values, _ = after_import(OPENBLAS_NUM_THREADS="2")
+        assert dict(zip(POOL_VARS, values)) == {"OMP_NUM_THREADS": "None",
+                                                "OPENBLAS_NUM_THREADS": "2",
+                                                "MKL_NUM_THREADS": "None",
+                                                "NUMEXPR_NUM_THREADS": "None"}

@@ -269,7 +269,7 @@ class TestRegressionStudyWorkers:
             ("start", "mlp_train"), ("end", "mlp_train")]
         assert all(thread is caller for _, _, thread in events[1])
         threads = {name: thread for _, name, thread in events[2]}
-        assert threads["mlp_train"].name.startswith("luq-fit")
+        assert threads["mlp_train"].name.startswith("luq-worker")
         assert threads["train_ensemble"] is caller
 
 
