@@ -38,7 +38,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 
-END_MASS_LIMIT = 1e-3  # a row's posterior mass in a grid's end cell that cuts it off
+# a row's posterior density at a grid end inside the prior's support, over
+# the posterior's peak, above which the grid cuts the posterior off
+END_RATIO_LIMIT = 1e-3
 
 
 class UsageError(Exception):
@@ -246,14 +248,14 @@ def cmd_score(args) -> dict:
         with _usage("--grid-range: "):  # the one scoring error the option causes
             prior_on_grid(bundle.prior, grid)
         scores = score_regression(bundle.flow, bundle.prior, grid, x)
-        cut = np.sum(scores.end_mass > END_MASS_LIMIT, axis=0)
+        cut = np.sum(scores.end_ratio > END_RATIO_LIMIT, axis=0)
         ends = [f"{side} end {end:g} ({k} rows)" for side, end, k
                 in zip(("lower", "upper"), (grid.lo, grid.hi), cut) if k]
         if ends:
             raise UsageError(f"--grid-range: the grid cuts the posterior off at its "
-                             f"{' and its '.join(ends)}: more than {END_MASS_LIMIT:g} of it lies "
-                             "in the end cell, half a grid spacing wide, inside the prior's "
-                             "support; widen the range or pass a finer --grid")
+                             f"{' and its '.join(ends)}: there, inside the prior's support, "
+                             f"the posterior density is more than {END_RATIO_LIMIT:g} of its "
+                             "peak; widen the range")
     unscored = ~np.isfinite(scores.epistemic)
     if unscored.any():
         raise fileio.DataFormatError(f"{args.features}: data row {np.argmax(unscored) + 1} has "

@@ -8,20 +8,21 @@ quadrature weights w_y: 1 for classes, trapezoid weights on a support grid
 for scalar outputs.  A ``SupportGrid`` is its range and point count
 (lo, hi, n); its points and spacing follow from them.  The single-row
 ``epistemic_*`` and ``aleatoric_*`` functions are views of
-``score_classification`` and ``score_regression``.  Classification
-scoring fills its log-joint on worker threads, one task per class and
-block of rows (``_pool.worker_pool``); the scores do not depend on the
-number of workers.  Regression scoring runs in the calling thread: it
-conditions the flow on the support grid once per call
-(``flow.flow_condition``) and runs each latent row against that shared
-conditioning.  All sums of densities run in log space with a max shift.
+``score_classification`` and ``score_regression``.  Both scorers run on
+worker threads (``_pool.worker_pool``): classification fills its
+log-joint in one task per class and block of rows, regression scores one
+block of latent rows per task.  Regression conditions the flow on the
+support grid once per call, in chunks of ``GRID_CHUNK`` points
+(``flow.flow_condition``), and runs each latent row against those shared
+chunks.  The scores do not depend on the number of workers, bit for bit.
+All sums of densities run in log space with a max shift.
 
 A grid end that lies strictly inside the prior's support can cut the
 posterior off: the renormalized posterior then piles up against that end
 and reads as falsely certain.  ``score_regression`` reports, per row, the
-posterior mass in the end cell at each such end (the end point's
-trapezoid weight times its density) and leaves what to do about it to the
-caller.
+posterior density at each such end over the posterior's peak, a ratio that
+does not shrink with the grid spacing, and leaves what to do about it to
+the caller.
 """
 
 from __future__ import annotations
@@ -40,16 +41,20 @@ from .errors import (
     MissingClassDensityError,
 )
 from .gmm import ClassConditionalGmm, Gmm, gmm_log_prob
-from .linalg import as_matrix
+from .linalg import as_matrix, row_blocks
 from .priors import CategoricalPrior, OutputPrior
 
 if TYPE_CHECKING:  # flow loads where regression scoring runs, not for class scoring
     from .flow import ConditionalFlow
 
-# Rows per classification scoring task: a worker holds one (d, BLOCK)
-# residual at a time.  A constant, not an option, so that the blocks do not
-# depend on the machine or the worker count.
+# Rows per classification scoring task, latent rows per regression scoring
+# task, and grid points per conditioned chunk of the flow, whose forward
+# pass then holds (GRID_CHUNK, hidden) arrays per thread.  Constants, not
+# options, so that the work does not split by the machine or the worker
+# count.
 BLOCK = 4096
+REGRESSION_BLOCK = 8
+GRID_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -96,14 +101,14 @@ class ConfidenceRegion:
 class UncertaintyScores:
     """Per-sample (epistemic nats, aleatoric nats) plus the posterior the
     aleatoric entropy was computed from.  Regression scores also carry
-    ``end_mass``, (n, 2): the posterior mass in the cell at the lower and at
-    the upper grid end, 0 at an end where the prior has no density just
-    beyond the grid."""
+    ``end_ratio``, (n, 2): the posterior density at the lower and at the
+    upper grid end over the posterior's peak on the grid, 0 at an end where
+    the prior has no density just beyond the grid."""
 
     epistemic: np.ndarray
     aleatoric: np.ndarray
     posterior: np.ndarray | None = None
-    end_mass: np.ndarray | None = None
+    end_ratio: np.ndarray | None = None
 
     def __post_init__(self):
         if len(self.epistemic) != len(self.aleatoric):
@@ -158,7 +163,7 @@ def score_classification(d: ClassConditionalGmm, prior: CategoricalPrior, z) -> 
     matrix is then filled on a ``_pool.worker_pool``, one task per class and
     block of rows, and the scores are taken from it in the calling thread.
     Blocks start at multiples of ``BLOCK``; a tail under ``BLOCK / 2`` rows
-    joins the last block.  Each row is then computed bit for bit as in one
+    joins the last block (``linalg.row_blocks``).  Each row is then computed bit for bit as in one
     pass over the batch, on any number of workers: the BLAS product steps
     through the rows in groups that divide ``BLOCK`` and takes a ragged
     last group apart, and a tiny block would take another path (one row is
@@ -170,14 +175,12 @@ def score_classification(d: ClassConditionalGmm, prior: CategoricalPrior, z) -> 
     z = as_matrix(z)
     if z.shape[1] != d.dim:
         raise DimMismatchError(f"expected vectors of length {d.dim}, got {z.shape}")
-    n = z.shape[0]
-    log_joint = np.empty((n, len(prior.classes)))
-    blocks = max(1, (n + BLOCK // 2) // BLOCK)
-    edges = [b * BLOCK for b in range(blocks)] + [n]
-    with worker_pool(blocks * len(prior.classes)) as pool:
+    log_joint = np.empty((z.shape[0], len(prior.classes)))
+    blocks = row_blocks(z.shape[0], BLOCK)
+    with worker_pool(len(blocks) * len(prior.classes)) as pool:
         futures = [pool.submit(_fill_log_joint, log_joint[lo:hi, i], d.per_class[c], z[lo:hi],
                                prior.log_probs[i])
-                   for i, c in enumerate(prior.classes) for lo, hi in zip(edges, edges[1:])]
+                   for i, c in enumerate(prior.classes) for lo, hi in blocks]
     for future in futures:
         future.result()
     epi, ent, post = _posterior_scores(log_joint)
@@ -208,43 +211,76 @@ def prior_on_grid(prior: OutputPrior, grid: SupportGrid) -> np.ndarray:
     return log_prior_grid
 
 
+def _score_rows(out: UncertaintyScores, rows: range, z: np.ndarray, flow: ConditionalFlow,
+                conds, log_prior_grid: np.ndarray, w: np.ndarray, cuts: np.ndarray) -> None:
+    """Regression scores of the ``rows`` of ``z`` into the same rows of
+    ``out``.  Each row runs against every conditioned chunk of the grid in
+    turn."""
+    from .flow import flow_log_prob
+
+    log_joint = np.empty(log_prior_grid.size)
+    for i in rows:
+        lo = 0
+        for cond in conds:
+            log_joint[lo:lo + cond.rows] = flow_log_prob(flow, z[i:i + 1], cond)
+            lo += cond.rows
+        epi, ale, q = _posterior_scores((log_joint + log_prior_grid)[None, :], w)
+        out.epistemic[i], out.aleatoric[i] = epi[0], ale[0]
+        out.end_ratio[i] = cuts * q[0, [0, -1]] / np.max(q[0])
+        if out.posterior is not None:
+            out.posterior[i] = q[0]
+
+
 def score_regression(flow: ConditionalFlow, prior: OutputPrior, grid: SupportGrid,
                      z, keep_posteriors: bool = False) -> UncertaintyScores:
     """Both regression scores for a batch of latent vectors.
 
-    The flow is conditioned on the grid once; each row is then scored
-    against the whole grid with one flow call.  Pass ``keep_posteriors``
-    to retain the (n, grid) posterior densities.  A grid on which the prior
-    density is zero everywhere is a ValueError (``prior_on_grid``).  Each
-    row's ``end_mass`` counts a grid end only where the prior's density one
-    float step beyond it is positive, so a grid that ends at the edge of a
-    bounded prior reports 0 there.
+    The flow is conditioned on the grid once, in chunks of ``GRID_CHUNK``
+    points that start at multiples of it, a tail under ``GRID_CHUNK / 2``
+    points joining the last (``linalg.row_blocks``).  The rows are then
+    scored on a ``_pool.worker_pool``, one task per block of
+    ``REGRESSION_BLOCK`` rows; each row runs against the chunks with one
+    flow call each, so its scores do not depend on the worker count.  Pass
+    ``keep_posteriors`` to retain the (n, grid) posterior densities.  A grid
+    on which the prior density is zero everywhere is a ValueError
+    (``prior_on_grid``).  Each row's ``end_ratio`` counts a grid end only
+    where the prior's density one float step beyond it is positive, so a
+    grid that ends at the edge of a bounded prior reports 0 there.
 
-    The rows are scored one at a time in the calling thread, on purpose.
-    On a 2-vCPU machine, two worker threads over the regression toy's
-    21 x 1000 quadrature saved 3.7 % of ``luq toy regression`` but raised
-    its peak RSS from 52.0 to 56.4 MB, the second thread's own malloc
-    arena; on the arrays of a 250-point grid, too small to keep the
-    interpreter lock released, they scored only 1.1-1.3x as fast as one.
+    Measured on a 2-vCPU machine with one BLAS thread: two workers scored
+    the 192 rows of the benchmark's ``luq score`` at ``--grid 250`` in 104
+    ms against 133 ms on one, and the regression toy's 21 rows at 1000
+    points in 49 ms against 59 ms (80 ms in one unchunked pass per row).
+    Each worker holds its own temporaries: without the chunks, two workers
+    raised the toy's peak RSS from 51.5 to 54.6 MB; with them it fell to
+    49.6 MB.  The lean conditioning (``flow.flow_condition``) matters where
+    the grid is large: ``luq score --grid 20000`` peaked at 95 MB, against
+    153 MB with each layer's feature and backward cache kept.  The chunks
+    change the toy's 1000-point scores in the last bits (at most 3.5e-15
+    relative), as OpenBLAS takes its small-matrix kernel for the smaller
+    products.
     """
-    from .flow import flow_condition, flow_log_prob
+    from .flow import flow_condition
 
     z = as_matrix(z)
     n = z.shape[0]
     log_prior_grid = prior_on_grid(prior, grid)
-    cond = flow_condition(flow, grid.points[:, None])
-    w = grid.trapezoid_weights()
+    conds = [flow_condition(flow, grid.points[lo:hi, None])
+             for lo, hi in row_blocks(grid.n, GRID_CHUNK)]
     beyond = prior.log_pdf(np.nextafter([grid.lo, grid.hi], [-np.inf, np.inf]))
-    end_w = np.where(beyond > -np.inf, w[[0, -1]], 0.0)  # the end cells that cut the prior
-    epi, ale, end_mass = np.empty(n), np.empty(n), np.empty((n, 2))
-    post = np.empty((n, grid.n)) if keep_posteriors else None
-    for i in range(n):
-        log_joint = flow_log_prob(flow, z[i:i + 1], cond) + log_prior_grid
-        epi[i:i + 1], ale[i:i + 1], q = _posterior_scores(log_joint[None, :], w)
-        end_mass[i] = end_w * q[0, [0, -1]]
-        if post is not None:
-            post[i] = q[0]
-    return UncertaintyScores(epistemic=epi, aleatoric=ale, posterior=post, end_mass=end_mass)
+    cuts = beyond > -np.inf  # the grid ends that cut the prior's support
+    w = grid.trapezoid_weights()
+    out = UncertaintyScores(epistemic=np.empty(n), aleatoric=np.empty(n),
+                            posterior=np.empty((n, grid.n)) if keep_posteriors else None,
+                            end_ratio=np.empty((n, 2)))
+    starts = range(0, n, REGRESSION_BLOCK)
+    with worker_pool(len(starts)) as pool:
+        futures = [pool.submit(_score_rows, out, range(lo, min(lo + REGRESSION_BLOCK, n)), z,
+                               flow, conds, log_prior_grid, w, cuts)
+                   for lo in starts]
+    for future in futures:
+        future.result()
+    return out
 
 
 def epistemic_regression(flow: ConditionalFlow, prior: OutputPrior, grid: SupportGrid,

@@ -6,10 +6,12 @@ from the copied half and a conditioning input.  Likelihoods come from the
 change-of-variables formula; gradients for training are computed by
 hand-rolled reverse mode, no autodiff framework involved.
 
-The conditioning half of every layer (the condition net's feature and its
-lift into the first hidden pre-activation of both subnets) depends on the
+The conditioning half of every layer (the condition net's feature lifted
+into the first hidden pre-activation of both subnets) depends on the
 condition alone.  ``flow_condition`` computes it once for a batch of
-conditions.  The ``c`` of ``flow_log_prob``, ``flow_forward``,
+conditions and keeps only the two lifts of each layer: the feature and its
+backward cache are needed by ``flow_gradients`` alone, which conditions its
+batch itself.  The ``c`` of ``flow_log_prob``, ``flow_forward``,
 ``flow_inverse`` and ``flow_gradients`` takes two forms: such a
 ``FlowCondition``, or condition values that reshape to rows of
 ``cond_dim`` values.  ``z`` holds one row per condition, or one row that
@@ -76,11 +78,8 @@ class ReluNet:
 
 class LayerCondition(NamedTuple):
     """One coupling layer's conditioning for a batch of conditions: the
-    condition-net feature with its backward cache, and the feature lifted
-    into the scale and translate subnets."""
+    condition-net feature lifted into the scale and translate subnets."""
 
-    feat: np.ndarray
-    cache: tuple
     scale_lift: np.ndarray
     translate_lift: np.ndarray
 
@@ -93,8 +92,8 @@ class CouplingLayer:
     out2 = (in2 + translate) * exp(s) with s the soft-clamped scale output;
     the log-determinant is sum(s).  For dim 1 ``part1`` is empty and both
     subnets see only the condition.  ``forward`` and ``inverse`` take the
-    layer's ``condition`` of the batch; an input of one row is transformed
-    under every condition row.
+    layer's ``condition`` of the batch, or the ``lift`` of its condition-net
+    feature; an input of one row is transformed under every condition row.
     """
 
     part1: np.ndarray
@@ -111,10 +110,11 @@ class CouplingLayer:
             + self.cond_net.params()
         )
 
+    def lift(self, feat) -> LayerCondition:
+        return LayerCondition(feat @ self.scale_net.lift, feat @ self.translate_net.lift)
+
     def condition(self, c) -> LayerCondition:
-        feat, cache = self.cond_net.forward(c)
-        return LayerCondition(feat, cache, feat @ self.scale_net.lift,
-                              feat @ self.translate_net.lift)
+        return self.lift(self.cond_net.forward(c)[0])
 
     def _scale_translate(self, x1, cond):
         s_raw, s_cache = self.scale_net.forward(x1, cond.scale_lift)
@@ -133,23 +133,26 @@ class CouplingLayer:
         s, t, s_cache, t_cache = self._scale_translate(u1, cond)
         exp_s = np.exp(s)
         v2 = (u[:, self.part2] + t) * exp_s
-        cache = (cond.feat, cond.cache, s_cache, t_cache, s, exp_s, v2)
-        return self._join(u1, v2), s.sum(axis=1), cache
+        return self._join(u1, v2), s.sum(axis=1), (s_cache, t_cache, s, exp_s, v2)
 
     def inverse(self, v, cond: LayerCondition):
         v1 = v[:, self.part1]
         s, t, _, _ = self._scale_translate(v1, cond)
         return self._join(v1, v[:, self.part2] * np.exp(-s) - t), -s.sum(axis=1)
 
-    def backward(self, cache, dout, ds_extra):
+    def backward(self, cache, feature, dout, ds_extra):
         """Chain upstream gradients through the coupling transform.
 
-        ``dout`` is the loss gradient w.r.t. the layer output, ``ds_extra``
-        the direct gradient w.r.t. each clamped scale entry coming from the
-        log-determinant term, a scalar when it is the same for every entry.
-        Returns (param grads, gradient w.r.t. the layer input).
+        ``cache`` is what ``forward`` returned last, ``feature`` the
+        condition net's (feature, backward cache) that the forward pass was
+        lifted from.  ``dout`` is the loss gradient w.r.t. the layer output,
+        ``ds_extra`` the direct gradient w.r.t. each clamped scale entry
+        coming from the log-determinant term, a scalar when it is the same
+        for every entry.  Returns (param grads, gradient w.r.t. the layer
+        input).
         """
-        feat, cond_cache, s_cache, t_cache, s, exp_s, v2 = cache
+        feat, cond_cache = feature
+        s_cache, t_cache, s, exp_s, v2 = cache
         dv2 = dout[:, self.part2]
         ds = dv2 * v2 + ds_extra
         du2 = dv2 * exp_s  # also the gradient w.r.t. the translation
@@ -283,12 +286,16 @@ def build_flow(dim: int, cond_dim: int, arch: FlowArchitecture | None = None,
 
 @dataclass(frozen=True)
 class FlowCondition:
-    """Every coupling layer's conditioning for one batch of ``rows``
-    conditions, from ``flow_condition``."""
+    """Every coupling layer's conditioning for the condition ``values``,
+    (rows, cond_dim), from ``flow_condition``."""
 
     flow: ConditionalFlow = field(repr=False)
     layers: tuple[LayerCondition, ...]
-    rows: int
+    values: np.ndarray = field(repr=False)
+
+    @property
+    def rows(self) -> int:
+        return self.values.shape[0]
 
 
 def flow_condition(flow: ConditionalFlow, c) -> FlowCondition:
@@ -299,16 +306,16 @@ def flow_condition(flow: ConditionalFlow, c) -> FlowCondition:
     c = np.asarray(c, dtype=np.float64)
     if c.ndim != 2 or c.shape[1] != flow.cond_dim:
         raise DimMismatchError(f"conditions must be (n, {flow.cond_dim}), got {c.shape}")
-    return FlowCondition(flow, tuple(layer.condition(c) for layer in flow.layers),
-                         c.shape[0])
+    return FlowCondition(flow, tuple(layer.condition(c) for layer in flow.layers), c)
 
 
 def _as_batch(flow, z, c):
-    """(rows of z, their FlowCondition, whether z was one vector).
+    """(rows of z, their conditions, whether z was one vector).
 
-    ``c`` is a FlowCondition of this flow, or condition values that reshape
-    to rows of ``cond_dim`` values.  ``z`` holds one row per condition, or
-    one row that is run against every condition.
+    ``c`` is a FlowCondition of this flow, returned as it is, or condition
+    values that reshape to rows of ``cond_dim`` values, returned as those
+    rows.  ``z`` holds one row per condition, or one row that is run
+    against every condition.
     """
     z = np.asarray(z, dtype=np.float64)
     single = z.ndim == 1
@@ -316,27 +323,39 @@ def _as_batch(flow, z, c):
         z = z[None, :]
     if z.ndim != 2 or z.shape[1] != flow.dim:
         raise DimMismatchError(f"expected vectors of length {flow.dim}, got {z.shape}")
-    if not isinstance(c, FlowCondition):
+    if isinstance(c, FlowCondition):
+        if c.flow is not flow:
+            raise ValueError("the conditioning was computed for another flow")
+        rows = c.rows
+    else:
         c = np.asarray(c, dtype=np.float64)
         if c.size == 0 or c.size % flow.cond_dim:
             raise DimMismatchError(f"condition shape {c.shape} is not rows of "
                                    f"{flow.cond_dim} values")
-        c = flow_condition(flow, c.reshape(-1, flow.cond_dim))
-    elif c.flow is not flow:
-        raise ValueError("the conditioning was computed for another flow")
-    if z.shape[0] not in (1, c.rows):
-        raise DimMismatchError(f"{z.shape[0]} rows against {c.rows} conditions")
-    return z, c, single and c.rows == 1
+        c = c.reshape(-1, flow.cond_dim)
+        rows = c.shape[0]
+    if z.shape[0] not in (1, rows):
+        raise DimMismatchError(f"{z.shape[0]} rows against {rows} conditions")
+    return z, c, single and rows == 1
 
 
-def _forward_layers(flow: ConditionalFlow, z, cond: FlowCondition, caches=None):
-    """Push a batch through every coupling layer; returns (u, log_det).
+def _layer_conditions(flow: ConditionalFlow, c):
+    """Each layer's LayerCondition for ``c`` as ``_as_batch`` returns it: a
+    FlowCondition's own, or those of the condition rows, computed here."""
+    if isinstance(c, FlowCondition):
+        return c.layers
+    return flow_condition(flow, c).layers
+
+
+def _forward_layers(flow: ConditionalFlow, z, conds, caches=None):
+    """Push a batch through every coupling layer, under one LayerCondition
+    per layer; returns (u, log_det).
 
     Appends each layer's backward cache to ``caches`` when given.
     """
     u = z
     log_det = np.zeros(z.shape[0])
-    for layer, layer_cond in zip(flow.layers, cond.layers):
+    for layer, layer_cond in zip(flow.layers, conds):
         u, ld, cache = layer.forward(u, layer_cond)
         log_det = log_det + ld
         if caches is not None:
@@ -347,8 +366,8 @@ def _forward_layers(flow: ConditionalFlow, z, cond: FlowCondition, caches=None):
 
 def flow_forward(flow: ConditionalFlow, z, c):
     """Map data to the base space; returns (u, log_det)."""
-    z, cond, single = _as_batch(flow, z, c)
-    u, log_det = _forward_layers(flow, z, cond)
+    z, c, single = _as_batch(flow, z, c)
+    u, log_det = _forward_layers(flow, z, _layer_conditions(flow, c))
     if single:
         return u[0], float(log_det[0])
     return u, log_det
@@ -356,10 +375,10 @@ def flow_forward(flow: ConditionalFlow, z, c):
 
 def flow_inverse(flow: ConditionalFlow, u, c):
     """Map base-space points back to data space; returns (z, log_det)."""
-    u, cond, single = _as_batch(flow, u, c)
+    u, c, single = _as_batch(flow, u, c)
     z = u
     log_det = np.zeros(u.shape[0])
-    for layer, layer_cond in zip(reversed(flow.layers), reversed(cond.layers)):
+    for layer, layer_cond in zip(reversed(flow.layers), reversed(_layer_conditions(flow, c))):
         z, ld = layer.inverse(z, layer_cond)
         log_det = log_det + ld
     if single:
@@ -371,9 +390,9 @@ def flow_log_prob(flow: ConditionalFlow, z, c):
     """Conditional log density log p(z | c) in nats, by change of variables;
     -inf, with no warning, where a coupling layer or the base point
     overflows.  A NaN in ``z`` still gives NaN."""
-    z, cond, single = _as_batch(flow, z, c)
+    z, c, single = _as_batch(flow, z, c)
     with np.errstate(over="ignore", invalid="ignore"):
-        u, log_det = _forward_layers(flow, z, cond)
+        u, log_det = _forward_layers(flow, z, _layer_conditions(flow, c))
         base = -0.5 * (flow.dim * LOG_2PI + np.sum(u * u, axis=1))
         out = base + log_det
     # a finite row that overflowed to inf meets inf * 0 in the next layer
@@ -389,23 +408,32 @@ def flow_nll(flow: ConditionalFlow, z, c) -> float:
 def flow_gradients(flow: ConditionalFlow, z, c):
     """Mean-NLL value and its reverse-mode gradients for every parameter.
 
-    Gradient order matches ``flow.params()``.
+    Gradient order matches ``flow.params()``.  Each layer's condition-net
+    feature is computed here with its backward cache, from the condition
+    values (those of a FlowCondition included).
     """
-    z, cond, _ = _as_batch(flow, z, c)
+    z, c, _ = _as_batch(flow, z, c)
+    if isinstance(c, FlowCondition):
+        c = c.values
     n = z.shape[0]
     if n == 0:
         raise ValueError("flow_gradients needs a non-empty batch")
-    if cond.rows != n:
-        raise DimMismatchError(f"{n} rows against {cond.rows} conditions")
+    if c.shape[0] != n:
+        raise DimMismatchError(f"{n} rows against {c.shape[0]} conditions")
+    features, conds = [], []
+    for layer in flow.layers:
+        features.append(layer.cond_net.forward(c))
+        conds.append(layer.lift(features[-1][0]))
     caches = []
-    u, log_det = _forward_layers(flow, z, cond, caches)
-    del cond  # the lift terms; the backward pass needs only what the caches hold
+    u, log_det = _forward_layers(flow, z, conds, caches)
+    del conds  # the lift terms; the backward pass needs only the caches and features
     nll = float(np.mean(0.5 * (flow.dim * LOG_2PI + np.sum(u * u, axis=1)) - log_det))
 
     du = u / n
     grads_rev = []
-    for layer, cache in zip(reversed(flow.layers), reversed(caches)):
-        g, du = layer.backward(cache, du, -1.0 / n)
+    for layer, cache, feature in zip(reversed(flow.layers), reversed(caches),
+                                     reversed(features)):
+        g, du = layer.backward(cache, feature, du, -1.0 / n)
         grads_rev.append(g)
     grads = []
     for g in reversed(grads_rev):

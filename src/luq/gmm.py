@@ -2,11 +2,15 @@
 used to model the output-conditional latent density for classification.
 
 One kernel, ``_log_joint``, scores every component from stacked log-weights
-(k,), means (k, d) and lower Cholesky factors (k, d, d); EM's E-step and
+(k,), means (k, d) and lower Cholesky factors (k, d, d), in one stacked
+pass over all components per block of ``CHUNK`` rows; EM's E-step and
 ``gmm_log_prob`` both call it.  Both hold the rows feature-major, (d, n),
 and EM its responsibilities as (k, n), so that numpy's element-wise passes
 run along the n rows and not along the short feature axis d.  EM keeps its
 parameters as stacks and builds the ``GaussianComponent`` objects once.
+The M-step stays a loop over the components: each scatter sums over all n
+rows in one product, and a stack of the k (d, n) residuals would outgrow
+the kernel's (k, d, CHUNK) bound.
 
 All responsibilities and likelihoods are handled in log space; covariances
 carry an explicit ridge (``cov_reg``) so long-tailed or tiny classes stay
@@ -28,7 +32,14 @@ from .errors import (
     NotPositiveDefiniteError,
     TooFewSamplesError,
 )
-from .linalg import LOG_2PI, CholeskyFactor, as_matrix, logsumexp
+from .linalg import LOG_2PI, CholeskyFactor, as_matrix, logsumexp, row_blocks
+
+# Rows per pass of the stacked kernel: a pass holds (k, d, CHUNK) arrays, not
+# (k, d, n).  A constant, so that the passes do not depend on the caller.
+# Scoring the benchmark's 20 000 rows (k = 10, d = 24) on two workers took
+# 33.1 ms with a loop over the components, 32.8 ms in chunks of 256 rows and
+# 31.0 ms in chunks of 384; 512 and more were slower again.
+CHUNK = 384
 
 FULL_COVARIANCE = "full"
 TIED_COVARIANCE = "tied"
@@ -120,20 +131,27 @@ def _log_joint(xt: np.ndarray, log_w: np.ndarray, means: np.ndarray,
     as the columns of ``xt`` (d, n), over stacked log-weights (k,), means
     (k, d) and lower Cholesky factors (k, d, d).
 
-    The factor stack is inverted once and each residual is whitened with one
+    The factor stack is inverted once, and each block of ``CHUNK`` rows
+    (``linalg.row_blocks``) is whitened for all components in one stacked
     GEMM, ||L_j^-1 (x - mu_j)||^2: several times faster than a triangular
-    solve, as accurate.  With rows as columns the residual, its square and
-    the sum over d all run along n.  A residual too large to square gives
-    the log density -inf, with no warning.
+    solve, as accurate.  Each component's product and sums are the ones a
+    loop over the components would run on that block, bit for bit, and a
+    pass holds two (k, d, CHUNK) arrays at most.  A residual too large to
+    square gives the log density -inf, with no warning.
     """
     k, d = means.shape
     inv = np.linalg.inv(lowers)
     log_dets = 2.0 * np.sum(np.log(np.diagonal(lowers, axis1=1, axis2=2)), axis=1)
+    consts = (d * LOG_2PI + log_dets)[:, None]
     out = np.empty((k, xt.shape[1]))
     with np.errstate(over="ignore"):
-        for j in range(k):
-            sol = inv[j] @ (xt - means[j][:, None])
-            out[j] = log_w[j] - 0.5 * (d * LOG_2PI + log_dets[j] + np.sum(sol * sol, axis=0))
+        for lo, hi in row_blocks(xt.shape[1], CHUNK):
+            sol = inv @ (xt[:, lo:hi] - means[:, :, None])
+            sol *= sol
+            quad = np.sum(sol, axis=1)
+            quad += consts
+            quad *= 0.5
+            np.subtract(log_w[:, None], quad, out=out[:, lo:hi])
     return out
 
 

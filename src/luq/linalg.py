@@ -1,6 +1,7 @@
 """Dense linear-algebra primitives shared by the density and training code.
 
-Coercion of feature input to a 2-D array, Cholesky factorization,
+Coercion of feature input to a 2-D array, the fixed row blocks that
+scoring and the GMM kernel split their rows into, Cholesky factorization,
 log-determinants, numerically stable log-sum-exp, and PCA.  Everything
 operates on float64 numpy arrays; fitted objects are immutable and safe to
 share between threads.
@@ -79,6 +80,16 @@ def cholesky(m) -> CholeskyFactor:
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(str(exc)) from exc
     return CholeskyFactor(dim=m.shape[0], lower=lower)
+
+
+def row_blocks(n: int, size: int) -> list[tuple[int, int]]:
+    """(lo, hi) bounds of the blocks that cover ``n`` rows: blocks start at
+    multiples of ``size``, and a tail under ``size / 2`` rows joins the last
+    block, so no block but a lone one is under ``size / 2`` rows.  ``n`` = 0
+    gives one empty block."""
+    count = max(1, (n + size // 2) // size)
+    edges = [b * size for b in range(count)] + [n]
+    return list(zip(edges, edges[1:]))
 
 
 def log_det(factor: CholeskyFactor) -> float:

@@ -163,6 +163,27 @@ class TestFit:
                            env=env, check=True, capture_output=True)
         assert scores[0].read_bytes() == scores[1].read_bytes()
 
+    def test_flow_scores_independent_of_worker_count(self, tmp_path):
+        from luq.flow import FlowArchitecture, build_flow
+
+        flow = build_flow(3, 1, FlowArchitecture(n_layers=2, hidden=(6, 5)), seed=4)
+        rng = np.random.default_rng(4)
+        for p in flow.params():
+            p += rng.normal(scale=0.3, size=p.shape)
+        model_path, zpath = tmp_path / "m.luqm", tmp_path / "z.luq"
+        write_model(model_path, ModelBundle(prior=UniformPrior(-3.0, 3.0), flow=flow))
+        write_matrix(zpath, rng.normal(size=(21, 3)))
+        env = subprocess_env(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+                             MKL_NUM_THREADS="1")
+        scores = []
+        for cap in ("1", "2"):  # 600 grid points: two chunks, a tail of 88 in the second
+            env["LUQ_THREADS"] = cap
+            scores.append(tmp_path / f"s{cap}.csv")
+            subprocess.run([sys.executable, "-m", "luq", "score", "--model", str(model_path),
+                            "--features", str(zpath), "--output", str(scores[-1]),
+                            "--grid", "600"], env=env, check=True, capture_output=True)
+        assert scores[0].read_bytes() == scores[1].read_bytes()
+
     @pytest.mark.parametrize("model, flag, value", [
         ("gmm", "--components", "0"),
         ("gmm", "--tol", "0"),
@@ -616,9 +637,13 @@ class TestScore:
         out = tmp_path / "s.csv"
         assert run_cli("score", "--model", str(model_path), "--features", str(fpath),
                        "--output", str(out)) == 2
-        # the posterior is the prior: 1:80 holds it, where 3:80 cuts it off
+        # the posterior is the prior: 1:400 holds it (4e-8 of it lies below 1,
+        # 5e-5 above 400), where 1:80 cuts 0.7 % of its heavy tail off
         assert run_cli("score", "--model", str(model_path), "--features", str(fpath),
                        "--output", str(out), "--grid-range", "1:80",
+                       "--grid", "155") == 2
+        assert run_cli("score", "--model", str(model_path), "--features", str(fpath),
+                       "--output", str(out), "--grid-range", "1:400",
                        "--grid", "155") == 0
         cols = read_csv_columns(out, ["epistemic_nats"])
         assert len(cols["epistemic_nats"]) == 2
@@ -678,20 +703,24 @@ class TestScore:
         captured = capsys.readouterr()
         assert captured.err.startswith(
             f"usage error: --grid-range: the grid cuts the posterior off at its {ends}: ")
-        assert captured.err.endswith("; widen the range or pass a finer --grid\n")
+        assert captured.err.endswith(": there, inside the prior's support, the posterior "
+                                     "density is more than 0.001 of its peak; widen the range\n")
         assert captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("grid_range, grid, code", [
         ("0.001:50", "20", 2),
-        ("0.0001:50", "20", 2),  # the wider range alone does not help
-        ("0.001:50", "10000", 0),
+        ("0.0001:50", "20", 2),
+        ("0.001:50", "10000", 2),  # a finer grid alone does not help
+        ("1e-9:50", "10000", 0),
+        ("0:50", "20", 0),
     ])
-    def test_grid_too_coarse_at_its_end_names_grid(self, tmp_path, capsys, grid_range, grid,
-                                                   code):
-        # the posterior is the beta-prime prior, whose density falls from
-        # 0.2 at 0.001 to 0.03 at 2.6: a grid spacing of 2.6 puts most of it
-        # in the end cell, though the prior holds 1.4e-4 below 0.001
+    def test_grid_end_near_the_support_edge(self, tmp_path, capsys, grid_range, grid, code):
+        # the posterior is the beta-prime prior, whose density rises as
+        # sqrt(y) from 0 to its peak at 0.125: at 0.001 it is 0.15 of the
+        # peak (and the largest value of a 20-point grid), though the prior
+        # holds only 1.4e-4 below 0.001; at 1e-9 it is 1.5e-4 of the peak,
+        # and a grid from 0 ends on the support's edge
         from luq.flow import build_flow
 
         model_path = tmp_path / "b.luqm"
@@ -706,7 +735,6 @@ class TestScore:
         if code == 2:
             assert err.startswith("usage error: --grid-range: the grid cuts the posterior off "
                                   f"at its lower end {grid_range.split(':')[0]} (2 rows): ")
-            assert "pass a finer --grid" in err
             assert not out.exists()
         else:
             assert out.exists()

@@ -18,6 +18,7 @@ from luq.linalg import (
     logsumexp,
     pca_fit,
     pca_transform,
+    row_blocks,
 )
 
 
@@ -54,6 +55,23 @@ class TestCholesky:
             f = cholesky(m)
             err = np.linalg.norm(f.reconstruct() - m) / np.linalg.norm(m)
             assert err < 1e-8
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("size", [2, 8, 256])
+    def test_blocks_start_at_multiples_and_a_short_tail_joins_the_last(self, size):
+        for n in range(4 * size + 3):
+            blocks = row_blocks(n, size)
+            assert [lo for lo, _ in blocks] == [b * size for b in range(len(blocks))]
+            assert [hi for _, hi in blocks] == [lo for lo, _ in blocks[1:]] + [n]
+            last = blocks[-1][1] - blocks[-1][0]
+            assert len(blocks) == 1 or size // 2 <= last < size + size // 2
+
+    def test_examples(self):
+        assert row_blocks(0, 256) == [(0, 0)]
+        assert row_blocks(100, 256) == [(0, 100)]
+        assert row_blocks(1000, 256) == [(0, 256), (256, 512), (512, 768), (768, 1000)]
+        assert row_blocks(639, 256) == [(0, 256), (256, 639)]
 
 
 class TestLogDet:
