@@ -49,9 +49,9 @@ def worker_count(tasks: int) -> int:
 
     The tasks spend much of their time in BLAS, and a BLAS library that
     already runs a thread per CPU serializes concurrent calls (OpenBLAS
-    holds one lock over each threaded matrix product): on a 2-vCPU machine
-    with OpenBLAS on both CPUs, a second thread made the fits up to 1.8x
-    slower, so such a BLAS gets one.
+    holds one lock over each threaded matrix product): with OpenBLAS on
+    every CPU, a second thread made the fits slower, so such a BLAS gets
+    one.
     """
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
@@ -66,8 +66,8 @@ def worker_pool(tasks: int):
     Use it as a context manager, so that every worker has finished when the
     block ends.  One worker runs the same code path, one task at a time.
     """
-    # imported here: concurrent.futures costs ``import luq`` about 10 ms,
-    # and commands that neither fit nor score GMMs never need it
+    # imported here: concurrent.futures adds to the start-up of every
+    # command, and ``luq eval`` and ``luq pca`` never need it
     from concurrent.futures import ThreadPoolExecutor
 
     return ThreadPoolExecutor(max_workers=worker_count(tasks), thread_name_prefix="luq-worker")

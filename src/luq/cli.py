@@ -234,13 +234,12 @@ def cmd_score(args) -> dict:
     _require(args.grid >= 2, "--grid", "at least 2", args.grid)
     bundle = fileio.read_model(args.model)
     x = fileio.read_features(args.features)
-    if bundle.pca is not None and x.shape[1] == bundle.pca.input_dim:
-        x = pca_transform(bundle.pca, x)
-    if x.shape[1] != bundle.feature_dim:
+    width = bundle.feature_dim if bundle.pca is None else bundle.pca.input_dim
+    if x.shape[1] != width:
         raise fileio.DataFormatError(
-            f"{args.features}: feature dim {x.shape[1]} does not match "
-            f"model dim {bundle.feature_dim}"
-        )
+            f"{args.features}: feature dim {x.shape[1]} does not match model dim {width}")
+    if bundle.pca is not None:
+        x = pca_transform(bundle.pca, x)
     if bundle.class_gmms is not None:
         scores = score_classification(bundle.class_gmms, bundle.prior, x)
     else:
@@ -633,6 +632,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (LuqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:  # a size flag too large to allocate, such as --grid
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_DATA
     for key, value in results.items():  # a command that fails prints no result
         if isinstance(value, float):

@@ -27,7 +27,6 @@ the caller.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -36,7 +35,6 @@ import numpy as np
 from ._pool import worker_pool
 from .errors import (
     DimMismatchError,
-    GridTooCoarseWarning,
     MassUnreachableError,
     MissingClassDensityError,
 )
@@ -85,10 +83,6 @@ class SupportGrid:
         w = np.full(self.n, self.spacing)
         w[0] = w[-1] = 0.5 * self.spacing
         return w
-
-    def refined(self) -> "SupportGrid":
-        """Same range at half the spacing (keeps the original points)."""
-        return SupportGrid(self.lo, self.hi, 2 * self.n - 1)
 
 
 @dataclass(frozen=True)
@@ -247,18 +241,12 @@ def score_regression(flow: ConditionalFlow, prior: OutputPrior, grid: SupportGri
     where the prior's density one float step beyond it is positive, so a
     grid that ends at the edge of a bounded prior reports 0 there.
 
-    Measured on a 2-vCPU machine with one BLAS thread: two workers scored
-    the 192 rows of the benchmark's ``luq score`` at ``--grid 250`` in 104
-    ms against 133 ms on one, and the regression toy's 21 rows at 1000
-    points in 49 ms against 59 ms (80 ms in one unchunked pass per row).
-    Each worker holds its own temporaries: without the chunks, two workers
-    raised the toy's peak RSS from 51.5 to 54.6 MB; with them it fell to
-    49.6 MB.  The lean conditioning (``flow.flow_condition``) matters where
-    the grid is large: ``luq score --grid 20000`` peaked at 95 MB, against
-    153 MB with each layer's feature and backward cache kept.  The chunks
-    change the toy's 1000-point scores in the last bits (at most 3.5e-15
-    relative), as OpenBLAS takes its small-matrix kernel for the smaller
-    products.
+    Each worker holds its own temporaries: the chunks bound them by
+    ``GRID_CHUNK``, not by the grid's length, and the lean conditioning
+    (``flow.flow_condition``) keeps a large grid's conditioning small.  On a
+    grid longer than one chunk the chunks change the scores in the last bits
+    against one pass per row, as OpenBLAS takes its small-matrix kernel for
+    the smaller products.
     """
     from .flow import flow_condition
 
@@ -284,21 +272,10 @@ def score_regression(flow: ConditionalFlow, prior: OutputPrior, grid: SupportGri
 
 
 def epistemic_regression(flow: ConditionalFlow, prior: OutputPrior, grid: SupportGrid,
-                         z, self_check: bool = False) -> float:
+                         z) -> float:
     """-log p(z) of one latent vector by trapezoid quadrature of
-    p(z|y) p(y) over the grid.
-
-    With ``self_check`` the quadrature is repeated at half the spacing and
-    a GridTooCoarseWarning is emitted if the value moves by more than 1e-3.
-    """
-    z = np.reshape(z, (1, -1))
-    value = float(score_regression(flow, prior, grid, z).epistemic[0])
-    if self_check:
-        moved = abs(score_regression(flow, prior, grid.refined(), z).epistemic[0] - value)
-        if moved > 1e-3:
-            warnings.warn(f"halving the grid spacing moved -log p(z) by {moved:.3e}",
-                          GridTooCoarseWarning)
-    return value
+    p(z|y) p(y) over the grid."""
+    return float(score_regression(flow, prior, grid, np.reshape(z, (1, -1))).epistemic[0])
 
 
 def aleatoric_regression(flow: ConditionalFlow, prior: OutputPrior, grid: SupportGrid, z):

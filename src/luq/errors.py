@@ -73,8 +73,3 @@ class DataFormatError(LuqError):
 class RankDeficientWarning(UserWarning):
     """PCA was asked for more directions than the data's numerical rank;
     trailing eigenvalues are zero."""
-
-
-class GridTooCoarseWarning(UserWarning):
-    """Halving the quadrature spacing moved the result by more than the
-    self-check tolerance."""

@@ -89,8 +89,8 @@ def _pack_array(a: np.ndarray) -> bytes:
 
 def _unpack_array(r: _Reader) -> np.ndarray:
     (ndim,) = r.unpack("B")
-    shape = tuple(r.unpack("I" * ndim)) if ndim else ()
-    count = int(np.prod(shape)) if shape else 1
+    shape = tuple(r.unpack("I" * ndim))
+    count = int(np.prod(shape))
     raw = r.take(8 * count)
     return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
 

@@ -11,9 +11,9 @@ into the first hidden pre-activation of both subnets) depends on the
 condition alone.  ``flow_condition`` computes it once for a batch of
 conditions and keeps only the two lifts of each layer: the feature and its
 backward cache are needed by ``flow_gradients`` alone, which conditions its
-batch itself.  The ``c`` of ``flow_log_prob``, ``flow_forward``,
-``flow_inverse`` and ``flow_gradients`` takes two forms: such a
-``FlowCondition``, or condition values that reshape to rows of
+batch itself and so takes condition values only.  The ``c`` of
+``flow_log_prob``, ``flow_forward`` and ``flow_inverse`` takes two forms:
+such a ``FlowCondition``, or condition values that reshape to rows of
 ``cond_dim`` values.  ``z`` holds one row per condition, or one row that
 is run against every condition (``flow_gradients`` needs one per
 condition).  Regression scoring conditions on the support grid once per
@@ -286,16 +286,15 @@ def build_flow(dim: int, cond_dim: int, arch: FlowArchitecture | None = None,
 
 @dataclass(frozen=True)
 class FlowCondition:
-    """Every coupling layer's conditioning for the condition ``values``,
-    (rows, cond_dim), from ``flow_condition``."""
+    """Every coupling layer's conditioning for a batch of conditions, from
+    ``flow_condition``."""
 
     flow: ConditionalFlow = field(repr=False)
     layers: tuple[LayerCondition, ...]
-    values: np.ndarray = field(repr=False)
 
     @property
     def rows(self) -> int:
-        return self.values.shape[0]
+        return self.layers[0].scale_lift.shape[0]
 
 
 def flow_condition(flow: ConditionalFlow, c) -> FlowCondition:
@@ -306,7 +305,7 @@ def flow_condition(flow: ConditionalFlow, c) -> FlowCondition:
     c = np.asarray(c, dtype=np.float64)
     if c.ndim != 2 or c.shape[1] != flow.cond_dim:
         raise DimMismatchError(f"conditions must be (n, {flow.cond_dim}), got {c.shape}")
-    return FlowCondition(flow, tuple(layer.condition(c) for layer in flow.layers), c)
+    return FlowCondition(flow, tuple(layer.condition(c) for layer in flow.layers))
 
 
 def _as_batch(flow, z, c):
@@ -410,11 +409,11 @@ def flow_gradients(flow: ConditionalFlow, z, c):
 
     Gradient order matches ``flow.params()``.  Each layer's condition-net
     feature is computed here with its backward cache, from the condition
-    values (those of a FlowCondition included).
+    values; a FlowCondition, which keeps neither, is a ValueError.
     """
-    z, c, _ = _as_batch(flow, z, c)
     if isinstance(c, FlowCondition):
-        c = c.values
+        raise ValueError("flow_gradients takes condition values, not a FlowCondition")
+    z, c, _ = _as_batch(flow, z, c)
     n = z.shape[0]
     if n == 0:
         raise ValueError("flow_gradients needs a non-empty batch")

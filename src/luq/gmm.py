@@ -36,9 +36,8 @@ from .linalg import LOG_2PI, CholeskyFactor, as_matrix, logsumexp, row_blocks
 
 # Rows per pass of the stacked kernel: a pass holds (k, d, CHUNK) arrays, not
 # (k, d, n).  A constant, so that the passes do not depend on the caller.
-# Scoring the benchmark's 20 000 rows (k = 10, d = 24) on two workers took
-# 33.1 ms with a loop over the components, 32.8 ms in chunks of 256 rows and
-# 31.0 ms in chunks of 384; 512 and more were slower again.
+# Of the sizes measured on the benchmark's GMM scoring, 384 was the fastest:
+# smaller chunks and larger ones, and a loop over the components, were slower.
 CHUNK = 384
 
 FULL_COVARIANCE = "full"

@@ -261,10 +261,10 @@ def run_regression_study(
     threads, the regressor trains on a ``_pool.worker_pool`` thread beside
     the ensemble; otherwise both train in the calling thread.  The ensemble,
     the larger allocator, always trains in the calling thread, so that the
-    flow fit reuses the memory it frees: on a worker, the benchmark's toy
-    peaked at 53.8 MB instead of 51.3 MB.  Both fits finish before the flow
-    fit starts.  Every fit is deterministic and seeded, so the study does not
-    depend on the number of threads.
+    flow fit reuses the memory it frees; on a worker it raised the toy's
+    peak memory.  Both fits finish before the flow fit starts.  Every fit is
+    deterministic and seeded, so the study does not depend on the number of
+    threads.
     """
     spec = spec or ToyRegressionSpec()
     eval_x = regression_eval_x(spec, eval_points)

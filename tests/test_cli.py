@@ -616,15 +616,32 @@ class TestScore:
         assert cols["aleatoric_nats"][0] == pytest.approx(0.582203, abs=1e-6)
 
     def test_dim_mismatch_names_both(self, tmp_path, capsys):
-        model_path = tmp_path / "ref.luqm"
-        write_model(model_path, two_class_reference_model())
+        from luq.flow import build_flow
+
         fpath = tmp_path / "bad.luq"
         write_matrix(fpath, np.zeros((2, 3)))
-        code = run_cli("score", "--model", str(model_path), "--features", str(fpath),
-                       "--output", str(tmp_path / "s.csv"))
-        assert code == 3
-        err = capsys.readouterr().err
-        assert "3" in err and "1" in err
+        out = tmp_path / "s.csv"
+        flow_model = ModelBundle(prior=UniformPrior(-10.0, 10.0), flow=build_flow(2, 1, seed=0))
+        for bundle in (two_class_reference_model(), flow_model):
+            model_path = tmp_path / "m.luqm"
+            write_model(model_path, bundle)
+            code = run_cli("score", "--model", str(model_path), "--features", str(fpath),
+                           "--output", str(out))
+            assert code == 3
+            assert capsys.readouterr().err == (f"error: {fpath}: feature dim 3 does not match "
+                                               f"model dim {bundle.feature_dim}\n")
+            assert not out.exists()
+
+    def test_grid_too_large_to_allocate_exit_3(self, tmp_path, capsys):
+        # the grid's points fail to allocate at once, without touching memory
+        model_path, fpath = self.flat_posterior_model(tmp_path)
+        out = tmp_path / "s.csv"
+        assert run_cli("score", "--model", str(model_path), "--features", str(fpath),
+                       "--output", str(out), "--grid", "1000000000000000") == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: out of memory: ")
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_unbounded_prior_needs_grid_range(self, tmp_path):
         from luq.flow import build_flow
@@ -747,7 +764,7 @@ class TestScore:
                        "--output", str(out), f"--grid-range={grid_range}", "--grid", "50") == 0
         assert capsys.readouterr().out == f"rows_scored=2\nscores_file={out}\n"
 
-    def test_stored_pca_applied(self, tmp_path, blob_files):
+    def test_stored_pca_applied(self, tmp_path, blob_files, capsys):
         fpath, ppath = blob_files
         model_path = tmp_path / "m.luqm"
         assert run_cli("fit", "--features", str(fpath), "--predictions", str(ppath),
@@ -758,6 +775,15 @@ class TestScore:
                        "--output", str(tmp_path / "s.csv")) == 0
         cols = read_csv_columns(tmp_path / "s.csv", ["epistemic_nats"])
         assert len(cols["epistemic_nats"]) == 120
+        # features at the projected width are not taken as already projected
+        projected = tmp_path / "projected.luq"
+        write_matrix(projected, np.zeros((3, 1)))
+        out = tmp_path / "p.csv"
+        assert run_cli("score", "--model", str(model_path), "--features", str(projected),
+                       "--output", str(out)) == 3
+        assert capsys.readouterr().err == (f"error: {projected}: feature dim 1 does not match "
+                                           "model dim 2\n")
+        assert not out.exists()
 
 
 class TestEval:
@@ -860,6 +886,14 @@ class TestToy:
         assert np.all(curve["prediction"] <= curve["band_upper"] + 1e-12)
         bundle = read_model(out / "model.luqm")
         assert bundle.flow is not None
+
+    def test_eval_points_too_large_to_allocate_exit_3(self, tmp_path, capsys):
+        # the evaluation inputs fail to allocate at once, before any training
+        assert run_cli("toy", "regression", "--out", str(tmp_path / "big"),
+                       "--eval-points", "1000000000000000") == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: out of memory: ")
+        assert captured.out == ""
 
     def test_small_classification_run_artifacts(self, tmp_path):
         out = tmp_path / "runB"

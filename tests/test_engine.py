@@ -28,7 +28,6 @@ from luq.engine import (
 )
 from luq.errors import (
     DimMismatchError,
-    GridTooCoarseWarning,
     MassUnreachableError,
     MissingClassDensityError,
 )
@@ -58,7 +57,6 @@ class TestSupportGrid:
         assert g == SupportGrid.from_range(-1.0, 2.0, 7)
         np.testing.assert_array_equal(g.points, np.linspace(-1.0, 2.0, 7))
         assert g.spacing == 3.0 / 6
-        assert g.refined() == SupportGrid(-1.0, 2.0, 13)
 
     @pytest.mark.parametrize("lo, hi, n", [(1.0, 1.0, 5), (2.0, 1.0, 5), (0.0, 1.0, 1),
                                            (-1e308, 1e308, 5),
@@ -70,12 +68,6 @@ class TestSupportGrid:
     def test_trapezoid_weights_sum_to_range(self):
         g = SupportGrid.from_range(2.0, 5.0, 31)
         assert g.trapezoid_weights().sum() == pytest.approx(3.0)
-
-    def test_refined_halves_spacing(self):
-        g = SupportGrid.from_range(0.0, 1.0, 11)
-        f = g.refined()
-        assert f.spacing == pytest.approx(g.spacing / 2)
-        np.testing.assert_allclose(f.points[::2], g.points, atol=1e-12)
 
 
 class TestClassificationScores:
@@ -246,28 +238,10 @@ class TestRegressionScores:
         flow = gaussian_conditional_flow(math.log(2.0))
         prior = UniformPrior(-10.0, 10.0)
         coarse = SupportGrid.from_range(-10.0, 10.0, 1000)
-        fine = coarse.refined()
+        fine = SupportGrid.from_range(-10.0, 10.0, 1999)
         a = epistemic_regression(flow, prior, coarse, np.array([0.3]))
         b = epistemic_regression(flow, prior, fine, np.array([0.3]))
         assert abs(a - b) < 1e-4
-
-    def test_self_check_warns_on_coarse_grid(self):
-        flow = gaussian_conditional_flow(math.log(4.0))  # sigma = 1/4
-        prior = UniformPrior(-10.0, 10.0)
-        coarse = SupportGrid.from_range(-10.0, 10.0, 12)
-        with pytest.warns(GridTooCoarseWarning):
-            epistemic_regression(flow, prior, coarse, np.zeros(1), self_check=True)
-
-    def test_self_check_is_silent_on_fine_grid(self):
-        flow = gaussian_conditional_flow(math.log(2.0))
-        prior = UniformPrior(-10.0, 10.0)
-        grid = SupportGrid.from_range(-10.0, 10.0, 1000)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", GridTooCoarseWarning)
-            checked = epistemic_regression(flow, prior, grid, np.array([0.3]),
-                                           self_check=True)
-        batch = score_regression(flow, prior, grid, np.array([[0.3]]))
-        assert checked == batch.epistemic[0]
 
     def test_posterior_integrates_to_one(self):
         flow = gaussian_conditional_flow(math.log(2.0))

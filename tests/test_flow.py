@@ -115,8 +115,8 @@ class TestFlowCondition:
         cond = flow_condition(flow, np.zeros((4, 1)))
         with pytest.raises(DimMismatchError):
             flow_log_prob(flow, np.zeros((2, 3)), cond)
-        with pytest.raises(DimMismatchError):
-            flow_gradients(flow, np.zeros((1, 3)), cond)
+        with pytest.raises(ValueError, match="not a FlowCondition"):
+            flow_gradients(flow, np.zeros((4, 3)), cond)
         with pytest.raises(DimMismatchError):
             flow_condition(flow, np.zeros((4, 2)))
         with pytest.raises(ValueError, match="another flow"):
