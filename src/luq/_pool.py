@@ -1,6 +1,6 @@
 """Worker threads for work that splits into independent tasks: the fits
-that do not depend on each other, and the (class, row block) tasks of GMM
-scoring.
+that do not depend on each other, the (class, row block) tasks of GMM
+scoring and the row block tasks of regression scoring.
 
 ``LUQ_THREADS`` is parsed here and only here: ``luq/__init__.py`` copies it
 into the BLAS pool variables, the CLI turns a bad value into a usage error,

@@ -3,14 +3,14 @@ used to model the output-conditional latent density for classification.
 
 One kernel, ``_log_joint``, scores every component from stacked log-weights
 (k,), means (k, d) and lower Cholesky factors (k, d, d), in one stacked
-pass over all components per block of ``CHUNK`` rows; EM's E-step and
-``gmm_log_prob`` both call it.  Both hold the rows feature-major, (d, n),
+product over all components per block of ``CHUNK`` rows, each mean folded
+into its whitening matrix; EM's E-step and ``gmm_log_prob`` both call it.
+EM's M-step sums its k scatters over the same blocks, one stacked product
+of the (k, d, CHUNK) weighted residuals per block, so neither pass holds a
+(k, d, n) stack.  The kernel and EM hold the rows feature-major, (d, n),
 and EM its responsibilities as (k, n), so that numpy's element-wise passes
 run along the n rows and not along the short feature axis d.  EM keeps its
 parameters as stacks and builds the ``GaussianComponent`` objects once.
-The M-step stays a loop over the components: each scatter sums over all n
-rows in one product, and a stack of the k (d, n) residuals would outgrow
-the kernel's (k, d, CHUNK) bound.
 
 All responsibilities and likelihoods are handled in log space; covariances
 carry an explicit ridge (``cov_reg``) so long-tailed or tiny classes stay
@@ -34,8 +34,9 @@ from .errors import (
 )
 from .linalg import LOG_2PI, CholeskyFactor, as_matrix, logsumexp, row_blocks
 
-# Rows per pass of the stacked kernel: a pass holds (k, d, CHUNK) arrays, not
-# (k, d, n).  A constant, so that the passes do not depend on the caller.
+# Rows per pass of the stacked kernel and of EM's scatter sums: a pass holds
+# (k, d, CHUNK) arrays, not (k, d, n).  A constant, so that the passes do not
+# depend on the caller.
 # Of the sizes measured on the benchmark's GMM scoring, 384 was the fastest:
 # smaller chunks and larger ones, and a loop over the components, were slower.
 CHUNK = 384
@@ -130,24 +131,34 @@ def _log_joint(xt: np.ndarray, log_w: np.ndarray, means: np.ndarray,
     as the columns of ``xt`` (d, n), over stacked log-weights (k,), means
     (k, d) and lower Cholesky factors (k, d, d).
 
-    The factor stack is inverted once, and each block of ``CHUNK`` rows
-    (``linalg.row_blocks``) is whitened for all components in one stacked
-    GEMM, ||L_j^-1 (x - mu_j)||^2: several times faster than a triangular
-    solve, as accurate.  Each component's product and sums are the ones a
-    loop over the components would run on that block, bit for bit, and a
-    pass holds two (k, d, CHUNK) arrays at most.  A residual too large to
-    square gives the log density -inf, with no warning.
+    The factor stack is inverted once, and each inverse gets the whitened
+    offset of its mean as a last column, -L_j^-1 (mu_j - c), about c, the
+    mean of the means.  Each block of ``CHUNK`` rows (``linalg.row_blocks``)
+    is centred once at c, given a row of ones, and whitened for all
+    components in one stacked GEMM, L_j^-1 (x - c) - L_j^-1 (mu_j - c):
+    several times faster than a triangular solve.  The fold rounds each
+    whitened residual to a few units in the last place of
+    ||L_j^-1 (x - c)|| + D_j, D_j = ||L_j^-1 (mu_j - c)||, not of the
+    residual itself: near a mean that lies D_j whitened units from c, the
+    log density is good to about D_j * eps rather than eps.  Each
+    component's product and sums are the ones a loop over the components
+    would run on that block, bit for bit, and a pass holds two (k, d, CHUNK)
+    arrays at most.  A residual too large to square gives the log density
+    -inf, with no warning.
     """
     k, d = means.shape
     inv = np.linalg.inv(lowers)
+    centre = np.mean(means, axis=0)
+    folded = np.concatenate([inv, -(inv @ (means - centre)[:, :, None])], axis=2)
     log_dets = 2.0 * np.sum(np.log(np.diagonal(lowers, axis1=1, axis2=2)), axis=1)
     consts = (d * LOG_2PI + log_dets)[:, None]
     out = np.empty((k, xt.shape[1]))
     with np.errstate(over="ignore"):
         for lo, hi in row_blocks(xt.shape[1], CHUNK):
-            sol = inv @ (xt[:, lo:hi] - means[:, :, None])
-            sol *= sol
-            quad = np.sum(sol, axis=1)
+            block = np.ones((d + 1, hi - lo))
+            np.subtract(xt[:, lo:hi], centre[:, None], out=block[:d])
+            sol = folded @ block
+            quad = np.einsum("kdm,kdm->km", sol, sol)
             quad += consts
             quad *= 0.5
             np.subtract(log_w[:, None], quad, out=out[:, lo:hi])
@@ -264,8 +275,11 @@ def em_fit(data, opts: EmOptions) -> Gmm:
             continue
 
         means = (resp @ x) / mass[:, None]
-        diffs = (xt - mu[:, None] for mu in means)  # one (d, n) residual at a time
-        scatters = np.array([(diff * r) @ diff.T for diff, r in zip(diffs, resp)])
+        scatters = np.zeros((k, d, d))
+        for lo, hi in row_blocks(n, CHUNK):  # (k, d, CHUNK) residuals at a time
+            w = xt[:, lo:hi] - means[:, :, None]
+            w *= np.sqrt(resp[:, None, lo:hi])
+            scatters += w @ w.transpose(0, 2, 1)
         if tied:  # a running sum in component order; ``sum`` goes pairwise when d = 1
             scatters = np.repeat(np.add.accumulate(scatters)[-1:], k, axis=0) / n
         else:

@@ -40,7 +40,9 @@ def svg_line_plot(path, x, series, band=None, title="", x_label="", y_label=""):
     """Write a line plot.
 
     ``series`` is an ordered list of (label, y-array); ``band`` an optional
-    (lower, upper) pair drawn as a shaded region behind the lines.
+    (lower, upper) pair drawn as a shaded region behind the lines.  A series
+    point whose y value is not finite is left out of its line, and a band
+    point whose x, lower or upper value is not finite out of the band.
     """
     x = np.asarray(x, dtype=float)
     ys = [np.asarray(y, dtype=float) for _, y in series]
@@ -59,8 +61,10 @@ def svg_line_plot(path, x, series, band=None, title="", x_label="", y_label=""):
     if band is not None:
         lower = np.asarray(band[0], dtype=float)
         upper = np.asarray(band[1], dtype=float)
-        fwd = [f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, upper)]
-        back = [f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x[::-1], lower[::-1])]
+        keep = np.isfinite(x) & np.isfinite(lower) & np.isfinite(upper)
+        bx, lower, upper = x[keep], lower[keep], upper[keep]
+        fwd = [f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(bx, upper)]
+        back = [f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(bx[::-1], lower[::-1])]
         parts.append(
             '<polygon fill="#1c6fb8" fill-opacity="0.18" stroke="none" points="'
             + " ".join(fwd + back) + '"/>'

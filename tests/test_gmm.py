@@ -177,16 +177,56 @@ class TestStackedKernel:
         assert np.isfinite(em_fit(x, EmOptions(n_components=2, covariance_mode=mode)).em_log[-1])
 
 
+class TestFoldAccuracy:
+    """The kernel whitens x - mu_j as L_j^-1 (x - c) - L_j^-1 (mu_j - c),
+    c the mean of the means, so its error grows with the distance
+    D = ||L_j^-1 (mu_j - c)||.  A narrow component far from c is where the
+    fold is weakest; the triangular-solve reference has no such term."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("distance", [1e3, 1e4])
+    def test_narrow_component_far_from_the_centre(self, distance, seed):
+        rng = np.random.default_rng(seed)
+        d = 3
+        a = rng.normal(size=(d, d))
+        wide = np.linalg.cholesky(a @ a.T + np.eye(d))
+        offset = rng.normal(scale=3.0, size=d)
+        u = rng.normal(size=d)
+        u /= np.linalg.norm(u)
+        means = np.array([offset - u, offset + u])  # the centre c is ``offset``
+        narrow = wide / (distance / np.linalg.norm(np.linalg.solve(wide, u)))
+        g = Gmm(dim=d, components=tuple(
+            GaussianComponent(math.log(0.5), m, CholeskyFactor(d, lo))
+            for m, lo in zip(means, (narrow, wide))))
+        dist = max(np.linalg.norm(np.linalg.solve(lo, m - offset))
+                   for m, lo in zip(means, (narrow, wide)))
+        assert dist == pytest.approx(distance)
+        # rows drawn from each component, and rows far out from both
+        z = np.vstack([m + rng.normal(size=(50, d)) @ lo.T
+                       for m, lo in zip(means, (narrow, wide))]
+                      + [offset + rng.normal(scale=50.0, size=(50, d))])
+        # each whitened residual is good to a few units in the last place of
+        # D, so the log density to about ||residual|| * eps * D
+        tol = d * np.finfo(float).eps * dist
+        np.testing.assert_allclose(gmm_log_prob(g, z), reference_log_prob(g, z),
+                                   rtol=tol, atol=tol)
+
+
 def looped_log_joint(xt, log_w, means, lowers):
     """``gmm._log_joint`` as a loop over the components, one block of
-    ``gmm.CHUNK`` rows (``linalg.row_blocks``) at a time."""
+    ``gmm.CHUNK`` rows (``linalg.row_blocks``) at a time: the block is
+    centred at the mean of the means, given a row of ones, and multiplied by
+    each inverse factor with its mean's whitened offset as a last column."""
     k, d = means.shape
     inv = np.linalg.inv(lowers)
+    centre = np.mean(means, axis=0)
     log_dets = 2.0 * np.sum(np.log(np.diagonal(lowers, axis1=1, axis2=2)), axis=1)
     out = np.empty((k, xt.shape[1]))
     for lo, hi in row_blocks(xt.shape[1], gmm.CHUNK):
+        block = np.vstack([xt[:, lo:hi] - centre[:, None], np.ones((1, hi - lo))])
         for j in range(k):
-            sol = inv[j] @ (xt[:, lo:hi] - means[j][:, None])
+            folded = np.column_stack([inv[j], -(inv[j] @ (means[j] - centre))])
+            sol = folded @ block
             out[j, lo:hi] = log_w[j] - 0.5 * (d * LOG_2PI + log_dets[j]
                                               + np.sum(sol * sol, axis=0))
     return out
@@ -234,6 +274,22 @@ class TestKernelBits:
         finally:
             tracemalloc.stop()
         assert peak < 8 * k * d * 384 * 8
+
+    def test_em_peak_memory_is_bounded_by_the_chunk(self):
+        # the M-step's scatters sum (k, d, CHUNK) residual blocks; the peak
+        # measured 5.5 blocks, and one (k, d, n) stack would be 10.7 alone
+        rng = np.random.default_rng(16)
+        k, d = 10, 24
+        x = correlated_data(rng, 4096, d)
+        opts = EmOptions(n_components=k, max_iter=3)
+        em_fit(x, opts)
+        tracemalloc.start()
+        try:
+            em_fit(x, opts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * k * d * gmm.CHUNK * 8
 
 
 def reference_em(x, opts):
@@ -310,6 +366,23 @@ class TestRowMajorReference:
         history, log_w, means, lowers = reference_em(x, opts)
         assert len(g.em_log) == len(history)
         close = dict(rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(g.em_log, history, **close)
+        np.testing.assert_allclose([c.log_weight for c in g.components], log_w, **close)
+        np.testing.assert_allclose([c.mean for c in g.components], means, **close)
+        np.testing.assert_allclose([c.cov_chol.lower for c in g.components], lowers, **close)
+
+    @pytest.mark.parametrize("mode", COVARIANCE_MODES)
+    @pytest.mark.parametrize("n", [gmm.CHUNK - 1, gmm.CHUNK + gmm.CHUNK // 2 - 1,
+                                   3 * gmm.CHUNK + 7],
+                             ids=["short_block", "tail_joins_one_block", "tail_joins_third_block"])
+    def test_one_step_across_block_edges(self, n, mode):
+        # the M-step sums its scatters block by block; one step, so that no
+        # stopping decision can hide a block that was dropped or counted twice
+        x = correlated_data(np.random.default_rng(n), n, 5)
+        opts = EmOptions(n_components=4, max_iter=1, covariance_mode=mode, seed=1)
+        g = em_fit(x, opts)
+        history, log_w, means, lowers = reference_em(x, opts)
+        close = dict(rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(g.em_log, history, **close)
         np.testing.assert_allclose([c.log_weight for c in g.components], log_w, **close)
         np.testing.assert_allclose([c.mean for c in g.components], means, **close)

@@ -25,3 +25,21 @@ def test_two_series_with_band_and_a_nan(tmp_path):
     assert len(xs[0]) == 4 and len(xs[1]) == 5
     assert xs[1][2] not in xs[0]
     assert re.search(r"\bnan\b", svg) is None
+
+
+def test_band_points_that_are_not_finite_are_left_out(tmp_path):
+    x = np.linspace(0.0, 5.0, 6)
+    lower = np.array([0.0, np.nan, 1.0, 2.0, 3.0, 4.0])
+    upper = np.array([1.0, 2.0, 3.0, np.inf, 5.0, 6.0])
+    path = tmp_path / "band.svg"
+    svg_line_plot(path, x, [("mean", x)], band=(lower, upper))
+    svg = path.read_text()
+
+    (points,) = re.findall(r'<polygon [^>]*points="([^"]*)"', svg)
+    xs = [float(p.split(",")[0]) for p in points.split()]
+    # indices 1 and 3 dropped from both edges: four points forward, four back
+    assert len(xs) == 8 and xs[:4] == xs[:3:-1]
+    line = re.search(r'<polyline [^>]*points="([^"]*)"', svg).group(1)
+    line_xs = [float(p.split(",")[0]) for p in line.split()]
+    assert xs[:4] == [line_xs[i] for i in (0, 2, 4, 5)]
+    assert re.search(r"\bnan\b|\binf\b", points) is None
