@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -114,6 +115,13 @@ def _parse_range(text: str, flag: str):
     return lo, hi
 
 
+def _from_flags(base, args):
+    """The option object ``base`` with each field set whose flag, named by
+    the field and with no parser default, was given; the rest keep theirs."""
+    given = vars(args)
+    return replace(base, **{f.name: given[f.name] for f in fields(base) if f.name in given})
+
+
 # --- fit -------------------------------------------------------------------
 
 
@@ -123,30 +131,10 @@ def _fit_options(args):
     _require(args.pca is None or args.pca >= 1, "--pca", "at least 1", args.pca)
     with _usage():
         if args.model == "gmm":
-            return EmOptions(
-                n_components=args.components,
-                max_iter=args.max_iter,
-                tol=args.tol,
-                cov_reg=args.cov_reg,
-                covariance_mode=args.covariance,
-                seed=args.seed,
-            )
+            return _from_flags(EmOptions(), args)
         from .flow import FlowArchitecture, FlowTrainConfig
 
-        cfg = FlowTrainConfig(
-            learning_rate=args.learning_rate,
-            weight_decay=args.weight_decay,
-            batch_size=args.batch_size,
-            max_epochs=args.max_epochs,
-            patience=args.patience,
-            val_fraction=args.val_fraction,
-            seed=args.seed,
-        )
-        arch = FlowArchitecture(
-            n_layers=args.flow_layers,
-            hidden=(args.flow_hidden, args.flow_hidden),
-        )
-        return cfg, arch
+        return _from_flags(FlowTrainConfig(), args), _from_flags(FlowArchitecture(), args)
 
 
 def cmd_fit(args) -> dict:
@@ -188,7 +176,7 @@ def cmd_fit(args) -> dict:
             density = fit_class_conditional(x, labels, options)
         except NotPositiveDefiniteError as exc:
             raise NotPositiveDefiniteError(
-                f"{exc}: a covariance is singular; raise --cov-reg (now {args.cov_reg:g})"
+                f"{exc}: a covariance is singular; raise --cov-reg (now {options.cov_reg:g})"
             ) from exc
         for c in density.classes:
             results[f"class_{c}_count"] = int(np.sum(labels == c))
@@ -353,19 +341,16 @@ def cmd_eval(args) -> dict:
 def _toy_spec(args):
     """The toy study's spec from the flags, with the classification toy's
     ``EmOptions`` (None for regression); bad values are usage errors."""
-    from .toy import ToyClassificationSpec, ToyRegressionSpec, regression_eval_x
+    from .toy import CLASSIFICATION_EM, ToyClassificationSpec, ToyRegressionSpec, regression_eval_x
 
     with _usage():
         if args.kind == "classification":
-            spec = ToyClassificationSpec(
-                sigma=args.cluster_sigma, n_per_class=args.per_class, seed=args.seed
-            )
-            return spec, EmOptions(n_components=args.components, cov_reg=args.cov_reg,
-                                   seed=args.seed)
+            return _from_flags(ToyClassificationSpec(), args), _from_flags(CLASSIFICATION_EM, args)
         _require(args.grid >= 2, "--grid", "at least 2", args.grid)
         _require(0.0 < args.mass < 1.0, "--mass", "in (0, 1)", args.mass)
-        spec = ToyRegressionSpec(n_train=args.n_train, gap=_parse_range(args.gap, "--gap"),
-                                 noise_sigma=args.noise, seed=args.seed)
+        if "gap" in args:
+            args.gap = _parse_range(args.gap, "--gap")
+        spec = _from_flags(ToyRegressionSpec(), args)
         regression_eval_x(spec, args.eval_points)
         return spec, None
 
@@ -373,13 +358,8 @@ def _toy_spec(args):
 def _toy_regression(args, spec, out) -> dict:
     from .toy import run_regression_study
 
-    study = run_regression_study(
-        spec,
-        eval_points=args.eval_points,
-        band_mass=args.mass,
-        grid_points=args.grid,
-        with_ensemble=args.ensemble,
-    )
+    study = run_regression_study(spec, eval_points=args.eval_points, band_mass=args.mass,
+                                 grid_points=args.grid, with_ensemble=args.ensemble)
     fileio.write_csv(out / "train_data.csv", ["x", "y"],
                      [study.train_x[:, 0], study.train_y])
     fileio.write_csv(out / "mlp_loss.csv",
@@ -491,6 +471,14 @@ def cmd_pca(args) -> dict:
 # --- parser ----------------------------------------------------------------
 
 
+def _two_layers(text: str) -> tuple[int, int]:
+    """``--flow-hidden W`` as ``FlowArchitecture.hidden``: two layers of width W."""
+    try:
+        return (int(text),) * 2
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="luq",
@@ -498,29 +486,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", help="fit a density model and output prior")
+    p_fit = sub.add_parser("fit", help="fit a density model and output prior",
+                           argument_default=argparse.SUPPRESS)
     p_fit.add_argument("--features", required=True)
     p_fit.add_argument("--predictions", required=True)
     p_fit.add_argument("--model", choices=["gmm", "flow"], required=True)
     p_fit.add_argument("--output", required=True)
     p_fit.add_argument("--prior", default=None,
                        help="categorical | uniform:LO:HI | betaprime[:A:B] | histogram[:BINS]")
-    p_fit.add_argument("--components", type=int, default=1)
-    p_fit.add_argument("--cov-reg", type=float, default=1e-6)
-    p_fit.add_argument("--covariance", choices=["full", "tied"], default="full")
-    p_fit.add_argument("--max-iter", type=int, default=200)
-    p_fit.add_argument("--tol", type=float, default=1e-6)
+    p_fit.add_argument("--components", dest="n_components", type=int)
+    p_fit.add_argument("--cov-reg", type=float)
+    p_fit.add_argument("--covariance", dest="covariance_mode", choices=["full", "tied"])
+    p_fit.add_argument("--max-iter", type=int)
+    p_fit.add_argument("--tol", type=float)
     p_fit.add_argument("--pca", type=int, default=None)
-    p_fit.add_argument("--whiten", action="store_true")
-    p_fit.add_argument("--learning-rate", type=float, default=1e-3)
-    p_fit.add_argument("--weight-decay", type=float, default=1e-5)
-    p_fit.add_argument("--batch-size", type=int, default=128)
-    p_fit.add_argument("--max-epochs", type=int, default=500)
-    p_fit.add_argument("--patience", type=int, default=20)
-    p_fit.add_argument("--val-fraction", type=float, default=0.2)
-    p_fit.add_argument("--flow-layers", type=int, default=3)
-    p_fit.add_argument("--flow-hidden", type=int, default=64)
-    p_fit.add_argument("--seed", type=int, default=0)
+    p_fit.add_argument("--whiten", action="store_true", default=False)
+    p_fit.add_argument("--learning-rate", type=float)
+    p_fit.add_argument("--weight-decay", type=float)
+    p_fit.add_argument("--batch-size", type=int)
+    p_fit.add_argument("--max-epochs", type=int)
+    p_fit.add_argument("--patience", type=int)
+    p_fit.add_argument("--val-fraction", type=float)
+    p_fit.add_argument("--flow-layers", dest="n_layers", type=int)
+    p_fit.add_argument("--flow-hidden", dest="hidden", type=_two_layers)
+    p_fit.add_argument("--seed", type=int)
     p_fit.set_defaults(func=cmd_fit)
 
     p_score = sub.add_parser("score", help="score features with a fitted model")
@@ -542,23 +531,23 @@ def build_parser() -> argparse.ArgumentParser:
                         help="T1,T2,...; write --thresholds=T1,T2 when T1 is negative")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_toy = sub.add_parser("toy", help="run a self-contained toy experiment")
+    p_toy = sub.add_parser("toy", help="run a self-contained toy experiment",
+                           argument_default=argparse.SUPPRESS)
     p_toy.add_argument("kind", choices=["regression", "classification"])
     p_toy.add_argument("--out", required=True)
-    p_toy.add_argument("--seed", type=int, default=0)
+    p_toy.add_argument("--seed", type=int)
     p_toy.add_argument("--mass", type=float, default=0.2)
     p_toy.add_argument("--grid", type=int, default=1000)
-    p_toy.add_argument("--n-train", type=int, default=750)
-    p_toy.add_argument("--gap", default="-0.25:0.25",
-                       help="LO:HI; write --gap=LO:HI when LO is negative")
-    p_toy.add_argument("--noise", type=float, default=0.0)
+    p_toy.add_argument("--n-train", type=int)
+    p_toy.add_argument("--gap", help="LO:HI; write --gap=LO:HI when LO is negative")
+    p_toy.add_argument("--noise", dest="noise_sigma", type=float)
     p_toy.add_argument("--eval-points", type=int, default=201)
-    p_toy.add_argument("--ensemble", action="store_true")
-    p_toy.add_argument("--components", type=int, default=20)
-    p_toy.add_argument("--cov-reg", type=float, default=1e-4)
-    p_toy.add_argument("--per-class", type=int, default=500)
-    p_toy.add_argument("--cluster-sigma", type=float, default=0.4)
-    p_toy.add_argument("--plot", action="store_true")
+    p_toy.add_argument("--ensemble", action="store_true", default=False)
+    p_toy.add_argument("--components", dest="n_components", type=int)
+    p_toy.add_argument("--cov-reg", type=float)
+    p_toy.add_argument("--per-class", dest="n_per_class", type=int)
+    p_toy.add_argument("--cluster-sigma", dest="sigma", type=float)
+    p_toy.add_argument("--plot", action="store_true", default=False)
     p_toy.set_defaults(func=cmd_toy)
 
     p_pca = sub.add_parser("pca", help="fit PCA and write transformed features")
@@ -579,8 +568,9 @@ def _merge_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]
 
     The config file is named in any form argparse accepts: ``--config PATH``,
     ``--config=PATH`` or a prefix that only ``--config`` starts with.  Config
-    keys are the long flag names without dashes; unknown keys are rejected
-    with their line number.
+    keys are the long flag names without dashes, and a switch takes 1, true,
+    yes or on, or 0, false, no or off, in any case; an unknown key or other
+    switch value is rejected with its line number.
     """
     sub_action = next(
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
@@ -610,7 +600,11 @@ def _merge_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]
             raise fileio.DataFormatError(f"{path}: line {lineno}: unknown key {key!r}")
         action = known_flags[key]
         if isinstance(action, argparse._StoreTrueAction):
-            if value.lower() in ("1", "true", "yes", "on"):
+            switch = value.lower()
+            if switch not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+                raise fileio.DataFormatError(f"{path}: line {lineno}: {key} must be 1, true, "
+                                             f"yes or on, or 0, false, no or off, got {value!r}")
+            if switch in ("1", "true", "yes", "on"):
                 injected.append(f"--{key}")
         else:
             injected.append(f"--{key}={value}")  # a value may begin with "-"

@@ -6,8 +6,8 @@ One kernel, ``_log_joint``, scores every component from stacked log-weights
 product over all components per block of ``CHUNK`` rows, each mean folded
 into its whitening matrix; EM's E-step and ``gmm_log_prob`` both call it.
 EM's M-step sums its k scatters over the same blocks, one stacked product
-of the (k, d, CHUNK) weighted residuals per block, so neither pass holds a
-(k, d, n) stack.  The kernel and EM hold the rows feature-major, (d, n),
+of the (k, d, CHUNK) weighted residuals per block; a pass of either holds
+one such array, never a (k, d, n) stack.  The kernel and EM hold the rows feature-major, (d, n),
 and EM its responsibilities as (k, n), so that numpy's element-wise passes
 run along the n rows and not along the short feature axis d.  EM keeps its
 parameters as stacks and builds the ``GaussianComponent`` objects once.
@@ -142,9 +142,9 @@ def _log_joint(xt: np.ndarray, log_w: np.ndarray, means: np.ndarray,
     residual itself: near a mean that lies D_j whitened units from c, the
     log density is good to about D_j * eps rather than eps.  Each
     component's product and sums are the ones a loop over the components
-    would run on that block, bit for bit, and a pass holds two (k, d, CHUNK)
-    arrays at most.  A residual too large to square gives the log density
-    -inf, with no warning.
+    would run on that block, bit for bit.  A pass holds one (k, d, CHUNK)
+    product, freed before the next pass makes its own.  A residual too
+    large to square gives the log density -inf, with no warning.
     """
     k, d = means.shape
     inv = np.linalg.inv(lowers)
@@ -162,6 +162,7 @@ def _log_joint(xt: np.ndarray, log_w: np.ndarray, means: np.ndarray,
             quad += consts
             quad *= 0.5
             np.subtract(log_w[:, None], quad, out=out[:, lo:hi])
+            del sol, block
     return out
 
 
@@ -280,6 +281,7 @@ def em_fit(data, opts: EmOptions) -> Gmm:
             w = xt[:, lo:hi] - means[:, :, None]
             w *= np.sqrt(resp[:, None, lo:hi])
             scatters += w @ w.transpose(0, 2, 1)
+            del w
         if tied:  # a running sum in component order; ``sum`` goes pairwise when d = 1
             scatters = np.repeat(np.add.accumulate(scatters)[-1:], k, axis=0) / n
         else:

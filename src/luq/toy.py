@@ -9,7 +9,7 @@ deep-ensemble baseline for comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -359,6 +359,8 @@ class ClassificationStudy:
 
 
 CLASSIFICATION_MLP_HIDDEN = (50, 50)
+# the per-class GMMs' options; the study's seed replaces the EM seed
+CLASSIFICATION_EM = EmOptions(n_components=20, cov_reg=1e-4)
 
 
 def run_classification_study(
@@ -385,7 +387,7 @@ def run_classification_study(
     latents = latent_extract(model, latent_layer, train_x)
     predicted = mlp_predict(model, train_x).argmax(axis=1)
 
-    em_opts = em_opts or EmOptions(n_components=20, cov_reg=1e-4, seed=spec.seed)
+    em_opts = em_opts or replace(CLASSIFICATION_EM, seed=spec.seed)
     density = fit_class_conditional(latents, predicted, em_opts,
                                     classes=range(N_CLASSES))
     prior = fit_categorical(predicted, classes=range(N_CLASSES))

@@ -1,10 +1,13 @@
+import argparse
 import ast
+import inspect
 import math
 import os
 import re
 import struct
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -21,9 +24,12 @@ from luq.fileio import (
     write_matrix,
     write_model,
 )
-from luq.gmm import ClassConditionalGmm, GaussianComponent, Gmm
-from luq.linalg import PcaModel, cholesky
+from luq.flow import FlowArchitecture, FlowTrainConfig
+from luq.gmm import ClassConditionalGmm, EmOptions, GaussianComponent, Gmm
+from luq.linalg import PcaModel, cholesky, pca_fit, pca_transform
+from luq.metrics import calibration_curve
 from luq.priors import BetaPrimePrior, CategoricalPrior, HistogramPrior, UniformPrior
+from luq.toy import ToyClassificationSpec, ToyRegressionSpec, run_regression_study
 
 
 def run_cli(*argv) -> int:
@@ -450,6 +456,132 @@ class TestNegativeOptionValues:
         argv = cli._merge_config(["toy", "regression", "--out", "o", "--config", str(cfg)],
                                  parser)
         assert parser.parse_args(argv).gap == "-0.5:0.5"
+
+
+def subparsers() -> dict[str, argparse.ArgumentParser]:
+    parser = cli.build_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# every option string of each subcommand: a flag added, dropped or renamed
+# must show up here
+OPTION_STRINGS = {
+    "fit": ["-h", "--help", "--features", "--predictions", "--model", "--output", "--prior",
+            "--components", "--cov-reg", "--covariance", "--max-iter", "--tol", "--pca",
+            "--whiten", "--learning-rate", "--weight-decay", "--batch-size", "--max-epochs",
+            "--patience", "--val-fraction", "--flow-layers", "--flow-hidden", "--seed",
+            "--config"],
+    "score": ["-h", "--help", "--model", "--features", "--output", "--grid", "--grid-range",
+              "--config"],
+    "eval": ["-h", "--help", "--mode", "--input", "--output", "--plot", "--percentile-step",
+             "--thresholds", "--config"],
+    "toy": ["-h", "--help", "--out", "--seed", "--mass", "--grid", "--n-train", "--gap",
+            "--noise", "--eval-points", "--ensemble", "--components", "--cov-reg",
+            "--per-class", "--cluster-sigma", "--plot", "--config"],
+    "pca": ["-h", "--help", "--features", "--out-dim", "--output", "--whiten", "--config"],
+}
+
+
+def test_option_strings_are_unchanged():
+    assert {name: [opt for action in p._actions for opt in action.option_strings]
+            for name, p in subparsers().items()} == OPTION_STRINGS
+
+
+class TestOptionObjects:
+    """A ``fit``/``toy`` flag that sets a field of a library option object
+    is named by the field and has no parser default, so the library states
+    each default once; no other optional flag lacks a default."""
+
+    # the option objects each command builds
+    BUILT = {"fit": (EmOptions, FlowTrainConfig, FlowArchitecture),
+             "toy": (ToyRegressionSpec, ToyClassificationSpec, EmOptions)}
+
+    @pytest.mark.parametrize("command, count", [("fit", 14), ("toy", 8)])
+    def test_flags_without_a_default_are_fields(self, command, count):
+        names = {f.name for cls in self.BUILT[command] for f in fields(cls)}
+        actions = [a for a in subparsers()[command]._actions
+                   if not (a.required or isinstance(a, argparse._HelpAction))]
+        suppressed = [a.dest for a in actions if a.default is argparse.SUPPRESS]
+        assert set(suppressed) <= names
+        assert [a.dest for a in actions if a.dest in names] == suppressed
+        assert len(suppressed) == count
+
+    @pytest.mark.parametrize("command, dest, function, parameter", [
+        ("toy", "mass", run_regression_study, "band_mass"),
+        ("toy", "grid", run_regression_study, "grid_points"),
+        ("toy", "eval_points", run_regression_study, "eval_points"),
+        ("eval", "percentile_step", calibration_curve, "percentile_step"),
+    ])
+    def test_stated_defaults_are_the_library_defaults(self, command, dest, function,
+                                                      parameter):
+        default = inspect.signature(function).parameters[parameter].default
+        assert subparsers()[command].get_default(dest) == default
+
+    @pytest.mark.parametrize("model, options", [
+        ("gmm", EmOptions()),
+        ("flow", (FlowTrainConfig(), FlowArchitecture())),
+    ])
+    def test_bare_fit_takes_the_library_defaults(self, model, options):
+        args = cli.build_parser().parse_args(["fit", "--features", "f", "--predictions", "p",
+                                              "--model", model, "--output", "o"])
+        assert cli._fit_options(args) == options
+
+    def test_fit_flags_set_their_fields(self):
+        args = cli.build_parser().parse_args([
+            "fit", "--features", "f", "--predictions", "p", "--model", "flow", "--output", "o",
+            "--flow-hidden", "16", "--flow-layers", "2", "--seed", "4", "--val-fraction", "0.3"])
+        assert cli._fit_options(args) == (FlowTrainConfig(seed=4, val_fraction=0.3),
+                                          FlowArchitecture(n_layers=2, hidden=(16, 16)))
+
+    def test_flow_hidden_that_is_no_integer_exit_2(self, capsys):
+        assert run_cli("fit", "--features", "f", "--predictions", "p", "--model", "flow",
+                       "--output", "o", "--flow-hidden", "1.5") == 2
+        assert "argument --flow-hidden: invalid int value: '1.5'" in capsys.readouterr().err
+
+    def test_toy_classification_starts_from_its_em_options(self):
+        from luq.toy import CLASSIFICATION_EM
+
+        args = cli.build_parser().parse_args(["toy", "classification", "--out", "o",
+                                              "--seed", "3"])
+        assert cli._toy_spec(args) == (ToyClassificationSpec(seed=3),
+                                       replace(CLASSIFICATION_EM, seed=3))
+
+    def test_toy_regression_defaults_and_gap(self):
+        parser = cli.build_parser()
+        args = parser.parse_args(["toy", "regression", "--out", "o"])
+        assert cli._toy_spec(args) == (ToyRegressionSpec(), None)
+        args = parser.parse_args(["toy", "regression", "--out", "o", "--gap=-0.5:0.1"])
+        assert cli._toy_spec(args)[0] == ToyRegressionSpec(gap=(-0.5, 0.1))
+
+
+class TestConfigSwitches:
+    """A switch in a config file takes 1/true/yes/on or 0/false/no/off, in
+    any case; any other value is a data error that names its line."""
+
+    def run_pca(self, tmp_path, text):
+        x = np.random.default_rng(6).normal(size=(40, 5)) * np.arange(1.0, 6.0)
+        fpath, out, cfg = tmp_path / "f.luq", tmp_path / "t.luq", tmp_path / "run.cfg"
+        write_matrix(fpath, x)
+        cfg.write_text(text)
+        code = run_cli("pca", "--features", str(fpath), "--out-dim", "2", "--output", str(out),
+                       "--config", str(cfg))
+        return code, x, out
+
+    @pytest.mark.parametrize("value", ["ture", ""])
+    def test_unknown_word_exit_3(self, tmp_path, capsys, value):
+        code, _, out = self.run_pca(tmp_path, f"# run\nwhiten = {value}\n")
+        assert code == 3
+        assert re.search(r"run\.cfg: line 2: whiten must be 1, true, yes or on, or 0, false, "
+                         rf"no or off, got '{value}'", capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, whiten", [("ON", True), ("off", False)])
+    def test_switch_words(self, tmp_path, value, whiten):
+        code, x, out = self.run_pca(tmp_path, f"whiten = {value}\n")
+        assert code == 0
+        expected = pca_transform(pca_fit(x, 2, whiten=whiten), x)
+        np.testing.assert_array_equal(read_features(out), expected)
 
 
 class TestNonFiniteFeatures:

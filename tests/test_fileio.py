@@ -588,7 +588,7 @@ class TestRunConfig:
                                   "--model", "gmm", "--output", "o",
                                   "--config", str(p)], parser)
         args = parser.parse_args(argv)
-        assert (args.components, args.seed, args.prior) == (5, 7, "uniform:-10:10")
+        assert (args.n_components, args.seed, args.prior) == (5, 7, "uniform:-10:10")
 
     def test_unknown_key_cites_line(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"

@@ -291,6 +291,37 @@ class TestKernelBits:
             tracemalloc.stop()
         assert peak < 8 * k * d * gmm.CHUNK * 8
 
+    @staticmethod
+    def peak_units(run, k, d):
+        """``run``'s second call's peak traced memory in (k, d, CHUNK) arrays."""
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1] / (k * d * gmm.CHUNK * 8)
+        finally:
+            tracemalloc.stop()
+
+    def test_kernel_pass_holds_one_product(self):
+        # 2.9 units measured; a pass that keeps the last block's product
+        # while it makes the next one measured 3.9
+        rng = np.random.default_rng(15)
+        k, d = 10, 24
+        log_w, means, lowers = random_stacks(rng, k, d, False)
+        g = Gmm(dim=d, components=tuple(
+            GaussianComponent(float(w), m, CholeskyFactor(d, lo))
+            for w, m, lo in zip(log_w, means, lowers)))
+        z = rng.normal(size=(4096, d))
+        assert self.peak_units(lambda: gmm_log_prob(g, z), k, d) <= 3.4
+
+    def test_em_pass_holds_one_residual_block(self):
+        # 4.0 units measured; keeping the kernel's last product measured
+        # 5.5, keeping the M-step's last residual block 4.6
+        k, d = 10, 24
+        x = correlated_data(np.random.default_rng(16), 4096, d)
+        opts = EmOptions(n_components=k, max_iter=3)
+        assert self.peak_units(lambda: em_fit(x, opts), k, d) <= 4.3
+
 
 def reference_em(x, opts):
     """EM on rows stored (n, d): per component, one solve of the triangular
