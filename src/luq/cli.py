@@ -303,8 +303,10 @@ def _eval_columns(path, names: list[str], binary: str | None = None) -> dict:
 def cmd_eval(args) -> dict:
     from .metrics import calibration_curve, rmse_below_uncertainty
 
-    _require(0.01 <= args.percentile_step <= 100.0, "--percentile-step", "in [0.01, 100]",
-             args.percentile_step)
+    step = {"percentile_step": args.percentile_step} if "percentile_step" in args else {}
+    if step:  # checked before the input is read
+        _require(0.01 <= args.percentile_step <= 100.0, "--percentile-step", "in [0.01, 100]",
+                 args.percentile_step)
     thresholds = None
     if args.thresholds:
         with _usage("--thresholds: "):
@@ -319,8 +321,7 @@ def cmd_eval(args) -> dict:
         results |= _write_ood_metrics(args.output, cols["score"], cols["label"].astype(int))
     elif args.mode == "calibration":
         cols = _eval_columns(args.input, ["uncertainty", "correct"], binary="correct")
-        curve = calibration_curve(cols["uncertainty"], cols["correct"],
-                                  percentile_step=args.percentile_step)
+        curve = calibration_curve(cols["uncertainty"], cols["correct"], **step)
         _write_curve(args.output, args.plot, "percentile", curve.percentiles, "accuracy",
                      curve.accuracies, "calibration", "uncertainty percentile")
         results["final_accuracy"] = float(curve.accuracies[-1])
@@ -341,25 +342,20 @@ def cmd_eval(args) -> dict:
 def _toy_spec(args):
     """The toy study's spec from the flags, with the classification toy's
     ``EmOptions`` (None for regression); bad values are usage errors."""
-    from .toy import CLASSIFICATION_EM, ToyClassificationSpec, ToyRegressionSpec, regression_eval_x
+    from .toy import CLASSIFICATION_EM, ToyClassificationSpec, ToyRegressionSpec
 
     with _usage():
         if args.kind == "classification":
             return _from_flags(ToyClassificationSpec(), args), _from_flags(CLASSIFICATION_EM, args)
-        _require(args.grid >= 2, "--grid", "at least 2", args.grid)
-        _require(0.0 < args.mass < 1.0, "--mass", "in (0, 1)", args.mass)
         if "gap" in args:
             args.gap = _parse_range(args.gap, "--gap")
-        spec = _from_flags(ToyRegressionSpec(), args)
-        regression_eval_x(spec, args.eval_points)
-        return spec, None
+        return _from_flags(ToyRegressionSpec(), args), None
 
 
 def _toy_regression(args, spec, out) -> dict:
     from .toy import run_regression_study
 
-    study = run_regression_study(spec, eval_points=args.eval_points, band_mass=args.mass,
-                                 grid_points=args.grid, with_ensemble=args.ensemble)
+    study = run_regression_study(spec, with_ensemble=args.ensemble)
     fileio.write_csv(out / "train_data.csv", ["x", "y"],
                      [study.train_x[:, 0], study.train_y])
     fileio.write_csv(out / "mlp_loss.csv",
@@ -526,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--input", required=True)
     p_eval.add_argument("--output", required=True)
     p_eval.add_argument("--plot", default=None)
-    p_eval.add_argument("--percentile-step", type=float, default=5.0)
+    p_eval.add_argument("--percentile-step", type=float, default=argparse.SUPPRESS)
     p_eval.add_argument("--thresholds", default=None,
                         help="T1,T2,...; write --thresholds=T1,T2 when T1 is negative")
     p_eval.set_defaults(func=cmd_eval)
@@ -536,12 +532,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_toy.add_argument("kind", choices=["regression", "classification"])
     p_toy.add_argument("--out", required=True)
     p_toy.add_argument("--seed", type=int)
-    p_toy.add_argument("--mass", type=float, default=0.2)
-    p_toy.add_argument("--grid", type=int, default=1000)
+    p_toy.add_argument("--mass", dest="band_mass", type=float)
+    p_toy.add_argument("--grid", dest="grid_points", type=int)
     p_toy.add_argument("--n-train", type=int)
     p_toy.add_argument("--gap", help="LO:HI; write --gap=LO:HI when LO is negative")
     p_toy.add_argument("--noise", dest="noise_sigma", type=float)
-    p_toy.add_argument("--eval-points", type=int, default=201)
+    p_toy.add_argument("--eval-points", type=int)
     p_toy.add_argument("--ensemble", action="store_true", default=False)
     p_toy.add_argument("--components", dest="n_components", type=int)
     p_toy.add_argument("--cov-reg", type=float)

@@ -60,10 +60,18 @@ PRIOR_RANGE = (-10.0, 10.0)
 
 @dataclass(frozen=True)
 class ToyRegressionSpec:
+    """The gapped sinusoid and how the study scores it: ``eval_points``
+    evenly spaced inputs over the x range, some inside the gap and some in
+    the training region, each with a confidence band of ``band_mass`` on a
+    grid of ``grid_points`` over ``PRIOR_RANGE``."""
+
     n_train: int = 750
     gap: tuple[float, float] = (-0.25, 0.25)
     noise_sigma: float = 0.0
     seed: int = 0
+    eval_points: int = 201
+    band_mass: float = 0.2
+    grid_points: int = 1000
 
     def __post_init__(self):
         if not X_RANGE[0] < self.gap[0] < self.gap[1] < X_RANGE[1]:
@@ -75,6 +83,15 @@ class ToyRegressionSpec:
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.grid_points < 2:
+            raise ValueError(f"grid_points must be at least 2, got {self.grid_points}")
+        if not 0.0 < self.band_mass < 1.0:
+            raise ValueError(f"band_mass must be in (0, 1), got {self.band_mass}")
+        x = np.linspace(*X_RANGE, max(self.eval_points, 0))
+        in_gap = (x > self.gap[0]) & (x < self.gap[1])
+        if in_gap.all() or not in_gap.any():
+            raise ValueError(f"eval_points must put inputs both inside the gap and in the "
+                             f"training region, got {self.eval_points}")
 
 
 def gen_regression_data(spec: ToyRegressionSpec):
@@ -230,21 +247,8 @@ class RegressionStudy:
 REGRESSION_MLP_DIMS = (1, 50, 50, 50, 50, 1)
 
 
-def regression_eval_x(spec: ToyRegressionSpec, eval_points: int) -> np.ndarray:
-    """``eval_points`` evenly spaced inputs over the x range, some inside the
-    gap and some outside it."""
-    x = np.linspace(*X_RANGE, eval_points)
-    in_gap = (x > spec.gap[0]) & (x < spec.gap[1])
-    if in_gap.all() or not in_gap.any():
-        raise ValueError(f"{eval_points} evaluation points miss the gap or the training region")
-    return x
-
-
 def run_regression_study(
     spec: ToyRegressionSpec | None = None,
-    eval_points: int = 201,
-    band_mass: float = 0.2,
-    grid_points: int = 1000,
     with_ensemble: bool = False,
     ensemble_cfg: MlpTrainConfig | None = None,
 ) -> RegressionStudy:
@@ -267,7 +271,7 @@ def run_regression_study(
     threads.
     """
     spec = spec or ToyRegressionSpec()
-    eval_x = regression_eval_x(spec, eval_points)
+    eval_x = np.linspace(*X_RANGE, spec.eval_points)
     train_x, train_y = gen_regression_data(spec)
 
     regressor_args = (train_x, train_y, REGRESSION_MLP_DIMS, REGRESSION,
@@ -294,7 +298,7 @@ def run_regression_study(
         batch_size=spec.n_train, max_epochs=40, seed=spec.seed))
 
     prior = UniformPrior(*PRIOR_RANGE)
-    grid = SupportGrid.from_range(*PRIOR_RANGE, grid_points)
+    grid = SupportGrid.from_range(*PRIOR_RANGE, spec.grid_points)
 
     eval_latents = latent_extract(model, model.n_hidden - 1, eval_x[:, None])
     predictions = mlp_predict(model, eval_x[:, None])[:, 0]
@@ -310,7 +314,7 @@ def run_regression_study(
         post = RegressionPosterior(
             grid=grid, density=scores.posterior[i], log_marginal=-scores.epistemic[i]
         )
-        bands.append(confidence_region(post, float(predictions[i]), band_mass))
+        bands.append(confidence_region(post, float(predictions[i]), spec.band_mass))
 
     ens_epi = None
     if ensemble is not None:

@@ -176,8 +176,8 @@ class TestEnsembleScores:
 class TestStudySmoke:
     def test_regression_study_shapes(self, toy_mlp_epochs):
         toy_mlp_epochs(300)
-        spec = ToyRegressionSpec(n_train=120, seed=0)
-        study = run_regression_study(spec, eval_points=41, grid_points=200)
+        spec = ToyRegressionSpec(n_train=120, seed=0, eval_points=41, grid_points=200)
+        study = run_regression_study(spec)
         assert study.eval_x.shape == (41,)
         assert study.scores.epistemic.shape == (41,)
         assert len(study.bands) == 41
@@ -244,9 +244,7 @@ class TestRegressionStudyWorkers:
             workers(n)
             events[n] = []
             studies.append(run_regression_study(
-                ToyRegressionSpec(n_train=80, seed=2),
-                eval_points=21,
-                grid_points=100,
+                ToyRegressionSpec(n_train=80, seed=2, eval_points=21, grid_points=100),
                 with_ensemble=True,
                 ensemble_cfg=MlpTrainConfig(max_epochs=40, seed=2),
             ))
@@ -289,7 +287,8 @@ class TestEpochPinContract:
             return MlpTrainConfig(**kwargs)
 
         monkeypatch.setattr(toy, "MlpTrainConfig", pinned)
-        study = run_regression_study(ToyRegressionSpec(n_train=20, seed=0), eval_points=11,
-                                     grid_points=20, with_ensemble=True)
+        study = run_regression_study(
+            ToyRegressionSpec(n_train=20, seed=0, eval_points=11, grid_points=20),
+            with_ensemble=True)
         assert calls == [False, True]
         assert len(study.mlp_losses) == 7
