@@ -75,15 +75,13 @@ def _prior_spec(spec: str | None, model: str):
     function of the predictions that builds the prior."""
     spec = spec or ("categorical" if model == "gmm" else "uniform:-10:10")
     kind, *params = spec.split(":")
-    if kind not in _PRIOR_ARITY:
-        raise UsageError(f"unknown prior kind {kind!r}")
-    if len(params) not in _PRIOR_ARITY[kind]:
-        raise UsageError(f"bad prior spec {spec!r}: expected categorical, uniform:LO:HI, "
+    if len(params) not in _PRIOR_ARITY.get(kind, ()):
+        raise UsageError(f"--prior {spec}: expected categorical, uniform:LO:HI, "
                          "betaprime[:A:B] or histogram[:BINS]")
     if (kind == "categorical") != (model == "gmm"):
-        raise UsageError(f"--model {model} cannot use the {kind} prior: gmm takes "
+        raise UsageError(f"--prior {spec} does not pair with --model {model}: gmm takes "
                          "categorical, flow takes uniform, betaprime or histogram")
-    with _usage(f"bad prior spec {spec!r}: "):
+    with _usage(f"--prior {spec}: "):
         if kind == "categorical":
             fit = lambda predictions: fit_categorical(predictions.astype(np.int64))
         elif kind == "histogram":
@@ -115,11 +113,28 @@ def _parse_range(text: str, flag: str):
     return lo, hi
 
 
-def _from_flags(base, args):
-    """The option object ``base`` with each field set whose flag, named by
-    the field and with no parser default, was given; the rest keep theirs."""
+def _only_read(args, variant: str, read) -> None:
+    """A flag with no parser default is in ``args`` only when given; one
+    given whose dest is not in ``read`` is a usage error, for ``variant``
+    would ignore it."""
+    unread = [flag for dest, flag in args.flags.items() if dest in args and dest not in read]
+    if unread:
+        raise UsageError(f"{variant} does not read {', '.join(unread)}")
+
+
+def _from_flags(args, variant: str, *bases) -> tuple:
+    """The option objects ``bases``, each with the fields set whose flags,
+    named by the field and with no parser default, were given; the rest
+    keep theirs.  A given flag that sets no field of them is refused.  A
+    value an object rejects is a usage error that names its flag after the
+    object's message, which begins with the field."""
+    _only_read(args, variant, {f.name for base in bases for f in fields(base)})
     given = vars(args)
-    return replace(base, **{f.name: given[f.name] for f in fields(base) if f.name in given})
+    try:
+        return tuple(replace(base, **{f.name: given[f.name] for f in fields(base)
+                                      if f.name in given}) for base in bases)
+    except ValueError as exc:
+        raise UsageError(f"{exc} (from {args.flags[str(exc).split()[0]]})") from exc
 
 
 # --- fit -------------------------------------------------------------------
@@ -129,12 +144,11 @@ def _fit_options(args):
     """``EmOptions`` for gmm, ``(FlowTrainConfig, FlowArchitecture)`` for
     flow.  Out-of-range flag values are usage errors."""
     _require(args.pca is None or args.pca >= 1, "--pca", "at least 1", args.pca)
-    with _usage():
-        if args.model == "gmm":
-            return _from_flags(EmOptions(), args)
-        from .flow import FlowArchitecture, FlowTrainConfig
+    if args.model == "gmm":
+        return _from_flags(args, "--model gmm", EmOptions())[0]
+    from .flow import FlowArchitecture, FlowTrainConfig
 
-        return _from_flags(FlowTrainConfig(), args), _from_flags(FlowArchitecture(), args)
+    return _from_flags(args, "--model flow", FlowTrainConfig(), FlowArchitecture())
 
 
 def cmd_fit(args) -> dict:
@@ -300,29 +314,34 @@ def _eval_columns(path, names: list[str], binary: str | None = None) -> dict:
     return cols
 
 
+# the flags with no parser default that each eval mode reads
+_EVAL_READS = {"ood": (), "calibration": ("plot", "percentile_step"),
+               "rmse": ("plot", "thresholds")}
+
+
 def cmd_eval(args) -> dict:
     from .metrics import calibration_curve, rmse_below_uncertainty
 
+    _only_read(args, f"--mode {args.mode}", _EVAL_READS[args.mode])
     step = {"percentile_step": args.percentile_step} if "percentile_step" in args else {}
     if step:  # checked before the input is read
         _require(0.01 <= args.percentile_step <= 100.0, "--percentile-step", "in [0.01, 100]",
                  args.percentile_step)
     thresholds = None
-    if args.thresholds:
+    if "thresholds" in args:
         with _usage("--thresholds: "):
             thresholds = np.array([float(t) for t in args.thresholds.split(",")])
         _require(np.isfinite(thresholds).all(), "--thresholds", "finite numbers",
                  args.thresholds)
-    results = {"plot_file": args.plot} if args.plot else {}
+    plot = vars(args).get("plot")
+    results = {"plot_file": plot} if plot else {}
     if args.mode == "ood":
-        if args.plot:
-            raise UsageError("--plot applies to calibration and rmse modes")
         cols = _eval_columns(args.input, ["score", "label"], binary="label")
         results |= _write_ood_metrics(args.output, cols["score"], cols["label"].astype(int))
     elif args.mode == "calibration":
         cols = _eval_columns(args.input, ["uncertainty", "correct"], binary="correct")
         curve = calibration_curve(cols["uncertainty"], cols["correct"], **step)
-        _write_curve(args.output, args.plot, "percentile", curve.percentiles, "accuracy",
+        _write_curve(args.output, plot, "percentile", curve.percentiles, "accuracy",
                      curve.accuracies, "calibration", "uncertainty percentile")
         results["final_accuracy"] = float(curve.accuracies[-1])
     else:  # rmse
@@ -330,7 +349,7 @@ def cmd_eval(args) -> dict:
         if thresholds is None:
             thresholds = np.percentile(cols["uncertainty"], np.arange(5, 101, 5))
         values = rmse_below_uncertainty(cols["error"], cols["uncertainty"], thresholds)
-        _write_curve(args.output, args.plot, "threshold", thresholds, "rmse", values,
+        _write_curve(args.output, plot, "threshold", thresholds, "rmse", values,
                      "error below uncertainty", "uncertainty threshold")
     results["metrics_file"] = args.output
     return results
@@ -344,12 +363,11 @@ def _toy_spec(args):
     ``EmOptions`` (None for regression); bad values are usage errors."""
     from .toy import CLASSIFICATION_EM, ToyClassificationSpec, ToyRegressionSpec
 
-    with _usage():
-        if args.kind == "classification":
-            return _from_flags(ToyClassificationSpec(), args), _from_flags(CLASSIFICATION_EM, args)
-        if "gap" in args:
-            args.gap = _parse_range(args.gap, "--gap")
-        return _from_flags(ToyRegressionSpec(), args), None
+    if args.kind == "classification":
+        return _from_flags(args, "toy classification", ToyClassificationSpec(), CLASSIFICATION_EM)
+    if "gap" in args:
+        args.gap = _parse_range(args.gap, "--gap")
+    return _from_flags(args, "toy regression", ToyRegressionSpec())[0], None
 
 
 def _toy_regression(args, spec, out) -> dict:
@@ -517,13 +535,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="LO:HI; write --grid-range=LO:HI when LO is negative")
     p_score.set_defaults(func=cmd_score)
 
-    p_eval = sub.add_parser("eval", help="threshold-free metrics over a scores CSV")
+    p_eval = sub.add_parser("eval", help="threshold-free metrics over a scores CSV",
+                            argument_default=argparse.SUPPRESS)
     p_eval.add_argument("--mode", choices=["ood", "calibration", "rmse"], required=True)
     p_eval.add_argument("--input", required=True)
     p_eval.add_argument("--output", required=True)
-    p_eval.add_argument("--plot", default=None)
-    p_eval.add_argument("--percentile-step", type=float, default=argparse.SUPPRESS)
-    p_eval.add_argument("--thresholds", default=None,
+    p_eval.add_argument("--plot")
+    p_eval.add_argument("--percentile-step", type=float)
+    p_eval.add_argument("--thresholds",
                         help="T1,T2,...; write --thresholds=T1,T2 when T1 is negative")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -555,6 +574,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in sub.choices.values():  # last, so --help lists it last
         p.add_argument("--config", default=None)
+        # each optional flag with no parser default, by dest; argparse sets
+        # such a dest only when its flag is given
+        p.set_defaults(flags={a.dest: a.option_strings[-1] for a in p._actions
+                              if a.default is argparse.SUPPRESS and not a.required})
     return parser
 
 

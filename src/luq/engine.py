@@ -288,6 +288,14 @@ def aleatoric_regression(flow: ConditionalFlow, prior: OutputPrior, grid: Suppor
     return float(s.aleatoric[0]), RegressionPosterior(grid, s.posterior[0], float(-s.epistemic[0]))
 
 
+def _visit_order(size: int, i0: int) -> np.ndarray:
+    """The indices of a ``size``-point grid outward from ``i0``: ``i0``, one
+    step right and one step left in turn, then the rest of the longer side.
+    The sort key 2 |i - i0| - (i > i0) is distinct for every index."""
+    offset = np.arange(size) - i0
+    return np.argsort(2 * np.abs(offset) - (offset > 0))
+
+
 def confidence_region(posterior: RegressionPosterior, prediction: float,
                       mass: float) -> ConfidenceRegion:
     """Smallest symmetric-by-probability region around the prediction
@@ -309,12 +317,7 @@ def confidence_region(posterior: RegressionPosterior, prediction: float,
         raise MassUnreachableError(
             f"grid holds {pm.sum():.6f} probability, target is {mass}"
         )
-    i0 = int(np.argmin(np.abs(pts - prediction)))
-    near = min(i0, pts.size - 1 - i0)  # steps to the nearer grid end
-    steps = np.arange(1, near + 1)
-    order = np.concatenate([[i0], np.column_stack([i0 + steps, i0 - steps]).ravel(),
-                            np.arange(i0 + near + 1, pts.size),
-                            np.arange(i0 - near - 1, -1, -1)])
+    order = _visit_order(pts.size, int(np.argmin(np.abs(pts - prediction))))
     reached = ~(np.cumsum(pm[order]) < mass - 1e-12)
     if not reached.any():
         raise MassUnreachableError("both grid ends reached before the target mass")

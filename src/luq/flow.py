@@ -177,9 +177,9 @@ class FlowArchitecture:
         if self.n_layers < 1:
             raise ValueError("n_layers must be >= 1")
         if not self.hidden:
-            raise ValueError("coupling subnets need at least one hidden layer")
+            raise ValueError("hidden must hold at least one layer width")
         if min(self.hidden) < 1:
-            raise ValueError("hidden layer widths must be >= 1")
+            raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
 
 
 def _net_width(net: ReluNet, where: str, n_in: int, lift_rows: int | None) -> int:

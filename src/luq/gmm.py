@@ -122,7 +122,8 @@ class EmOptions:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.covariance_mode not in (FULL_COVARIANCE, TIED_COVARIANCE):
-            raise ValueError(f"unknown covariance_mode {self.covariance_mode!r}")
+            raise ValueError(f"covariance_mode must be {FULL_COVARIANCE!r} or "
+                             f"{TIED_COVARIANCE!r}, got {self.covariance_mode!r}")
 
 
 def _log_joint(xt: np.ndarray, log_w: np.ndarray, means: np.ndarray,

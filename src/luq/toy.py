@@ -126,7 +126,7 @@ class ToyClassificationSpec:
 
     def __post_init__(self):
         if self.n_per_class < 1:
-            raise ValueError(f"need at least 1 sample per class, got {self.n_per_class}")
+            raise ValueError(f"n_per_class must be >= 1, got {self.n_per_class}")
         if not 0.0 <= self.sigma < np.inf:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.seed < 0:

@@ -382,7 +382,8 @@ def test_only_main_writes_to_stdout():
 
 class TestOptionValues:
     """Out-of-range option values exit 2 before any file is read or any
-    directory made: the inputs named here do not exist."""
+    directory made: the inputs named here do not exist.  The message names
+    the flag."""
 
     @pytest.mark.parametrize("argv", [
         ["score", "--grid", "1"],
@@ -428,8 +429,64 @@ class TestOptionValues:
         }[argv[0]]
         output = [] if argv[0] == "toy" else ["--output", str(tmp_path / "o")]
         assert run_cli(*argv, *files, *output) == 2
-        assert "usage error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "usage error" in err
+        assert argv[-2] in err
         assert sorted(tmp_path.iterdir()) == []
+
+
+class TestUnreadFlags:
+    """A flag that only another ``--model``, toy kind or ``--mode`` reads
+    exits 2 before any file is read or any directory made, naming the flag
+    and the variant; it is not ignored."""
+
+    @pytest.mark.parametrize("argv, flags, variant", [
+        (["fit", "--model", "gmm", "--learning-rate", "-1"], ["--learning-rate"], "--model gmm"),
+        (["fit", "--model", "gmm", "--flow-hidden", "8"], ["--flow-hidden"], "--model gmm"),
+        (["fit", "--model", "flow", "--components", "2", "--cov-reg", "0"],
+         ["--components", "--cov-reg"], "--model flow"),
+        (["toy", "classification", "--gap", "bad"], ["--gap"], "toy classification"),
+        (["toy", "classification", "--mass", "0.3"], ["--mass"], "toy classification"),
+        (["toy", "classification", "--grid", "200"], ["--grid"], "toy classification"),
+        (["toy", "classification", "--eval-points", "31"], ["--eval-points"],
+         "toy classification"),
+        (["toy", "classification", "--noise", "0.1", "--n-train", "80"],
+         ["--n-train", "--noise"], "toy classification"),
+        (["toy", "regression", "--components", "3"], ["--components"], "toy regression"),
+        (["toy", "regression", "--cluster-sigma", "1", "--per-class", "9"],
+         ["--per-class", "--cluster-sigma"], "toy regression"),
+        (["eval", "--mode", "ood", "--thresholds", "1,2", "--percentile-step", "7"],
+         ["--percentile-step", "--thresholds"], "--mode ood"),
+        (["eval", "--mode", "ood", "--plot", "p.svg"], ["--plot"], "--mode ood"),
+        (["eval", "--mode", "calibration", "--thresholds", "1"], ["--thresholds"],
+         "--mode calibration"),
+        (["eval", "--mode", "rmse", "--percentile-step", "7"], ["--percentile-step"],
+         "--mode rmse"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_exit_2_before_any_work(self, tmp_path, capsys, argv, flags, variant):
+        missing = str(tmp_path / "missing")
+        files = {
+            "fit": ["--features", missing, "--predictions", missing],
+            "toy": ["--out", str(tmp_path / "out")],
+            "eval": ["--input", missing],
+        }[argv[0]]
+        output = [] if argv[0] == "toy" else ["--output", str(tmp_path / "o")]
+        assert run_cli(*argv, *files, *output) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"usage error: {variant} does not read {', '.join(flags)}" in captured.err
+        assert sorted(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind, key", [("classification", "gap = -0.5:0.5"),
+                                           ("regression", "components = 3")])
+    def test_config_key_is_a_flag(self, tmp_path, capsys, kind, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(key + "\n")
+        out = tmp_path / "out"
+        assert run_cli("toy", kind, "--out", str(out), "--config", str(cfg)) == 2
+        flag = "--" + key.split()[0]
+        assert f"usage error: toy {kind} does not read {flag}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestNegativeOptionValues:
@@ -512,7 +569,7 @@ class TestOptionObjects:
                 for name, p in subparsers().items()} == {
             "fit": {"prior": None, "pca": None, "whiten": False, "config": None},
             "score": {"grid": 1000, "grid_range": None, "config": None},
-            "eval": {"plot": None, "thresholds": None, "config": None},
+            "eval": {"config": None},
             "toy": {"ensemble": False, "plot": False, "config": None},
             "pca": {"whiten": False, "config": None},
         }

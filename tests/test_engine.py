@@ -18,6 +18,7 @@ from luq.engine import (
     RegressionPosterior,
     SupportGrid,
     _posterior_scores,
+    _visit_order,
     aleatoric_classification,
     aleatoric_regression,
     confidence_region,
@@ -673,6 +674,18 @@ class TestConfidenceRegion:
                 confidence_region(post, prediction, mass)
         else:
             assert confidence_region(post, prediction, mass) == expected
+
+    def test_visit_order_is_the_interleaved_construction(self):
+        def interleaved(size, i0):  # the construction the sort key replaced
+            near = min(i0, size - 1 - i0)  # steps to the nearer grid end
+            steps = np.arange(1, near + 1)
+            return np.concatenate([[i0], np.column_stack([i0 + steps, i0 - steps]).ravel(),
+                                   np.arange(i0 + near + 1, size),
+                                   np.arange(i0 - near - 1, -1, -1)])
+
+        for size in [*range(1, 60), 1000, 3201]:
+            for i0 in range(size):
+                assert np.array_equal(_visit_order(size, i0), interleaved(size, i0))
 
     def test_standard_normal_20_percent(self):
         grid = SupportGrid.from_range(-8.0, 8.0, 3201)

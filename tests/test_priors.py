@@ -17,7 +17,7 @@ from luq.priors import (
 
 def trapz_mass(prior, lo, hi, n=200001):
     ys = np.linspace(lo, hi, n)
-    dens = np.exp([prior.log_pdf(y) for y in ys])
+    dens = np.exp(prior.log_pdf(ys))
     return np.trapezoid(dens, ys)
 
 
