@@ -1,5 +1,6 @@
 import argparse
 import ast
+import inspect
 import math
 import os
 import re
@@ -26,8 +27,9 @@ from luq.fileio import (
 from luq.flow import FlowArchitecture, FlowTrainConfig
 from luq.gmm import ClassConditionalGmm, EmOptions, GaussianComponent, Gmm
 from luq.linalg import PcaModel, cholesky, pca_fit, pca_transform
+from luq.metrics import calibration_curve
 from luq.priors import BetaPrimePrior, CategoricalPrior, HistogramPrior, UniformPrior
-from luq.toy import ToyClassificationSpec, ToyRegressionSpec
+from luq.toy import ToyClassificationSpec, ToyRegressionSpec, run_regression_study
 
 
 def run_cli(*argv) -> int:
@@ -574,6 +576,33 @@ class TestOptionObjects:
             "toy": {"ensemble": False, "plot": False, "config": None},
             "pca": {"whiten": False, "config": None},
         }
+
+    @pytest.mark.parametrize("command, flag, function, parameter", [
+        ("toy", "mass", run_regression_study, "band_mass"),
+        ("toy", "grid", run_regression_study, "grid_points"),
+        ("toy", "eval_points", run_regression_study, "eval_points"),
+        ("eval", "percentile_step", calibration_curve, "percentile_step"),
+    ])
+    def test_stated_defaults_are_the_library_defaults(self, tmp_path, command, flag,
+                                                      function, parameter):
+        """A bare command leaves ``parameter`` unset, so ``function`` runs on
+        the default the library states for it."""
+        if command == "toy":
+            args = cli.build_parser().parse_args(["toy", "regression", "--out", "o"])
+            assert parameter not in args
+            assert inspect.signature(function).parameters["spec"].default is None
+            assert (getattr(cli._toy_spec(args)[0], parameter)
+                    == getattr(ToyRegressionSpec(), parameter))
+            return
+        csv, out = tmp_path / "u.csv", tmp_path / "cal.csv"
+        csv.write_text("uncertainty,correct\n0.1,1\n0.2,0\n0.3,1\n")
+        with mock.patch("luq.metrics.calibration_curve", wraps=calibration_curve) as curve:
+            assert run_cli("eval", "--mode", "calibration", "--input", str(csv),
+                           "--output", str(out)) == 0
+        assert parameter not in curve.call_args.kwargs
+        step = inspect.signature(function).parameters[parameter].default
+        np.testing.assert_allclose(read_csv_columns(out, ["percentile"])["percentile"],
+                                   np.arange(step, 100.0 + 1e-9, step))
 
     @pytest.mark.parametrize("model, options", [
         ("gmm", EmOptions()),
