@@ -16,7 +16,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+import warnings
 from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -85,9 +87,10 @@ def _prior_spec(spec: str | None, model: str):
         if kind == "categorical":
             fit = lambda predictions: fit_categorical(predictions.astype(np.int64))
         elif kind == "histogram":
-            bins = int(params[0]) if params else 32
-            _require(bins >= 1, "--prior histogram:BINS", "at least 1", bins)
-            fit = lambda predictions: fit_histogram(predictions, bins=bins)
+            bins = {"bins": int(params[0])} if params else {}
+            if bins:
+                _require(bins["bins"] >= 1, "--prior histogram:BINS", "at least 1", bins["bins"])
+            fit = lambda predictions: fit_histogram(predictions, **bins)
         elif kind == "betaprime" and not params:
             fit = betaprime_fit_mom
         else:
@@ -113,22 +116,17 @@ def _parse_range(text: str, flag: str):
     return lo, hi
 
 
-def _only_read(args, variant: str, read) -> None:
-    """A flag with no parser default is in ``args`` only when given; one
-    given whose dest is not in ``read`` is a usage error, for ``variant``
-    would ignore it."""
+def _from_flags(args, variant: str, *bases, reads=()) -> tuple:
+    """The option objects ``bases``, each with the fields set whose flags,
+    named by the field, were given; the rest keep theirs.  A given flag
+    that sets no field of them and whose dest is not in ``reads`` is a
+    usage error, for ``variant`` would ignore it.  A value an object
+    rejects is a usage error that names its flag after the object's
+    message, which begins with the field."""
+    read = {f.name for base in bases for f in fields(base)} | set(reads)
     unread = [flag for dest, flag in args.flags.items() if dest in args and dest not in read]
     if unread:
         raise UsageError(f"{variant} does not read {', '.join(unread)}")
-
-
-def _from_flags(args, variant: str, *bases) -> tuple:
-    """The option objects ``bases``, each with the fields set whose flags,
-    named by the field and with no parser default, were given; the rest
-    keep theirs.  A given flag that sets no field of them is refused.  A
-    value an object rejects is a usage error that names its flag after the
-    object's message, which begins with the field."""
-    _only_read(args, variant, {f.name for base in bases for f in fields(base)})
     given = vars(args)
     try:
         return tuple(replace(base, **{f.name: given[f.name] for f in fields(base)
@@ -142,18 +140,23 @@ def _from_flags(args, variant: str, *bases) -> tuple:
 
 def _fit_options(args):
     """``EmOptions`` for gmm, ``(FlowTrainConfig, FlowArchitecture)`` for
-    flow.  Out-of-range flag values are usage errors."""
-    _require(args.pca is None or args.pca >= 1, "--pca", "at least 1", args.pca)
+    flow.  Out-of-range flag values are usage errors; ``--whiten`` is read
+    only with ``--pca``."""
+    pca = "pca" in args
+    if pca:
+        _require(args.pca >= 1, "--pca", "at least 1", args.pca)
+    variant = f"--model {args.model}" + ("" if pca or "whiten" not in args else " without --pca")
+    reads = ("prior", "pca", "whiten") if pca else ("prior", "pca")
     if args.model == "gmm":
-        return _from_flags(args, "--model gmm", EmOptions())[0]
+        return _from_flags(args, variant, EmOptions(), reads=reads)[0]
     from .flow import FlowArchitecture, FlowTrainConfig
 
-    return _from_flags(args, "--model flow", FlowTrainConfig(), FlowArchitecture())
+    return _from_flags(args, variant, FlowTrainConfig(), FlowArchitecture(), reads=reads)
 
 
 def cmd_fit(args) -> dict:
     options = _fit_options(args)
-    build_prior = _prior_spec(args.prior, args.model)
+    build_prior = _prior_spec(vars(args).get("prior"), args.model)
     x = fileio.read_features(args.features)
     predictions = fileio.read_values(args.predictions)
     if len(predictions) != x.shape[0]:
@@ -175,9 +178,9 @@ def cmd_fit(args) -> dict:
         raise fileio.DataFormatError(f"--predictions {args.predictions}: {exc}") from exc
 
     pca = None
-    if args.pca is not None:
+    if "pca" in args:
         with _usage("--pca: "):  # the bound depends on the file read
-            pca = pca_fit(x, args.pca, whiten=args.whiten)
+            pca = pca_fit(x, args.pca, whiten="whiten" in args)
         x = pca_transform(pca, x)
 
     results = {"pca_dim": args.pca} if pca is not None else {}
@@ -221,7 +224,7 @@ def cmd_fit(args) -> dict:
 
 
 def _grid_range(bundle: fileio.ModelBundle, args) -> tuple[float, float]:
-    if args.grid_range:
+    if "grid_range" in args:
         return _parse_range(args.grid_range, "--grid-range")
     if isinstance(bundle.prior, UniformPrior):
         return bundle.prior.lo, bundle.prior.hi
@@ -233,8 +236,11 @@ def _grid_range(bundle: fileio.ModelBundle, args) -> tuple[float, float]:
 def cmd_score(args) -> dict:
     from .engine import SupportGrid, prior_on_grid, score_classification, score_regression
 
-    _require(args.grid >= 2, "--grid", "at least 2", args.grid)
+    points = vars(args).get("grid", 1000)
+    _require(points >= 2, "--grid", "at least 2", points)
     bundle = fileio.read_model(args.model)
+    if bundle.class_gmms is not None:  # scored without a grid; a flow reads every flag
+        _from_flags(args, f"GMM model {args.model}")
     x = fileio.read_features(args.features)
     width = bundle.feature_dim if bundle.pca is None else bundle.pca.input_dim
     if x.shape[1] != width:
@@ -245,7 +251,7 @@ def cmd_score(args) -> dict:
     if bundle.class_gmms is not None:
         scores = score_classification(bundle.class_gmms, bundle.prior, x)
     else:
-        grid = SupportGrid.from_range(*_grid_range(bundle, args), args.grid)
+        grid = SupportGrid.from_range(*_grid_range(bundle, args), points)
         with _usage("--grid-range: "):  # the one scoring error the option causes
             prior_on_grid(bundle.prior, grid)
         scores = score_regression(bundle.flow, bundle.prior, grid, x)
@@ -314,7 +320,7 @@ def _eval_columns(path, names: list[str], binary: str | None = None) -> dict:
     return cols
 
 
-# the flags with no parser default that each eval mode reads
+# the optional flags that each eval mode reads
 _EVAL_READS = {"ood": (), "calibration": ("plot", "percentile_step"),
                "rmse": ("plot", "thresholds")}
 
@@ -322,7 +328,7 @@ _EVAL_READS = {"ood": (), "calibration": ("plot", "percentile_step"),
 def cmd_eval(args) -> dict:
     from .metrics import calibration_curve, rmse_below_uncertainty
 
-    _only_read(args, f"--mode {args.mode}", _EVAL_READS[args.mode])
+    _from_flags(args, f"--mode {args.mode}", reads=_EVAL_READS[args.mode])
     step = {"percentile_step": args.percentile_step} if "percentile_step" in args else {}
     if step:  # checked before the input is read
         _require(0.01 <= args.percentile_step <= 100.0, "--percentile-step", "in [0.01, 100]",
@@ -364,16 +370,18 @@ def _toy_spec(args):
     from .toy import CLASSIFICATION_EM, ToyClassificationSpec, ToyRegressionSpec
 
     if args.kind == "classification":
-        return _from_flags(args, "toy classification", ToyClassificationSpec(), CLASSIFICATION_EM)
+        return _from_flags(args, "toy classification", ToyClassificationSpec(), CLASSIFICATION_EM,
+                           reads=("plot",))
     if "gap" in args:
         args.gap = _parse_range(args.gap, "--gap")
-    return _from_flags(args, "toy regression", ToyRegressionSpec())[0], None
+    return _from_flags(args, "toy regression", ToyRegressionSpec(),
+                       reads=("plot", "ensemble"))[0], None
 
 
 def _toy_regression(args, spec, out) -> dict:
     from .toy import run_regression_study
 
-    study = run_regression_study(spec, with_ensemble=args.ensemble)
+    study = run_regression_study(spec, with_ensemble="ensemble" in args)
     fileio.write_csv(out / "train_data.csv", ["x", "y"],
                      [study.train_x[:, 0], study.train_y])
     fileio.write_csv(out / "mlp_loss.csv",
@@ -397,7 +405,7 @@ def _toy_regression(args, spec, out) -> dict:
     if study.ensemble_epistemic is not None:
         fileio.write_csv(out / "ensemble.csv", ["x", "epistemic_variance"],
                          [study.eval_x, study.ensemble_epistemic])
-    if args.plot:
+    if "plot" in args:
         from .plots import svg_line_plot
 
         svg_line_plot(out / "prediction_band.svg", study.eval_x,
@@ -407,7 +415,7 @@ def _toy_regression(args, spec, out) -> dict:
         svg_line_plot(out / "epistemic.svg", study.eval_x,
                       [("epistemic", study.scores.epistemic)],
                       title="epistemic uncertainty", x_label="x", y_label="nats")
-    results = {"plots": str(out / "prediction_band.svg")} if args.plot else {}
+    results = {"plots": str(out / "prediction_band.svg")} if "plot" in args else {}
     gap = study.gap_mask()
     train_region = study.train_region_mask()
     results["mlp_epochs"] = len(study.mlp_losses)
@@ -441,7 +449,7 @@ def _toy_classification(args, spec, em_opts, out) -> dict:
     values = _write_ood_metrics(out / "ood_metrics.csv", pooled, labels)
     correct = (study.test_predictions == study.test_labels).astype(float)
     curve = calibration_curve(study.test_scores.aleatoric, correct)
-    plot = out / "calibration.svg" if args.plot else None
+    plot = out / "calibration.svg" if "plot" in args else None
     _write_curve(out / "calibration.csv", plot, "percentile", curve.percentiles, "accuracy",
                  curve.accuracies, "calibration", "aleatoric percentile")
     results = {"plots": str(plot)} if plot else {}
@@ -472,7 +480,7 @@ def cmd_pca(args) -> dict:
     _require(args.out_dim >= 1, "--out-dim", "at least 1", args.out_dim)
     x = fileio.read_features(args.features)
     with _usage("--out-dim: "):  # the bound depends on the file read
-        model = pca_fit(x, args.out_dim, whiten=args.whiten)
+        model = pca_fit(x, args.out_dim, whiten="whiten" in args)
     transformed = pca_transform(model, x)
     fileio.write_matrix(args.output, transformed)
     return {"input_dim": model.input_dim,
@@ -495,26 +503,25 @@ def _two_layers(text: str) -> tuple[int, int]:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="luq",
-        description="Uncertainty from the density of latent representations.",
-    )
+        prog="luq", description="Uncertainty from the density of latent representations.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # an optional flag's dest is set only when the flag is given
+    add_parser = partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
-    p_fit = sub.add_parser("fit", help="fit a density model and output prior",
-                           argument_default=argparse.SUPPRESS)
+    p_fit = add_parser("fit", help="fit a density model and output prior")
     p_fit.add_argument("--features", required=True)
     p_fit.add_argument("--predictions", required=True)
     p_fit.add_argument("--model", choices=["gmm", "flow"], required=True)
     p_fit.add_argument("--output", required=True)
-    p_fit.add_argument("--prior", default=None,
+    p_fit.add_argument("--prior",
                        help="categorical | uniform:LO:HI | betaprime[:A:B] | histogram[:BINS]")
     p_fit.add_argument("--components", dest="n_components", type=int)
     p_fit.add_argument("--cov-reg", type=float)
     p_fit.add_argument("--covariance", dest="covariance_mode", choices=["full", "tied"])
     p_fit.add_argument("--max-iter", type=int)
     p_fit.add_argument("--tol", type=float)
-    p_fit.add_argument("--pca", type=int, default=None)
-    p_fit.add_argument("--whiten", action="store_true", default=False)
+    p_fit.add_argument("--pca", type=int)
+    p_fit.add_argument("--whiten", action="store_true")
     p_fit.add_argument("--learning-rate", type=float)
     p_fit.add_argument("--weight-decay", type=float)
     p_fit.add_argument("--batch-size", type=int)
@@ -526,17 +533,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--seed", type=int)
     p_fit.set_defaults(func=cmd_fit)
 
-    p_score = sub.add_parser("score", help="score features with a fitted model")
+    p_score = add_parser("score", help="score features with a fitted model")
     p_score.add_argument("--model", required=True)
     p_score.add_argument("--features", required=True)
     p_score.add_argument("--output", required=True)
-    p_score.add_argument("--grid", type=int, default=1000)
-    p_score.add_argument("--grid-range", default=None,
+    p_score.add_argument("--grid", type=int)
+    p_score.add_argument("--grid-range",
                          help="LO:HI; write --grid-range=LO:HI when LO is negative")
     p_score.set_defaults(func=cmd_score)
 
-    p_eval = sub.add_parser("eval", help="threshold-free metrics over a scores CSV",
-                            argument_default=argparse.SUPPRESS)
+    p_eval = add_parser("eval", help="threshold-free metrics over a scores CSV")
     p_eval.add_argument("--mode", choices=["ood", "calibration", "rmse"], required=True)
     p_eval.add_argument("--input", required=True)
     p_eval.add_argument("--output", required=True)
@@ -546,8 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="T1,T2,...; write --thresholds=T1,T2 when T1 is negative")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_toy = sub.add_parser("toy", help="run a self-contained toy experiment",
-                           argument_default=argparse.SUPPRESS)
+    p_toy = add_parser("toy", help="run a self-contained toy experiment")
     p_toy.add_argument("kind", choices=["regression", "classification"])
     p_toy.add_argument("--out", required=True)
     p_toy.add_argument("--seed", type=int)
@@ -557,15 +562,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_toy.add_argument("--gap", help="LO:HI; write --gap=LO:HI when LO is negative")
     p_toy.add_argument("--noise", dest="noise_sigma", type=float)
     p_toy.add_argument("--eval-points", type=int)
-    p_toy.add_argument("--ensemble", action="store_true", default=False)
+    p_toy.add_argument("--ensemble", action="store_true")
     p_toy.add_argument("--components", dest="n_components", type=int)
     p_toy.add_argument("--cov-reg", type=float)
     p_toy.add_argument("--per-class", dest="n_per_class", type=int)
     p_toy.add_argument("--cluster-sigma", dest="sigma", type=float)
-    p_toy.add_argument("--plot", action="store_true", default=False)
+    p_toy.add_argument("--plot", action="store_true")
     p_toy.set_defaults(func=cmd_toy)
 
-    p_pca = sub.add_parser("pca", help="fit PCA and write transformed features")
+    p_pca = add_parser("pca", help="fit PCA and write transformed features")
     p_pca.add_argument("--features", required=True)
     p_pca.add_argument("--out-dim", type=int, required=True)
     p_pca.add_argument("--output", required=True)
@@ -573,9 +578,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_pca.set_defaults(func=cmd_pca)
 
     for p in sub.choices.values():  # last, so --help lists it last
+        # read by _merge_config before argparse runs
         p.add_argument("--config", default=None)
-        # each optional flag with no parser default, by dest; argparse sets
-        # such a dest only when its flag is given
+        # each optional flag but --config, by dest
         p.set_defaults(flags={a.dest: a.option_strings[-1] for a in p._actions
                               if a.default is argparse.SUPPRESS and not a.required})
     return parser
@@ -591,20 +596,15 @@ def _merge_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]
     yes or on, or 0, false, no or off, in any case; an unknown key or other
     switch value is rejected with its line number.
     """
-    sub_action = next(
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    cmd_idx = next((i for i, tok in enumerate(argv) if tok in sub_action.choices), None)
-    if cmd_idx is None:
+    sub_action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    # the top-level parser has no option but -h, so a command is argv[0]
+    if not argv or argv[0] not in sub_action.choices:
         return argv
-    subparser = sub_action.choices[argv[cmd_idx]]
-    known_flags = {}
-    for action in subparser._actions:
-        for opt in action.option_strings:
-            if opt.startswith("--"):
-                known_flags[opt[2:]] = action
+    subparser = sub_action.choices[argv[0]]
+    known_flags = {opt[2:]: action for action in subparser._actions
+                   for opt in action.option_strings if opt.startswith("--")}
     path = None
-    for i in range(cmd_idx + 1, len(argv)):
+    for i in range(1, len(argv)):
         name, eq, value = argv[i].partition("=")
         if name == "--":
             break
@@ -627,7 +627,7 @@ def _merge_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]
                 injected.append(f"--{key}")
         else:
             injected.append(f"--{key}={value}")  # a value may begin with "-"
-    return argv[:cmd_idx + 1] + injected + argv[cmd_idx + 1:]
+    return argv[:1] + injected + argv[1:]
 
 
 def main(argv=None) -> int:
@@ -637,7 +637,9 @@ def main(argv=None) -> int:
         with _usage():
             thread_cap()
         args = parser.parse_args(_merge_config(argv, parser))
-        results = args.func(args)
+        with warnings.catch_warnings():  # one line per warning; the caller's handler returns
+            warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+            results = args.func(args)
     except SystemExit as exc:  # argparse has printed its message or the help
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except UsageError as exc:

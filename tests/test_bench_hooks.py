@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -98,3 +99,48 @@ def test_workload_references_agree_with_the_engine(tmp_path):
     got = score_regression(flow.flow, flow.prior, SupportGrid(-2.0, 3.0, 50), z)
     reference = workloads.flow_reference_epistemic(flow, z, 50)
     assert workloads.close(got.epistemic, reference, workloads.SCORE_RTOL)[0]
+
+
+
+def test_workload_commands_use_only_flags_their_variant_reads(tmp_path):
+    """Each ``fit`` and ``score`` command line of every workload gets past
+    the CLI's unread-flag rule to the first read of its data: the features
+    file for ``fit`` and ``score`` (after the model file), the study for
+    ``toy``.  That read is stopped, so nothing is trained or scored."""
+    workloads = _load("workloads")
+    from unittest import mock
+
+    from luq import cli
+    from luq.fileio import ModelBundle, write_model
+    from luq.flow import build_flow
+    from luq.gmm import EmOptions, fit_class_conditional
+    from luq.priors import UniformPrior, fit_categorical
+
+    class Reached(Exception):
+        pass
+
+    rep = tmp_path / "rep"
+    (rep / "toy").mkdir(parents=True)
+    x, labels = np.random.default_rng(0).normal(size=(20, 2)), np.arange(20) % 2
+    write_model(rep / "model.luqm", ModelBundle(  # the models each score step reads
+        prior=fit_categorical(labels),
+        class_gmms=fit_class_conditional(x, labels, EmOptions(n_components=1))))
+    write_model(rep / "toy" / "model.luqm",
+                ModelBundle(prior=UniformPrior(-10.0, 10.0), flow=build_flow(2, 1, seed=0)))
+    workloads.write_luq1(rep / "toy" / "train_latents.luq", x)
+
+    gmm = workloads.GmmWorkload(seed=301, size="tiny")
+    gmm.inputs = tmp_path / "inputs"
+    reached = []
+    for workload in (gmm, workloads.ToyRegressionWorkload(seed=301, size="tiny")):
+        for phase, make_argv in workload.steps(rep):
+            if phase == "eval":
+                continue
+            argv = make_argv()
+            with mock.patch("luq.fileio.read_features", side_effect=Reached), \
+                    mock.patch("luq.toy.run_regression_study", side_effect=Reached):
+                with pytest.raises(Reached):
+                    cli.main(argv)
+            reached.append(argv[:2])
+    assert reached == [["fit", "--features"], ["score", "--model"],
+                       ["toy", "regression"], ["score", "--model"]]

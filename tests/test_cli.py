@@ -7,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
@@ -28,7 +29,13 @@ from luq.flow import FlowArchitecture, FlowTrainConfig
 from luq.gmm import ClassConditionalGmm, EmOptions, GaussianComponent, Gmm
 from luq.linalg import PcaModel, cholesky, pca_fit, pca_transform
 from luq.metrics import calibration_curve
-from luq.priors import BetaPrimePrior, CategoricalPrior, HistogramPrior, UniformPrior
+from luq.priors import (
+    BetaPrimePrior,
+    CategoricalPrior,
+    HistogramPrior,
+    UniformPrior,
+    fit_histogram,
+)
 from luq.toy import ToyClassificationSpec, ToyRegressionSpec, run_regression_study
 
 
@@ -326,6 +333,40 @@ class TestFit:
         assert captured.out == ""
         assert not model_path.exists()
 
+    def test_bare_histogram_prior_takes_the_library_bins(self, tmp_path):
+        rng = np.random.default_rng(1)
+        fpath, ppath = tmp_path / "f.luq", tmp_path / "p.luq"
+        write_matrix(fpath, rng.normal(size=(40, 2)))
+        write_matrix(ppath, rng.normal(size=(40, 1)))
+        model_path = tmp_path / "m.luqm"
+        assert run_cli("fit", "--features", str(fpath), "--predictions", str(ppath),
+                       "--model", "flow", "--prior", "histogram", "--max-epochs", "1",
+                       "--output", str(model_path)) == 0
+        bins = inspect.signature(fit_histogram).parameters["bins"].default
+        assert len(read_model(model_path).prior.edges) == bins + 1
+
+    def test_library_warning_is_one_line(self, blob_files, tmp_path, capsys):
+        """A library warning prints as ``warning: <message>``, with no source
+        path or line; the caller's handler is back once ``main`` returns."""
+        handler = warnings.showwarning
+        assert run_cli("fit", "--features", str(blob_files[0]), "--predictions",
+                       str(blob_files[1]), "--model", "gmm", "--components", "150",
+                       "--output", str(tmp_path / "m.luqm")) == 0
+        assert capsys.readouterr().err == "".join(
+            f"warning: class {c} has 60 samples; reducing components 150 -> 30\n"
+            for c in (0, 1))
+        assert warnings.showwarning is handler
+
+    def test_warning_filters_still_apply(self, blob_files, tmp_path):
+        # Tier-1 turns a RuntimeWarning into an error; main keeps that filter
+        def overflow(*args, **kwargs):
+            warnings.warn("overflow encountered", RuntimeWarning)
+
+        with mock.patch.object(cli, "pca_fit", side_effect=overflow):
+            with pytest.raises(RuntimeWarning, match="overflow encountered"):
+                run_cli("pca", "--features", str(blob_files[0]), "--out-dim", "1",
+                        "--output", str(tmp_path / "t.luq"))
+
     @pytest.mark.parametrize("scale, prior", [(1e308, []),
                                               (1e300, ["--prior", "uniform:-1e301:1e301"])])
     def test_flow_on_overflowing_predictions_exit_3(self, tmp_path, capsys, scale, prior):
@@ -462,6 +503,9 @@ class TestUnreadFlags:
         "eval --mode ood --plot p.svg": "--mode ood does not read --plot",
         "eval --mode calibration --thresholds 1": "--mode calibration does not read --thresholds",
         "eval --mode rmse --percentile-step 7": "--mode rmse does not read --percentile-step",
+        "toy classification --ensemble": "toy classification does not read --ensemble",
+        "fit --model gmm --whiten": "--model gmm without --pca does not read --whiten",
+        "fit --model flow --whiten": "--model flow without --pca does not read --whiten",
     }
 
     @pytest.mark.parametrize("argv", list(CASES))
@@ -481,15 +525,56 @@ class TestUnreadFlags:
         assert sorted(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("kind, key", [("classification", "gap = -0.5:0.5"),
-                                           ("regression", "components = 3")])
+                                           ("regression", "components = 3"),
+                                           ("classification", "ensemble = yes")])
     def test_config_key_is_a_flag(self, tmp_path, capsys, kind, key):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(key + "\n")
         out = tmp_path / "out"
         assert run_cli("toy", kind, "--out", str(out), "--config", str(cfg)) == 2
         flag = "--" + key.split()[0]
-        assert f"usage error: toy {kind} does not read {flag}" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"usage error: toy {kind} does not read {flag}" in captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [["--grid", "50"], ["--grid-range", "0:1"]],
+                             ids=["grid", "grid-range"])
+    def test_score_refuses_grid_flags_for_a_gmm_model(self, tmp_path, capsys, flag):
+        """A GMM model is scored without a grid: the flag is refused once the
+        model is read, before the features are, so a missing features file
+        is never reported."""
+        model = tmp_path / "m.luqm"
+        write_model(model, two_class_reference_model())
+        out = tmp_path / "s.csv"
+        assert run_cli("score", "--model", str(model), "--features", str(tmp_path / "missing"),
+                       "--output", str(out), *flag) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: GMM model {model} does not read {flag[0]}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--model", "gmm", "--pca", "2", "--whiten"],
+        ["pca", "--out-dim", "2", "--whiten"],
+        ["toy", "regression", "--ensemble", "--plot", "--n-train", "60", "--eval-points", "21",
+         "--grid", "101"],
+    ], ids=["fit-pca-whiten", "pca-whiten", "toy-regression-ensemble-plot"])
+    def test_switches_their_variant_reads_run(self, tmp_path, blob_files, argv):
+        """``--whiten`` with ``--pca`` and ``--ensemble`` with the regression
+        toy are read: the features come out with unit variance, and the toy
+        writes its ensemble and plot files."""
+        out = tmp_path / "out"
+        if argv[0] == "toy":
+            assert run_cli(*argv, "--out", str(out)) == 0
+            assert (out / "ensemble.csv").exists() and (out / "prediction_band.svg").exists()
+            return
+        predictions = ["--predictions", str(blob_files[1])] if argv[0] == "fit" else []
+        assert run_cli(*argv, "--features", str(blob_files[0]), *predictions,
+                       "--output", str(out)) == 0
+        x = read_features(blob_files[0])
+        z = pca_transform(read_model(out).pca, x) if argv[0] == "fit" else read_features(out)
+        np.testing.assert_allclose(np.var(z, axis=0, ddof=1), 1.0)
 
 
 class TestNegativeOptionValues:
@@ -548,13 +633,14 @@ def test_option_strings_are_unchanged():
 
 class TestOptionObjects:
     """A ``fit``/``toy`` flag that sets a field of a library option object
-    is named by the field and has no parser default, so the library states
-    each default once; no other optional flag lacks a default, and no
-    default the parser states is a library default."""
+    is named by the field, and no optional flag has a parser default, so
+    the library states each default once and a flag's dest is parsed only
+    when the flag is given."""
 
-    # the option objects each command builds
+    # the option objects each command builds, and the flags it reads itself
     BUILT = {"fit": (EmOptions, FlowTrainConfig, FlowArchitecture),
              "toy": (ToyRegressionSpec, ToyClassificationSpec, EmOptions)}
+    OWN = {"fit": {"prior", "pca", "whiten"}, "toy": {"ensemble", "plot"}}
 
     @pytest.mark.parametrize("command, count", [("fit", 14), ("toy", 11)])
     def test_flags_without_a_default_are_fields(self, command, count):
@@ -562,20 +648,17 @@ class TestOptionObjects:
         actions = [a for a in subparsers()[command]._actions
                    if not (a.required or isinstance(a, argparse._HelpAction))]
         suppressed = [a.dest for a in actions if a.default is argparse.SUPPRESS]
-        assert set(suppressed) <= names
-        assert [a.dest for a in actions if a.dest in names] == suppressed
-        assert len(suppressed) == count
+        fielded = [dest for dest in suppressed if dest in names]
+        assert [a.dest for a in actions if a.dest in names] == fielded
+        assert set(suppressed) - set(fielded) == self.OWN[command]
+        assert len(fielded) == count
 
     def test_the_defaults_the_parser_states(self):
+        """``--config`` alone has one: it is read before argparse runs."""
         assert {name: {a.dest: a.default for a in p._actions
                        if not a.required and a.default is not argparse.SUPPRESS}
                 for name, p in subparsers().items()} == {
-            "fit": {"prior": None, "pca": None, "whiten": False, "config": None},
-            "score": {"grid": 1000, "grid_range": None, "config": None},
-            "eval": {"config": None},
-            "toy": {"ensemble": False, "plot": False, "config": None},
-            "pca": {"whiten": False, "config": None},
-        }
+            name: {"config": None} for name in OPTION_STRINGS}
 
     @pytest.mark.parametrize("command, flag, function, parameter", [
         ("toy", "mass", run_regression_study, "band_mass"),
@@ -810,8 +893,9 @@ class TestScore:
         fpath = tmp_path / "z.luq"
         write_matrix(fpath, np.array([[0.0], [1e200], [1.0], [-1e200]]))
         out = tmp_path / "s.csv"
+        grid = ["--grid", "50"] if model == "flow" else []
         code = run_cli("score", "--model", str(model_path), "--features", str(fpath),
-                       "--output", str(out), "--grid", "50")
+                       "--output", str(out), *grid)
         assert code == 3
         err = capsys.readouterr().err
         assert str(fpath) in err and "data row 2" in err and "(2 such rows)" in err
