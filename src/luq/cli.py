@@ -75,10 +75,11 @@ def _prior_spec(spec: str | None, model: str):
     density model, before any file is read: class GMMs need the
     categorical prior, a flow needs a density over outputs.  Returns a
     function of the predictions that builds the prior."""
-    spec = spec or ("categorical" if model == "gmm" else "uniform:-10:10")
+    if spec is None:
+        spec = "categorical" if model == "gmm" else "uniform:-10:10"
     kind, *params = spec.split(":")
     if len(params) not in _PRIOR_ARITY.get(kind, ()):
-        raise UsageError(f"--prior {spec}: expected categorical, uniform:LO:HI, "
+        raise UsageError(f"--prior {spec or repr(spec)}: expected categorical, uniform:LO:HI, "
                          "betaprime[:A:B] or histogram[:BINS]")
     if (kind == "categorical") != (model == "gmm"):
         raise UsageError(f"--prior {spec} does not pair with --model {model}: gmm takes "
@@ -503,7 +504,10 @@ def _two_layers(text: str) -> tuple[int, int]:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="luq", description="Uncertainty from the density of latent representations.")
+        prog="luq", description="Uncertainty from the density of latent representations.  "
+        "An argument @FILE stands for the arguments FILE holds, each line split as a shell "
+        "splits it, # starting a comment; so write --output=@name for a path that begins "
+        "with @.")
     sub = parser.add_subparsers(dest="command", required=True)
     # an optional flag's dest is set only when the flag is given
     add_parser = partial(sub.add_parser, argument_default=argparse.SUPPRESS)
@@ -577,57 +581,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_pca.add_argument("--whiten", action="store_true")
     p_pca.set_defaults(func=cmd_pca)
 
-    for p in sub.choices.values():  # last, so --help lists it last
-        # read by _merge_config before argparse runs
-        p.add_argument("--config", default=None)
-        # each optional flag but --config, by dest
+    for p in sub.choices.values():  # each optional flag, by dest
         p.set_defaults(flags={a.dest: a.option_strings[-1] for a in p._actions
-                              if a.default is argparse.SUPPRESS and not a.required})
+                              if not a.required})
     return parser
 
 
-def _merge_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
-    """Inject config-file entries as flags ahead of the explicit CLI flags,
-    so explicit flags win (argparse keeps the last occurrence).
+def _expand_files(argv: list[str]) -> list[str]:
+    """``argv`` with each ``@FILE`` replaced by the arguments FILE holds, in
+    order: each line split as a shell splits it, ``#`` starting a comment.
+    Arguments read from a file are not expanded again."""
+    expanded = []
+    for arg in argv:
+        if not arg.startswith("@"):
+            expanded.append(arg)
+            continue
+        import shlex  # loaded only where a file is expanded
 
-    The config file is named in any form argparse accepts: ``--config PATH``,
-    ``--config=PATH`` or a prefix that only ``--config`` starts with.  Config
-    keys are the long flag names without dashes, and a switch takes 1, true,
-    yes or on, or 0, false, no or off, in any case; an unknown key or other
-    switch value is rejected with its line number.
-    """
-    sub_action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    # the top-level parser has no option but -h, so a command is argv[0]
-    if not argv or argv[0] not in sub_action.choices:
-        return argv
-    subparser = sub_action.choices[argv[0]]
-    known_flags = {opt[2:]: action for action in subparser._actions
-                   for opt in action.option_strings if opt.startswith("--")}
-    path = None
-    for i in range(1, len(argv)):
-        name, eq, value = argv[i].partition("=")
-        if name == "--":
-            break
-        matches = [f for f in known_flags if f.startswith(name[2:])]
-        if name.startswith("--") and matches == ["config"]:
-            path = value if eq else (argv[i + 1] if i + 1 < len(argv) else None)
-    if path is None:
-        return argv
-    injected = []
-    for lineno, key, value in fileio.parse_config(path):
-        if key not in known_flags:
-            raise fileio.DataFormatError(f"{path}: line {lineno}: unknown key {key!r}")
-        action = known_flags[key]
-        if isinstance(action, argparse._StoreTrueAction):
-            switch = value.lower()
-            if switch not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
-                raise fileio.DataFormatError(f"{path}: line {lineno}: {key} must be 1, true, "
-                                             f"yes or on, or 0, false, no or off, got {value!r}")
-            if switch in ("1", "true", "yes", "on"):
-                injected.append(f"--{key}")
-        else:
-            injected.append(f"--{key}={value}")  # a value may begin with "-"
-    return argv[:1] + injected + argv[1:]
+        for lineno, line in enumerate(fileio._read_lines(arg[1:]), start=1):
+            try:
+                expanded += shlex.split(line, comments=True)
+            except ValueError as exc:  # an unclosed quote or a trailing escape
+                raise fileio.DataFormatError(f"{arg[1:]}: line {lineno}: {exc}") from exc
+    return expanded
 
 
 def main(argv=None) -> int:
@@ -636,7 +612,7 @@ def main(argv=None) -> int:
     try:
         with _usage():
             thread_cap()
-        args = parser.parse_args(_merge_config(argv, parser))
+        args = parser.parse_args(_expand_files(argv))
         with warnings.catch_warnings():  # one line per warning; the caller's handler returns
             warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
             results = args.func(args)

@@ -494,25 +494,3 @@ def read_csv_columns(path, required: list[str]) -> dict[str, np.ndarray]:
     if len(set(header)) < len(header):
         raise DataFormatError(f"{path}: a column name repeats in {header}")
     return dict(zip(header, np.ascontiguousarray(data.T)))
-
-
-# --- run configuration ---------------------------------------------------
-
-
-def parse_config(path) -> list[tuple[int, str, str]]:
-    """Parse `key = value` lines; returns (line number, key, value) tuples.
-
-    Blank lines and `#` comments are skipped; malformed lines raise with
-    their line number.
-    """
-    path = Path(path)
-    out = []
-    for i, raw in enumerate(_read_lines(path), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DataFormatError(f"{path}: line {i}: expected `key = value`")
-        key, value = line.split("=", 1)
-        out.append((i, key.strip(), value.strip()))
-    return out

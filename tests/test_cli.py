@@ -27,7 +27,7 @@ from luq.fileio import (
 )
 from luq.flow import FlowArchitecture, FlowTrainConfig
 from luq.gmm import ClassConditionalGmm, EmOptions, GaussianComponent, Gmm
-from luq.linalg import PcaModel, cholesky, pca_fit, pca_transform
+from luq.linalg import PcaModel, cholesky, pca_transform
 from luq.metrics import calibration_curve
 from luq.priors import (
     BetaPrimePrior,
@@ -238,19 +238,16 @@ class TestFit:
                        "--output", str(model_path)) == 0
         assert len(read_model(model_path).class_gmms.per_class[0].components) == 2
 
-    @pytest.mark.parametrize("form", ["--config PATH", "--config=PATH", "--conf PATH",
-                                      "--con=PATH"])
-    def test_config_in_every_argparse_form_is_merged(self, tmp_path, blob_files, capsys,
-                                                     form):
+    def test_argument_file_is_merged(self, tmp_path, blob_files, capsys):
         fpath, ppath = blob_files
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("components = 0\n")
+        args = tmp_path / "c.args"
+        args.write_text("--components 0\n")
         model_path = tmp_path / "m.luqm"
         code = run_cli("fit", "--features", str(fpath), "--predictions", str(ppath),
-                       "--model", "gmm", "--output", str(model_path),
-                       *form.replace("PATH", str(cfg)).split(" "))
+                       "--model", "gmm", "--output", str(model_path), f"@{args}")
         assert code == 2
-        assert "usage error: n_components must be >= 1" in capsys.readouterr().err
+        assert ("usage error: n_components must be >= 1 (from --components)"
+                in capsys.readouterr().err)
         assert not model_path.exists()
 
     @pytest.mark.parametrize("covariance", ["full", "tied"])
@@ -477,6 +474,17 @@ class TestOptionValues:
         assert argv[-2] in err
         assert sorted(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("form", [["--prior", ""], ["--prior="]], ids=["space", "equals"])
+    @pytest.mark.parametrize("model", ["flow", "gmm"])
+    def test_empty_prior_is_given_not_absent(self, tmp_path, capsys, model, form):
+        missing = str(tmp_path / "missing")
+        assert run_cli("fit", "--model", model, *form, "--features", missing,
+                       "--predictions", missing, "--output", str(tmp_path / "o")) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: --prior '': expected categorical")
+        assert sorted(tmp_path.iterdir()) == []
+
 
 class TestUnreadFlags:
     """A flag that only another ``--model``, toy kind or ``--mode`` reads
@@ -524,15 +532,15 @@ class TestUnreadFlags:
         assert f"usage error: {self.CASES[argv]}" in captured.err
         assert sorted(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("kind, key", [("classification", "gap = -0.5:0.5"),
-                                           ("regression", "components = 3"),
-                                           ("classification", "ensemble = yes")])
-    def test_config_key_is_a_flag(self, tmp_path, capsys, kind, key):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(key + "\n")
+    @pytest.mark.parametrize("kind, line", [("classification", "--gap=-0.5:0.5"),
+                                            ("regression", "--components=3"),
+                                            ("classification", "--ensemble")])
+    def test_flag_from_a_file_is_a_flag(self, tmp_path, capsys, kind, line):
+        args = tmp_path / "run.args"
+        args.write_text(line + "\n")
         out = tmp_path / "out"
-        assert run_cli("toy", kind, "--out", str(out), "--config", str(cfg)) == 2
-        flag = "--" + key.split()[0]
+        assert run_cli("toy", kind, "--out", str(out), f"@{args}") == 2
+        flag = line.split("=")[0]
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"usage error: toy {kind} does not read {flag}" in captured.err
@@ -579,8 +587,8 @@ class TestUnreadFlags:
 
 class TestNegativeOptionValues:
     """argparse takes ``--gap -0.5:0.5`` for a flag with no value; the
-    ``--flag=VALUE`` form and a config file carry a value that begins with
-    a minus sign."""
+    ``--flag=VALUE`` form carries a value that begins with a minus sign, on
+    the command line and in an argument file alike."""
 
     @pytest.mark.parametrize("argv, dest, value", [
         (["toy", "regression", "--out", "o", "--gap=-0.5:0.5"], "gap", "-0.5:0.5"),
@@ -592,13 +600,59 @@ class TestNegativeOptionValues:
     def test_equals_form_parses(self, argv, dest, value):
         assert getattr(cli.build_parser().parse_args(argv), dest) == value
 
-    def test_config_value_with_leading_minus(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("gap = -0.5:0.5\n")
-        parser = cli.build_parser()
-        argv = cli._merge_config(["toy", "regression", "--out", "o", "--config", str(cfg)],
-                                 parser)
-        assert parser.parse_args(argv).gap == "-0.5:0.5"
+    def test_argument_file_value_with_leading_minus(self, tmp_path):
+        args = tmp_path / "run.args"
+        args.write_text("--gap=-0.5:0.5\n")
+        argv = cli._expand_files(["toy", "regression", "--out", "o", f"@{args}"])
+        assert cli.build_parser().parse_args(argv).gap == "-0.5:0.5"
+
+
+class TestArgumentFiles:
+    """An argument ``@FILE`` stands for the arguments FILE holds: each line
+    split as a shell splits it, ``#`` starting a comment.  The arguments
+    keep their order, and those read from a file are not expanded again."""
+
+    def test_comments_blank_lines_and_quoted_spaces(self, tmp_path, blob_files, capsys):
+        features = tmp_path / "blob features.luq"
+        features.write_bytes(blob_files[0].read_bytes())
+        model = tmp_path / "m.luqm"
+        args = tmp_path / "run.args"
+        args.write_text(f"# a two-class fit\n\n--features '{features}'  # quoted\n"
+                        f"--predictions {blob_files[1]} --model gmm\n"
+                        f"--components=1\n   \n--output \"{model}\"\n")
+        assert run_cli("fit", f"@{args}") == 0
+        assert capsys.readouterr().out.endswith(f"model_file={model}\n")
+        assert len(read_model(model).class_gmms.per_class[0].components) == 1
+
+    def test_a_flag_after_the_file_wins_and_one_before_it_loses(self, tmp_path):
+        args = tmp_path / "run.args"
+        args.write_text("--seed 5\n--n-train 60\n")
+        argv = cli._expand_files(["toy", "regression", "--seed", "1", f"@{args}",
+                                  "--n-train", "70", "--out", "o"])
+        assert argv == ["toy", "regression", "--seed", "1", "--seed", "5", "--n-train", "60",
+                        "--n-train", "70", "--out", "o"]
+        parsed = cli.build_parser().parse_args(argv)
+        assert (parsed.seed, parsed.n_train) == (5, 70)
+
+    def test_a_file_that_names_itself_ends_without_a_traceback(self, tmp_path):
+        args = tmp_path / "self.args"
+        args.write_text(f"--out {tmp_path / 'out'}\n@{args}\n")
+        proc = subprocess.run([sys.executable, "-m", "luq", "toy", "regression", f"@{args}"],
+                              capture_output=True, env=subprocess_env(), text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"unrecognized arguments: @{args}" in proc.stderr
+        assert proc.stdout == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_a_value_joined_to_its_flag_may_begin_with_at(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_model("m.luqm", two_class_reference_model())
+        write_matrix("z.luq", np.zeros((3, 1)))
+        assert run_cli("score", "--model", "m.luqm", "--features", "z.luq",
+                       "--output=@scores.csv") == 0
+        assert capsys.readouterr().out.endswith("scores_file=@scores.csv\n")
+        assert len(read_csv_columns(tmp_path / "@scores.csv", ["index"])["index"]) == 3
 
 
 def subparsers() -> dict[str, argparse.ArgumentParser]:
@@ -613,16 +667,14 @@ OPTION_STRINGS = {
     "fit": ["-h", "--help", "--features", "--predictions", "--model", "--output", "--prior",
             "--components", "--cov-reg", "--covariance", "--max-iter", "--tol", "--pca",
             "--whiten", "--learning-rate", "--weight-decay", "--batch-size", "--max-epochs",
-            "--patience", "--val-fraction", "--flow-layers", "--flow-hidden", "--seed",
-            "--config"],
-    "score": ["-h", "--help", "--model", "--features", "--output", "--grid", "--grid-range",
-              "--config"],
+            "--patience", "--val-fraction", "--flow-layers", "--flow-hidden", "--seed"],
+    "score": ["-h", "--help", "--model", "--features", "--output", "--grid", "--grid-range"],
     "eval": ["-h", "--help", "--mode", "--input", "--output", "--plot", "--percentile-step",
-             "--thresholds", "--config"],
+             "--thresholds"],
     "toy": ["-h", "--help", "--out", "--seed", "--mass", "--grid", "--n-train", "--gap",
             "--noise", "--eval-points", "--ensemble", "--components", "--cov-reg",
-            "--per-class", "--cluster-sigma", "--plot", "--config"],
-    "pca": ["-h", "--help", "--features", "--out-dim", "--output", "--whiten", "--config"],
+            "--per-class", "--cluster-sigma", "--plot"],
+    "pca": ["-h", "--help", "--features", "--out-dim", "--output", "--whiten"],
 }
 
 
@@ -654,11 +706,10 @@ class TestOptionObjects:
         assert len(fielded) == count
 
     def test_the_defaults_the_parser_states(self):
-        """``--config`` alone has one: it is read before argparse runs."""
+        """None: every optional flag is unset until it is given."""
         assert {name: {a.dest: a.default for a in p._actions
                        if not a.required and a.default is not argparse.SUPPRESS}
-                for name, p in subparsers().items()} == {
-            name: {"config": None} for name in OPTION_STRINGS}
+                for name, p in subparsers().items()} == {name: {} for name in OPTION_STRINGS}
 
     @pytest.mark.parametrize("command, flag, function, parameter", [
         ("toy", "mass", run_regression_study, "band_mass"),
@@ -722,35 +773,6 @@ class TestOptionObjects:
         assert cli._toy_spec(args) == (ToyRegressionSpec(), None)
         args = parser.parse_args(["toy", "regression", "--out", "o", "--gap=-0.5:0.1"])
         assert cli._toy_spec(args)[0] == ToyRegressionSpec(gap=(-0.5, 0.1))
-
-
-class TestConfigSwitches:
-    """A switch in a config file takes 1/true/yes/on or 0/false/no/off, in
-    any case; any other value is a data error that names its line."""
-
-    def run_pca(self, tmp_path, text):
-        x = np.random.default_rng(6).normal(size=(40, 5)) * np.arange(1.0, 6.0)
-        fpath, out, cfg = tmp_path / "f.luq", tmp_path / "t.luq", tmp_path / "run.cfg"
-        write_matrix(fpath, x)
-        cfg.write_text(text)
-        code = run_cli("pca", "--features", str(fpath), "--out-dim", "2", "--output", str(out),
-                       "--config", str(cfg))
-        return code, x, out
-
-    @pytest.mark.parametrize("value", ["ture", ""])
-    def test_unknown_word_exit_3(self, tmp_path, capsys, value):
-        code, _, out = self.run_pca(tmp_path, f"# run\nwhiten = {value}\n")
-        assert code == 3
-        assert re.search(r"run\.cfg: line 2: whiten must be 1, true, yes or on, or 0, false, "
-                         rf"no or off, got '{value}'", capsys.readouterr().err)
-        assert not out.exists()
-
-    @pytest.mark.parametrize("value, whiten", [("ON", True), ("off", False)])
-    def test_switch_words(self, tmp_path, value, whiten):
-        code, x, out = self.run_pca(tmp_path, f"whiten = {value}\n")
-        assert code == 0
-        expected = pca_transform(pca_fit(x, 2, whiten=whiten), x)
-        np.testing.assert_array_equal(read_features(out), expected)
 
 
 class TestNonFiniteFeatures:
@@ -1225,25 +1247,26 @@ class TestToy:
         cols = read_csv_columns(scores, ["epistemic_nats"])
         assert len(cols["epistemic_nats"]) == 120
 
-    def test_config_file_merges_and_cli_overrides(self, tmp_path):
-        cfg = tmp_path / "toy.cfg"
-        cfg.write_text("n-train = 80\neval-points = 11\ngrid = 150\nseed = 5\n")
+    def test_argument_file_merges_and_cli_overrides(self, tmp_path):
+        args = tmp_path / "toy.args"
+        args.write_text("--n-train 80\n--eval-points 11\n--grid 150\n--seed 5\n")
         out = tmp_path / "runC"
-        code = run_cli("toy", "regression", "--out", str(out), "--seed", "2",
-                       "--config", str(cfg))
+        code = run_cli("toy", "regression", "--out", str(out), f"@{args}", "--eval-points", "13")
         assert code == 0
         cols = read_csv_columns(out / "curve.csv", ["x"])
-        assert len(cols["x"]) == 11  # from config
+        assert len(cols["x"]) == 13  # the flag after the file wins
         data = read_csv_columns(out / "train_data.csv", ["x", "y"])
-        assert len(data["x"]) == 80
+        assert len(data["x"]) == 80  # from the file
 
-    def test_config_unknown_key_exit_3(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("bogus-key = 1\n")
-        code = run_cli("toy", "regression", "--out", str(tmp_path / "x"),
-                       "--config", str(cfg))
-        assert code == 3
-        assert "line 1" in capsys.readouterr().err
+    def test_argument_file_unread_flag_exit_2(self, tmp_path, capsys):
+        args = tmp_path / "bad.args"
+        args.write_text("--per-class 30\n")
+        out = tmp_path / "x"
+        assert run_cli("toy", "regression", "--out", str(out), f"@{args}") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: toy regression does not read --per-class\n"
+        assert not out.exists()
 
     def test_prediction_outside_the_prior_range_exit_3(self, tmp_path, capsys):
         # at --noise 2 the regressor predicts below -10, where the toy's
@@ -1381,10 +1404,18 @@ def _directory_as(flag):
     return build
 
 
-def _missing_config(tmp_path, blob_files):
-    cfg = tmp_path / "nonexistent.cfg"
-    return (["fit", "--features", str(blob_files[0]), "--predictions", str(blob_files[1]),
-             "--model", "gmm", "--config", str(cfg)], cfg, "No such file")
+def _argument_file(name, content, text):
+    """A gmm fit given ``@name``, where ``name`` holds the bytes ``content``,
+    is missing (None) or is a directory ("/")."""
+    def build(tmp_path, blob_files):
+        path = tmp_path / name
+        if content == "/":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        return (["fit", "--features", str(blob_files[0]), "--predictions", str(blob_files[1]),
+                 "--model", "gmm", f"@{path}"], path, text)
+    return build
 
 
 def _undecodable_csv(tmp_path, blob_files):
@@ -1397,13 +1428,6 @@ def _undecodable_eval_csv(tmp_path, blob_files):
     csv = tmp_path / "latin1.csv"
     csv.write_bytes(b"score,label\n0.9,1\n0.1,0\n\xff\n")
     return ["eval", "--mode", "ood", "--input", str(csv)], csv, "not UTF-8 text"
-
-
-def _undecodable_config(tmp_path, blob_files):
-    cfg = tmp_path / "latin1.cfg"
-    cfg.write_bytes(b"# r\xe9sum\xe9\nseed = 1\n")
-    return (["pca", "--features", str(blob_files[0]), "--out-dim", "1", "--config", str(cfg)],
-            cfg, "not UTF-8 text")
 
 
 def _unnormalized_prior_section(tmp_path, blob_files):
@@ -1560,10 +1584,14 @@ class TestFailureTable:
         "directory-features": _directory_as("--features"),
         "directory-input": _directory_as("--input"),
         "directory-model": _directory_as("--model"),
-        "missing-config": _missing_config,
+        "missing-argument-file": _argument_file("nonexistent.args", None, "No such file"),
+        "directory-argument-file": _argument_file("args.d", "/", "Is a directory"),
         "undecodable-csv": _undecodable_csv,
         "undecodable-eval-csv": _undecodable_eval_csv,
-        "undecodable-config": _undecodable_config,
+        "undecodable-argument-file": _argument_file("latin1.args", b"# r\xe9sum\xe9\n--seed 1\n",
+                                                    "not UTF-8 text"),
+        "unclosed-quote-argument-file": _argument_file(
+            "quote.args", b"--seed 1\n--prior 'categorical\n", "line 2: No closing quotation"),
         "checksum-valid-invalid-section": _unnormalized_prior_section,
         "gmm-with-uniform-prior": _spoiled(
             "gmm", lambda b: setattr(b, "prior", UniformPrior(-3.0, 3.0)), None,

@@ -12,7 +12,6 @@ from luq.errors import DataFormatError
 from luq.fileio import (
     ModelBundle,
     format_float,
-    parse_config,
     read_csv_columns,
     read_features,
     read_model,
@@ -577,28 +576,27 @@ class TestModelProperties:
 
 
 class TestRunConfig:
+    """A run's flags can be kept in an argument file, named ``@FILE`` on the
+    command line; ``fileio`` reads its lines."""
+
     def test_parse_and_load(self, tmp_path):
-        p = tmp_path / "run.cfg"
-        p.write_text("# comment\ncomponents = 5\nseed = 7  # inline\n\nprior = uniform:-10:10\n")
-        entries = parse_config(p)
-        assert entries == [(2, "components", "5"), (3, "seed", "7"),
-                           (5, "prior", "uniform:-10:10")]
-        parser = cli.build_parser()
-        argv = cli._merge_config(["fit", "--features", "f", "--predictions", "p",
-                                  "--model", "gmm", "--output", "o",
-                                  "--config", str(p)], parser)
-        args = parser.parse_args(argv)
+        p = tmp_path / "run.args"
+        p.write_text("# comment\n--components 5\n--seed=7  # inline\n\n--prior uniform:-10:10\n")
+        argv = cli._expand_files(["fit", "--features", "f", "--predictions", "p",
+                                  "--model", "gmm", "--output", "o", f"@{p}"])
+        assert argv[-5:] == ["--components", "5", "--seed=7", "--prior", "uniform:-10:10"]
+        args = cli.build_parser().parse_args(argv)
         assert (args.n_components, args.seed, args.prior) == (5, 7, "uniform:-10:10")
 
-    def test_unknown_key_cites_line(self, tmp_path, capsys):
-        p = tmp_path / "bad.cfg"
-        p.write_text("components = 5\nbogus = 1\n")
-        assert parse_config(p)[1] == (2, "bogus", "1")
-        assert cli.main(["fit", "--config", str(p)]) == 3
-        assert "line 2" in capsys.readouterr().err
+    def test_unknown_flag_is_a_usage_error(self, tmp_path, capsys):
+        p = tmp_path / "bad.args"
+        p.write_text("--components 5\n--bogus=1\n")
+        assert cli.main(["fit", "--features", "f", "--predictions", "p", "--model", "gmm",
+                         "--output", str(tmp_path / "o"), f"@{p}"]) == 2
+        assert "unrecognized arguments: --bogus=1" in capsys.readouterr().err
 
     def test_malformed_line(self, tmp_path):
-        p = tmp_path / "bad2.cfg"
-        p.write_text("just some words\n")
-        with pytest.raises(DataFormatError, match="line 1"):
-            parse_config(p)
+        p = tmp_path / "bad2.args"
+        p.write_text("--seed 1\n--prior 'categorical\n")
+        with pytest.raises(DataFormatError, match="bad2.args: line 2: No closing quotation"):
+            cli._expand_files([f"@{p}"])

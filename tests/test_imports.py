@@ -2,7 +2,8 @@
 module-level private name that it never reads.  ``import luq`` loads no
 submodule, and serves each public name from its defining module on first
 use; the GMM commands load only the modules they run, and only the commands
-that fit or score GMMs load the worker pool's ``concurrent.futures``.
+that fit or score GMMs load the worker pool's ``concurrent.futures``.  A
+command loads ``shlex`` only to read an ``@FILE`` argument.
 """
 
 import ast
@@ -129,14 +130,15 @@ if sys.argv[2:]:
     from luq.cli import main
     assert main(sys.argv[2:]) == 0
 print(*sorted(m[4:] for m in sys.modules if m.startswith("luq.")),
-      *(m for m in ["concurrent.futures"] if m in sys.modules))
+      *(m for m in ["concurrent.futures", "shlex"] if m in sys.modules))
 """
 
 
 def loaded_modules(cwd, *argv, module="luq") -> set[str]:
     """The ``luq`` submodules loaded by importing ``module`` and, given
     ``argv``, by one ``luq`` command, in a fresh interpreter; plus
-    ``concurrent.futures``, which the worker pool loads, if it is loaded."""
+    ``concurrent.futures``, which the worker pool loads, and ``shlex``, which
+    an ``@FILE`` argument loads, if they are loaded."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run([sys.executable, "-c", LIST_LOADED, module, *argv], cwd=cwd,
                           env=env, capture_output=True, text=True, check=True)
@@ -171,3 +173,4 @@ def test_gmm_commands_load_only_what_they_run(tmp_path):
     assert {"cli", "gmm", "fileio"} <= fit and not fit & (unused | {"engine"})
     assert {"cli", "gmm", "engine"} <= score and not score & unused
     assert "concurrent.futures" in fit & score
+    assert "shlex" not in fit | score  # given no @FILE
