@@ -238,10 +238,12 @@ class TestFit:
                        "--output", str(model_path)) == 0
         assert len(read_model(model_path).class_gmms.per_class[0].components) == 2
 
-    def test_argument_file_is_merged(self, tmp_path, blob_files, capsys):
+    @pytest.mark.parametrize("line", ["--components 0", "--components=0", "--comp 0",
+                                      "--comp=0"])
+    def test_argument_file_is_merged(self, tmp_path, blob_files, capsys, line):
         fpath, ppath = blob_files
         args = tmp_path / "c.args"
-        args.write_text("--components 0\n")
+        args.write_text(line + "\n")
         model_path = tmp_path / "m.luqm"
         code = run_cli("fit", "--features", str(fpath), "--predictions", str(ppath),
                        "--model", "gmm", "--output", str(model_path), f"@{args}")
