@@ -590,7 +590,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _expand_files(argv: list[str]) -> list[str]:
     """``argv`` with each ``@FILE`` replaced by the arguments FILE holds, in
     order: each line split as a shell splits it, ``#`` starting a comment.
-    Arguments read from a file are not expanded again."""
+    An unquoted ``#`` inside a word, which would cut the word short, is a
+    UsageError.  Arguments read from a file are not expanded again."""
     expanded = []
     for arg in argv:
         if not arg.startswith("@"):
@@ -599,8 +600,16 @@ def _expand_files(argv: list[str]) -> list[str]:
         import shlex  # loaded only where a file is expanded
 
         for lineno, line in enumerate(fileio._read_lines(arg[1:]), start=1):
+            lexer = shlex.shlex(line, posix=True)
+            lexer.whitespace_split = True
             try:
-                expanded += shlex.split(line, comments=True)
+                for word in lexer:
+                    # a comment read from inside a word ends it and counts as a
+                    # line; one after whitespace is read after the last word
+                    if lexer.lineno > 1:
+                        raise UsageError(f"{arg[1:]}: line {lineno}: a # inside a word cuts "
+                                         f"{word!r} short; quote the # or put a space before it")
+                    expanded.append(word)
             except ValueError as exc:  # an unclosed quote or a trailing escape
                 raise fileio.DataFormatError(f"{arg[1:]}: line {lineno}: {exc}") from exc
     return expanded

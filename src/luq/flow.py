@@ -476,6 +476,11 @@ class FlowTrainConfig:
 
 @dataclass
 class FlowTrainLog:
+    """Per-epoch NLLs of a ``flow_train`` run.  ``train_nll`` is the mean
+    of the epoch's batch NLLs, each weighted by its rows and taken before
+    that batch's step, as the gradient pass computed them; ``val_nll`` is
+    the validation NLL after the epoch's last step."""
+
     train_nll: np.ndarray
     val_nll: np.ndarray
     best_epoch: int
@@ -524,17 +529,18 @@ def flow_train(z, c, cfg: FlowTrainConfig | None = None,
         with np.errstate(over="raise"):  # an overflowing step is a diverged fit
             for epoch in range(cfg.max_epochs):
                 order = rng.permutation(len(train_idx))
+                total = 0.0
                 for start in range(0, len(order), batch):
                     sel = order[start : start + batch]
                     nll, grads = flow_gradients(flow, z_tr[sel], c_tr[sel])
                     if not np.isfinite(nll):
                         raise DivergedError("training NLL became non-finite")
+                    total += nll * len(sel)
                     opt.step(grads)
-                tr = flow_nll(flow, z_tr, c_tr)
                 va = flow_nll(flow, z_val, c_val)
-                if not (np.isfinite(tr) and np.isfinite(va)):
+                if not np.isfinite(va):
                     raise DivergedError("NLL became non-finite; lower the learning rate")
-                train_log.append(tr)
+                train_log.append(total / len(order))
                 val_log.append(va)
                 best_epoch = int(np.argmin(val_log))
                 if best_epoch == epoch:

@@ -10,11 +10,21 @@ full-batch Adam loop (``_fit``) train both a single network
 member axis (``mlp_train_many``).  Adam runs at a fixed learning rate of
 1e-3 with no weight decay, and training stops once the loss improves by
 less than 1e-7 over the configured window of epochs.
+
+An epoch allocates no array of the network's size.  ``_fit`` keeps the
+parameters in one flat vector, whose views are the weights and biases,
+and the gradients in another; ``Adam`` updates in place in two shared
+scratch vectors; and the layer outputs and the two buffers the backward
+pass uses in turn (``TrainBuffers``) are made once per run.  The
+buffers are optional outputs of the one forward pass, backward pass and
+head loss, which the flow and inference call without them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +48,13 @@ def dense_init(rng: np.random.Generator, dims) -> tuple[list[np.ndarray], list[n
 
 
 class Adam:
-    """Adam with decoupled weight decay, updating parameters in place."""
+    """Adam with decoupled weight decay, updating parameters in place.
+
+    A step allocates nothing: it works in two scratch vectors sized to the
+    largest parameter and shared by all of them.  Its operations run in the
+    order of the textbook expressions, ``(1 - b2) * g * g`` as
+    ``((1 - b2) * g) * g``, so the result does not depend on the scratch.
+    """
 
     def __init__(self, params, learning_rate, weight_decay=0.0):
         self.params = params
@@ -47,20 +63,29 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        size = max(p.size for p in params)
+        scratch = np.empty(size), np.empty(size)
+        self.scratch = [tuple(s[:p.size].reshape(p.shape) for s in scratch) for p in params]
 
     def step(self, grads):
         self.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+        for p, g, m, v, (s, r) in zip(self.params, grads, self.m, self.v, self.scratch):
             m *= b1
-            m += (1.0 - b1) * g
+            m += np.multiply(g, 1.0 - b1, out=s)
             v *= b2
-            v += (1.0 - b2) * g * g
+            np.multiply(g, 1.0 - b2, out=s)
+            v += np.multiply(s, g, out=s)
             if self.wd:
                 p *= 1.0 - self.lr * self.wd
-            p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
+            np.divide(m, bias1, out=s)
+            s *= self.lr
+            np.divide(v, bias2, out=r)
+            np.sqrt(r, out=r)
+            r += eps
+            p -= np.divide(s, r, out=s)
 
 
 @dataclass
@@ -85,19 +110,42 @@ def mlp_init(layer_dims, head=REGRESSION, seed=0) -> MlpModel:
     return MlpModel(layer_dims=dims, weights=weights, biases=biases, head=head)
 
 
-def relu_forward(weights, biases, x, pre0_extra=None):
+class TrainBuffers(NamedTuple):
+    """Caller-owned outputs that make a training pass allocate nothing.
+
+    ``acts`` holds one array per layer for its output, ``grads`` one per
+    parameter (weights, then biases) for its gradient, and ``pair`` two
+    flat vectors, each at least as long as any layer's output, that carry
+    the backward pass from layer to layer in turn.
+    """
+
+    acts: list[np.ndarray]
+    grads: list[np.ndarray]
+    pair: tuple[np.ndarray, np.ndarray]
+
+
+def _pair_view(out: TrainBuffers | None, k: int, shape):
+    """The ``k``-th buffer of the pair, in turn, as an array of ``shape``,
+    or None (allocate) without buffers."""
+    if out is None:
+        return None
+    return out.pair[k % 2][: math.prod(shape)].reshape(shape)
+
+
+def relu_forward(weights, biases, x, pre0_extra=None, out: TrainBuffers | None = None):
     """Dense ReLU stack: every layer but the last is followed by a ReLU.
 
     Parameters may carry a leading member axis (weights ``(m, i, o)``,
     biases ``(m, o)``) against a 2-D input, for stacked training.
     ``pre0_extra`` is added to the first pre-activation after the bias.
+    With ``out`` every layer writes into its ``out.acts`` array.
     Returns (raw output, list of post-activation hidden layers).
     """
     acts = []
     a = x
     last = len(weights) - 1
     for l, (w, b) in enumerate(zip(weights, biases)):
-        pre = a @ w
+        pre = np.matmul(a, w, out=None if out is None else out.acts[l])
         pre += b[..., None, :]
         if l == 0 and pre0_extra is not None:
             pre = pre + pre0_extra  # may broadcast a single input row
@@ -107,29 +155,37 @@ def relu_forward(weights, biases, x, pre0_extra=None):
         acts.append(a)
 
 
-def relu_backward(weights, x, acts, grad_out):
+def relu_backward(weights, x, acts, grad_out, out: TrainBuffers | None = None):
     """Reverse pass of ``relu_forward``.
 
     Returns (weight grads, bias grads, gradient w.r.t. the first
     pre-activation).  With stacked parameters the gradients keep the member
-    axis.
+    axis.  With ``out`` the gradients go to ``out.grads`` and the pass
+    allocates nothing; the input gradient may then live in ``out.pair``.
     """
-    grads_w = [None] * len(weights)
-    grads_b = [None] * len(weights)
+    n_layers = len(weights)
+    grads = [None] * (2 * n_layers) if out is None else out.grads
     upstream = grad_out
-    for l in range(len(weights) - 1, -1, -1):
+    for l in range(n_layers - 1, -1, -1):
         a_in = acts[l - 1] if l > 0 else x
-        grads_w[l] = np.swapaxes(a_in, -1, -2) @ upstream
-        grads_b[l] = upstream.sum(axis=-2)
+        grads[l] = np.matmul(np.swapaxes(a_in, -1, -2), upstream, out=grads[l])
+        grads[n_layers + l] = np.sum(upstream, axis=-2, out=grads[n_layers + l])
         if l > 0:
-            upstream = (upstream @ np.swapaxes(weights[l], -1, -2)) * (acts[l - 1] > 0)
-    return grads_w, grads_b, upstream
+            shape = acts[l - 1].shape
+            down = np.matmul(upstream, np.swapaxes(weights[l], -1, -2),
+                             out=_pair_view(out, l, shape))
+            # the pair's other buffer is free: it held the spent upstream
+            mask = np.greater(acts[l - 1], 0.0, out=_pair_view(out, l + 1, shape))
+            upstream = np.multiply(down, mask, out=down)
+    return grads[:n_layers], grads[n_layers:], upstream
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def softmax(logits: np.ndarray, out=None) -> np.ndarray:
+    """Softmax over the last axis; into ``out``, which may be ``logits``."""
+    out = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def mlp_predict(model: MlpModel, x) -> np.ndarray:
@@ -152,27 +208,30 @@ def latent_extract(model: MlpModel, layer_index: int, inputs) -> np.ndarray:
     return acts[layer_index]
 
 
-def _loss_and_grads(weights, biases, head, x, y):
+def _loss_and_grads(weights, biases, head, x, y, out: TrainBuffers | None = None):
     """Head loss of a full batch and its gradients (weights, then biases).
 
     Parameters may be stacked on a leading member axis against the 2-D
     ``x``; the loss is then the mean over members, and each member's
     gradients are those of its own loss, because the loss separates.
+    With ``out`` the gradients are the arrays of ``out.grads`` and the
+    pass allocates no array larger than one value per member and row.
     """
-    out, acts = relu_forward(weights, biases, x)
+    pred, acts = relu_forward(weights, biases, x, out=out)
     n = x.shape[0]
+    # the loss gradient overwrites the network output, which it consumes
     if head == CLASSIFICATION:
-        probs = softmax(out)
-        picked = probs[..., np.arange(n), y]
+        grad = softmax(pred, out=pred)
+        picked = grad[..., np.arange(n), y]
         loss = float(-np.mean(np.log(np.maximum(picked, 1e-300))))
-        grad = probs
         grad[..., np.arange(n), y] -= 1.0
         grad /= n
     else:
-        diff = out - y
-        loss = float(np.mean(diff**2))
-        grad = 2.0 * diff / (n * y.shape[1])
-    grads_w, grads_b, _ = relu_backward(weights, x, acts, grad)
+        grad = np.subtract(pred, y, out=pred)
+        loss = float(np.mean(np.square(grad, out=_pair_view(out, 0, grad.shape))))
+        grad *= 2.0
+        grad /= n * y.shape[1]
+    grads_w, grads_b, _ = relu_backward(weights, x, acts, grad, out=out)
     return loss, grads_w + grads_b
 
 
@@ -203,22 +262,48 @@ def _window_stalled(bests, loss, window, tol) -> bool:
     return len(bests) > window and bests[-window - 1] - bests[-1] < tol
 
 
+def _flat_views(vector: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of the flat ``vector`` with the given shapes."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(vector[start : start + size].reshape(shape))
+        start += size
+    return views
+
+
 def _fit(weights, biases, head, x, y, cfg: MlpTrainConfig) -> np.ndarray:
     """Full-batch Adam at learning rate 1e-3, without weight decay, on
-    ``weights`` and ``biases``, updated in place; returns the per-epoch loss
-    log.  Stops early once the loss improves by less than 1e-7 over
-    ``cfg.improvement_window`` epochs.
+    ``weights`` and ``biases``; returns the per-epoch loss log.  Stops early
+    once the loss improves by less than 1e-7 over ``cfg.improvement_window``
+    epochs.
+
+    Training runs in one flat parameter vector, whose views replace the
+    items of ``weights`` and ``biases``, and one flat gradient vector; the
+    layer outputs and the backward pass reuse buffers kept for the run, so
+    an epoch allocates no array of the network's size.
     """
     if x.shape[0] == 0:
         raise ValueError("training needs data")
-    opt = Adam(weights + biases, 1e-3)
+    shapes = [p.shape for p in weights + biases]
+    theta = np.concatenate([p.ravel() for p in weights + biases])
+    views = _flat_views(theta, shapes)
+    weights[:], biases[:] = views[: len(weights)], views[len(weights) :]
+    grad = np.empty_like(theta)
+    rows = (*weights[0].shape[:-2], x.shape[0])
+    widths = [w.shape[-1] for w in weights]
+    pair_size = math.prod(rows) * max(widths)
+    out = TrainBuffers(acts=[np.empty((*rows, d)) for d in widths],
+                       grads=_flat_views(grad, shapes),
+                       pair=(np.empty(pair_size), np.empty(pair_size)))
+    opt = Adam([theta], 1e-3)
     losses = []
     bests = []
     for _ in range(cfg.max_epochs):
-        loss, grads = _loss_and_grads(weights, biases, head, x, y)
+        loss, _ = _loss_and_grads(weights, biases, head, x, y, out)
         if not np.isfinite(loss):
             raise DivergedError(f"loss became {loss!r}")
-        opt.step(grads)
+        opt.step([grad])
         losses.append(loss)
         if _window_stalled(bests, loss, cfg.improvement_window, 1e-7):
             break
@@ -248,6 +333,7 @@ def mlp_train_many(x, y, layer_dims, head, cfg: MlpTrainConfig, seeds):
     inits = [mlp_init(dims, head=head, seed=s) for s in seeds]
     weights = [np.stack(ws) for ws in zip(*(init.weights for init in inits))]
     biases = [np.stack(bs) for bs in zip(*(init.biases for init in inits))]
+    del inits  # _fit copies the stacks into its flat vector and frees them
     losses = _fit(weights, biases, head, as_matrix(x), _prepare_targets(head, y), cfg)
     members = [
         MlpModel(

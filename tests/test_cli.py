@@ -647,6 +647,31 @@ class TestArgumentFiles:
         assert proc.stdout == ""
         assert not (tmp_path / "out").exists()
 
+    def test_a_hash_inside_a_word_is_a_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                    blob_files):
+        monkeypatch.chdir(tmp_path)
+        args = tmp_path / "pca.args"
+        args.write_text("--out-dim 1\n--output=run#2.luq\n")
+        assert run_cli("pca", "--features", str(blob_files[0]), f"@{args}") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"usage error: {args}: line 2: a # inside a word cuts "
+                                "'--output=run' short; quote the # or put a space before it\n")
+        assert not (tmp_path / "run").exists() and not (tmp_path / "run#2.luq").exists()
+
+    def test_a_quoted_hash_is_part_of_the_word(self, tmp_path, monkeypatch, capsys, blob_files):
+        monkeypatch.chdir(tmp_path)
+        args = tmp_path / "pca.args"
+        args.write_text("--out-dim 1 --output='run#2.luq'\n")
+        assert run_cli("pca", "--features", str(blob_files[0]), f"@{args}") == 0
+        assert capsys.readouterr().out.endswith("output_file=run#2.luq\n")
+        assert read_features(tmp_path / "run#2.luq").shape[1] == 1
+
+    def test_a_hash_after_whitespace_starts_a_comment(self, tmp_path):
+        args = tmp_path / "score.args"
+        args.write_text("--grid 500  # note\n")
+        assert cli._expand_files([f"@{args}", "--seed", "1"]) == ["--grid", "500", "--seed", "1"]
+
     def test_a_value_joined_to_its_flag_may_begin_with_at(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         write_model("m.luqm", two_class_reference_model())

@@ -362,7 +362,8 @@ class TestFlowTrain:
 def reference_flow_train(z, c, cfg, arch):
     """flow_train with the early-stopping loop it had before the best epoch
     was read off the validation log: a running best value and a count of
-    epochs since it."""
+    epochs since it.  Also returns each epoch's batch NLLs, weighted by
+    their rows."""
     flow = build_flow(z.shape[1], c.shape[1], arch=arch, seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed + 1)
     perm = rng.permutation(z.shape[0])
@@ -372,11 +373,16 @@ def reference_flow_train(z, c, cfg, arch):
     opt = Adam(params, cfg.learning_rate, cfg.weight_decay)
     batch = min(cfg.batch_size, len(train_idx))
     best_val, best_epoch, since_best = np.inf, -1, 0
+    train_nll = []
     for epoch in range(cfg.max_epochs):
         order = rng.permutation(len(train_idx))
+        total = 0.0
         for start in range(0, len(order), batch):
             sel = train_idx[order[start : start + batch]]
-            opt.step(flow_gradients(flow, z[sel], c[sel])[1])
+            nll, grads = flow_gradients(flow, z[sel], c[sel])
+            total += nll * len(sel)
+            opt.step(grads)
+        train_nll.append(total / len(train_idx))
         va = flow_nll(flow, z[val_idx], c[val_idx])
         if va < best_val:
             best_val, best_epoch, since_best = va, epoch, 0
@@ -387,12 +393,12 @@ def reference_flow_train(z, c, cfg, arch):
                 break
     for p, best in zip(params, best_params):
         p[:] = best
-    return flow, best_epoch, epoch + 1
+    return flow, best_epoch, np.asarray(train_nll)
 
 
 def test_early_stopping_matches_the_running_best_rule():
     rng = np.random.default_rng(14)
-    stopped = []
+    stopped, partial = [], []
     for case in range(20):
         n = int(rng.integers(20, 60))
         z = rng.normal(size=(n, int(rng.integers(1, 4))))
@@ -401,12 +407,16 @@ def test_early_stopping_matches_the_running_best_rule():
                               max_epochs=int(rng.integers(3, 16)),
                               patience=int(rng.integers(1, 4)), seed=case)
         flow, log = flow_train(z, c, cfg, arch=SMALL_ARCH)
-        want, best_epoch, epochs = reference_flow_train(z, c, cfg, SMALL_ARCH)
-        assert (log.best_epoch, len(log.train_nll)) == (best_epoch, epochs)
+        want, best_epoch, train_nll = reference_flow_train(z, c, cfg, SMALL_ARCH)
+        assert log.best_epoch == best_epoch
+        assert np.array_equal(log.train_nll, train_nll)
         for got, ref in zip(flow.params(), want.params()):
             np.testing.assert_array_equal(got, ref)
-        stopped.append(epochs < cfg.max_epochs)
+        stopped.append(len(train_nll) < cfg.max_epochs)
+        n_train = n - max(1, round(cfg.val_fraction * n))
+        partial.append(n_train % min(cfg.batch_size, n_train) > 0)
     assert 0 < sum(stopped) < len(stopped)  # both stop rules are exercised
+    assert any(partial)  # and some epochs end in a smaller batch
 
 
 class TestFlowConstruction:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -209,3 +211,122 @@ class TestStackedTraining:
         cfg = MlpTrainConfig(max_epochs=20000, improvement_window=10)
         epochs = assert_members_equal_solo_runs(x, y, (2, 8, 1), REGRESSION, cfg, [3, 4])
         assert 10 < epochs < 20000
+
+
+def reference_fit(weights, biases, head, x, y, cfg):
+    """``_fit`` as it was before it trained in reused buffers: ReLU passes
+    that allocate every array, the head loss written out, and Adam's
+    textbook expressions on each parameter in turn.  Updates ``weights``
+    and ``biases`` in place; returns the loss log."""
+    params = weights + biases
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+    n, n_layers = x.shape[0], len(weights)
+    losses, bests = [], []
+    for t in range(1, cfg.max_epochs + 1):
+        acts, a = [], x
+        for l, (w, b) in enumerate(zip(weights, biases)):
+            pre = a @ w
+            pre += b[..., None, :]
+            if l < n_layers - 1:
+                a = np.maximum(pre, 0.0, out=pre)
+                acts.append(a)
+        if head == CLASSIFICATION:
+            shifted = pre - pre.max(axis=-1, keepdims=True)
+            e = np.exp(shifted)
+            probs = e / e.sum(axis=-1, keepdims=True)
+            picked = probs[..., np.arange(n), y]
+            loss = float(-np.mean(np.log(np.maximum(picked, 1e-300))))
+            upstream = probs
+            upstream[..., np.arange(n), y] -= 1.0
+            upstream /= n
+        else:
+            diff = pre - y
+            loss = float(np.mean(diff**2))
+            upstream = 2.0 * diff / (n * y.shape[1])
+        grads_w, grads_b = [None] * n_layers, [None] * n_layers
+        for l in range(n_layers - 1, -1, -1):
+            a_in = acts[l - 1] if l > 0 else x
+            grads_w[l] = np.swapaxes(a_in, -1, -2) @ upstream
+            grads_b[l] = upstream.sum(axis=-2)
+            if l > 0:
+                upstream = (upstream @ np.swapaxes(weights[l], -1, -2)) * (acts[l - 1] > 0)
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        bias1, bias2 = 1.0 - b1**t, 1.0 - b2**t
+        for p, g, (m, v) in zip(params, grads_w + grads_b, moments):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            p -= 1e-3 * (m / bias1) / (np.sqrt(v / bias2) + eps)
+        losses.append(loss)
+        bests.append(loss if not bests else min(bests[-1], loss))
+        window = cfg.improvement_window
+        if len(bests) > window and bests[-window - 1] - bests[-1] < 1e-7:
+            break
+    return np.asarray(losses)
+
+
+def assert_same_parameters(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+class TestTrainerMatchesReference:
+    """The buffered trainer reproduces the allocating one bit for bit."""
+
+    @pytest.mark.parametrize("head", [REGRESSION, CLASSIFICATION])
+    @pytest.mark.parametrize("dims", [(1, 7, 2), (3, 9, 6, 5, 4, 2)],
+                             ids=["1-hidden-width-1-input", "4-hidden"])
+    def test_mlp_train(self, head, dims):
+        rng = np.random.default_rng(18)
+        x = rng.normal(size=(45, dims[0]))
+        y = (rng.integers(0, dims[-1], size=45) if head == CLASSIFICATION
+             else rng.normal(size=(45, dims[-1])))
+        cfg = MlpTrainConfig(max_epochs=60, seed=4)
+        model, losses = mlp_train(x, y, dims, head=head, cfg=cfg)
+        ref = mlp_init(dims, head=head, seed=4)
+        target = y if head == CLASSIFICATION else y.astype(np.float64)
+        ref_losses = reference_fit(ref.weights, ref.biases, head, x, target, cfg)
+        assert np.array_equal(losses, ref_losses)
+        assert_same_parameters(model.weights + model.biases, ref.weights + ref.biases)
+
+    def test_mlp_train_many_with_a_window_stop(self):
+        rng = np.random.default_rng(19)
+        x = rng.uniform(-1.0, 1.0, size=(50, 1))
+        y = np.full((50, 1), 0.5)
+        cfg = MlpTrainConfig(max_epochs=20000, improvement_window=10)
+        seeds = [3, 4, 5]
+        dims = (1, 8, 8, 1)
+        members, losses = mlp_train_many(x, y, dims, REGRESSION, cfg, seeds)
+        inits = [mlp_init(dims, seed=s) for s in seeds]
+        weights = [np.stack(ws) for ws in zip(*(m.weights for m in inits))]
+        biases = [np.stack(bs) for bs in zip(*(m.biases for m in inits))]
+        ref_losses = reference_fit(weights, biases, REGRESSION, x, y, cfg)
+        assert 10 < len(ref_losses) < cfg.max_epochs
+        assert np.array_equal(losses, ref_losses)
+        for j, member in enumerate(members):
+            assert_same_parameters(member.weights + member.biases,
+                                   [w[j] for w in weights] + [b[j] for b in biases])
+
+
+def test_lockstep_training_peak_memory():
+    # traced peak of the second call: 11.25 MB while every epoch allocated
+    # its arrays, 11.04 MB with the buffers reused
+    rng = np.random.default_rng(17)
+    x = rng.uniform(-1.0, 1.0, size=(300, 1))
+    y = np.sin(3.0 * x)
+    cfg = MlpTrainConfig(max_epochs=40, improvement_window=40)
+    seeds = range(10)
+
+    def run():
+        mlp_train_many(x, y, (1, 50, 50, 50, 50, 1), REGRESSION, cfg, seeds)
+
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 11.25e6
