@@ -7,7 +7,8 @@ calibration metrics), ``toy`` (self-contained desk-scale experiments), and
 
 Exit codes: 0 success, 2 usage error, 3 data error; ``main`` maps every
 failure to one of them and prints a command's ``key=value`` results only
-on success.  The worker threads and ``LUQ_THREADS`` follow ``luq._pool``;
+on success.  Every usage error, the parser's own included, is a
+``UsageError``.  The worker threads and ``LUQ_THREADS`` follow ``luq._pool``;
 a bad ``LUQ_THREADS`` is a usage error, reported before any file is read.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 import warnings
 from dataclasses import fields, replace
@@ -45,25 +47,32 @@ EXIT_DATA = 3
 # the posterior's peak, above which the grid cuts the posterior off
 END_RATIO_LIMIT = 1e-3
 
+# The largest value of an integer flag but --seed: the arrays it sizes stay
+# below numpy's 2**63 bytes, so one too large for memory is a MemoryError,
+# not a ValueError.  A --flow-hidden width W sizes W * W weights.
+MAX_SIZE = 10**15
+MAX_WIDTH = math.isqrt(MAX_SIZE)
+
 
 class UsageError(Exception):
     """Bad flag combination or value; maps to exit code 2."""
 
 
-def _require(ok: bool, flag: str, rule: str, value) -> None:
-    """Commands check option values before they read a file or train."""
-    if not ok:
-        raise UsageError(f"{flag} must be {rule}, got {value}")
+class _Parser(argparse.ArgumentParser):
+    """Its errors, and those of its subcommands' parsers, are usage errors."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 @contextlib.contextmanager
-def _usage(prefix: str = ""):
+def _usage(prefix: str = "", suffix: str = ""):
     """A ValueError raised in the block, which rejects an option value, is a
-    usage error with the message ``prefix`` + its own."""
+    usage error with the message ``prefix`` + its own + ``suffix``."""
     try:
         yield
     except ValueError as exc:
-        raise UsageError(f"{prefix}{exc}") from exc
+        raise UsageError(f"{prefix}{exc}{suffix}") from exc
 
 
 _PRIOR_ARITY = {"categorical": (0,), "uniform": (2,), "betaprime": (0, 2), "histogram": (0, 1)}
@@ -89,8 +98,8 @@ def _prior_spec(spec: str | None, model: str):
             fit = lambda predictions: fit_categorical(predictions.astype(np.int64))
         elif kind == "histogram":
             bins = {"bins": int(params[0])} if params else {}
-            if bins:
-                _require(bins["bins"] >= 1, "--prior histogram:BINS", "at least 1", bins["bins"])
+            if bins.get("bins", 1) < 1:
+                raise ValueError(f"BINS must be at least 1, got {bins['bins']}")
             fit = lambda predictions: fit_histogram(predictions, **bins)
         elif kind == "betaprime" and not params:
             fit = betaprime_fit_mom
@@ -106,34 +115,29 @@ def _prior_spec(spec: str | None, model: str):
     return build
 
 
-def _parse_range(text: str, flag: str):
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise UsageError(f"{flag} expects LO:HI")
-    with _usage(f"{flag}: "):
-        lo, hi = float(parts[0]), float(parts[1])
-    if not (lo < hi and np.isfinite(hi - lo)):
-        raise UsageError(f"{flag}: need finite LO < HI with a finite HI - LO")
-    return lo, hi
-
-
 def _from_flags(args, variant: str, *bases, reads=()) -> tuple:
     """The option objects ``bases``, each with the fields set whose flags,
     named by the field, were given; the rest keep theirs.  A given flag
     that sets no field of them and whose dest is not in ``reads`` is a
     usage error, for ``variant`` would ignore it.  A value an object
-    rejects is a usage error that names its flag after the object's
-    message, which begins with the field."""
+    refuses is a usage error that adds its flag to the object's message."""
     read = {f.name for base in bases for f in fields(base)} | set(reads)
     unread = [flag for dest, flag in args.flags.items() if dest in args and dest not in read]
     if unread:
         raise UsageError(f"{variant} does not read {', '.join(unread)}")
-    given = vars(args)
-    try:
-        return tuple(replace(base, **{f.name: given[f.name] for f in fields(base)
-                                      if f.name in given}) for base in bases)
-    except ValueError as exc:
-        raise UsageError(f"{exc} (from {args.flags[str(exc).split()[0]]})") from exc
+    return tuple(_set_fields(base, {f.name: getattr(args, f.name) for f in fields(base)
+                                    if f.name in args}, args.flags) for base in bases)
+
+
+def _set_fields(base, given: dict, flags: dict):
+    """``base`` with the ``given`` fields set.  If it refuses them, they are
+    set one at a time, in field order, to name the flag of the first it
+    refuses; the last step builds the refused object, so one is."""
+    with contextlib.suppress(ValueError):
+        return replace(base, **given)
+    for name, value in given.items():
+        with _usage(suffix=f" (from {flags[name]})"):
+            base = replace(base, **{name: value})
 
 
 # --- fit -------------------------------------------------------------------
@@ -144,8 +148,6 @@ def _fit_options(args):
     flow.  Out-of-range flag values are usage errors; ``--whiten`` is read
     only with ``--pca``."""
     pca = "pca" in args
-    if pca:
-        _require(args.pca >= 1, "--pca", "at least 1", args.pca)
     variant = f"--model {args.model}" + ("" if pca or "whiten" not in args else " without --pca")
     reads = ("prior", "pca", "whiten") if pca else ("prior", "pca")
     if args.model == "gmm":
@@ -161,18 +163,14 @@ def cmd_fit(args) -> dict:
     x = fileio.read_features(args.features)
     predictions = fileio.read_values(args.predictions)
     if len(predictions) != x.shape[0]:
-        raise fileio.DataFormatError(
-            f"{args.predictions}: {len(predictions)} predictions for "
-            f"{x.shape[0]} feature rows"
-        )
+        raise fileio.DataFormatError(f"{args.predictions}: {len(predictions)} predictions for "
+                                     f"{x.shape[0]} feature rows")
     if args.model == "gmm":  # class ids are stored as int64
         fractional = (predictions != np.round(predictions)) | (np.abs(predictions) >= 2.0**63)
         if fractional.any():
             row = int(np.argmax(fractional))
-            raise fileio.DataFormatError(
-                f"{args.predictions}: data row {row + 1} holds {predictions[row]:g}, "
-                "not an integer class id"
-            )
+            raise fileio.DataFormatError(f"{args.predictions}: data row {row + 1} holds "
+                                         f"{predictions[row]:g}, not an integer class id")
     try:
         prior = build_prior(predictions)
     except OverflowError as exc:  # a histogram over predictions too far apart
@@ -185,17 +183,15 @@ def cmd_fit(args) -> dict:
         x = pca_transform(pca, x)
 
     results = {"pca_dim": args.pca} if pca is not None else {}
-    results["n_rows"] = x.shape[0]
-    results["dim"] = x.shape[1]
+    results |= {"n_rows": x.shape[0], "dim": x.shape[1]}
 
     if args.model == "gmm":
         labels = predictions.astype(np.int64)
         try:
             density = fit_class_conditional(x, labels, options)
         except NotPositiveDefiniteError as exc:
-            raise NotPositiveDefiniteError(
-                f"{exc}: a covariance is singular; raise --cov-reg (now {options.cov_reg:g})"
-            ) from exc
+            raise NotPositiveDefiniteError(f"{exc}: a covariance is singular; raise --cov-reg "
+                                           f"(now {options.cov_reg:g})") from exc
         for c in density.classes:
             results[f"class_{c}_count"] = int(np.sum(labels == c))
             results[f"class_{c}_final_ll"] = density.per_class[c].em_log[-1]
@@ -226,7 +222,7 @@ def cmd_fit(args) -> dict:
 
 def _grid_range(bundle: fileio.ModelBundle, args) -> tuple[float, float]:
     if "grid_range" in args:
-        return _parse_range(args.grid_range, "--grid-range")
+        return args.grid_range
     if isinstance(bundle.prior, UniformPrior):
         return bundle.prior.lo, bundle.prior.hi
     if hasattr(bundle.prior, "edges"):
@@ -238,7 +234,6 @@ def cmd_score(args) -> dict:
     from .engine import SupportGrid, prior_on_grid, score_classification, score_regression
 
     points = vars(args).get("grid", 1000)
-    _require(points >= 2, "--grid", "at least 2", points)
     bundle = fileio.read_model(args.model)
     if bundle.class_gmms is not None:  # scored without a grid; a flow reads every flag
         _from_flags(args, f"GMM model {args.model}")
@@ -269,8 +264,7 @@ def cmd_score(args) -> dict:
         raise fileio.DataFormatError(f"{args.features}: data row {np.argmax(unscored) + 1} has "
                                      f"density 0 under the model ({unscored.sum()} such rows)")
     fileio.write_scores_csv(args.output, scores.epistemic, scores.aleatoric)
-    return {"rows_scored": x.shape[0],
-            "scores_file": args.output}
+    return {"rows_scored": x.shape[0], "scores_file": args.output}
 
 
 # --- eval ------------------------------------------------------------------
@@ -331,15 +325,7 @@ def cmd_eval(args) -> dict:
 
     _from_flags(args, f"--mode {args.mode}", reads=_EVAL_READS[args.mode])
     step = {"percentile_step": args.percentile_step} if "percentile_step" in args else {}
-    if step:  # checked before the input is read
-        _require(0.01 <= args.percentile_step <= 100.0, "--percentile-step", "in [0.01, 100]",
-                 args.percentile_step)
-    thresholds = None
-    if "thresholds" in args:
-        with _usage("--thresholds: "):
-            thresholds = np.array([float(t) for t in args.thresholds.split(",")])
-        _require(np.isfinite(thresholds).all(), "--thresholds", "finite numbers",
-                 args.thresholds)
+    thresholds = vars(args).get("thresholds")
     plot = vars(args).get("plot")
     results = {"plot_file": plot} if plot else {}
     if args.mode == "ood":
@@ -373,8 +359,6 @@ def _toy_spec(args):
     if args.kind == "classification":
         return _from_flags(args, "toy classification", ToyClassificationSpec(), CLASSIFICATION_EM,
                            reads=("plot",))
-    if "gap" in args:
-        args.gap = _parse_range(args.gap, "--gap")
     return _from_flags(args, "toy regression", ToyRegressionSpec(),
                        reads=("plot", "ensemble"))[0], None
 
@@ -385,8 +369,7 @@ def _toy_regression(args, spec, out) -> dict:
     study = run_regression_study(spec, with_ensemble="ensemble" in args)
     fileio.write_csv(out / "train_data.csv", ["x", "y"],
                      [study.train_x[:, 0], study.train_y])
-    fileio.write_csv(out / "mlp_loss.csv",
-                     ["epoch", "loss"],
+    fileio.write_csv(out / "mlp_loss.csv", ["epoch", "loss"],
                      [np.arange(len(study.mlp_losses)), study.mlp_losses])
     fileio.write_matrix(out / "train_latents.luq", study.train_latents)
     fileio.write_matrix(out / "train_predictions.luq", study.train_predictions[:, None])
@@ -417,12 +400,11 @@ def _toy_regression(args, spec, out) -> dict:
                       [("epistemic", study.scores.epistemic)],
                       title="epistemic uncertainty", x_label="x", y_label="nats")
     results = {"plots": str(out / "prediction_band.svg")} if "plot" in args else {}
-    gap = study.gap_mask()
-    train_region = study.train_region_mask()
+    epistemic = study.scores.epistemic
     results["mlp_epochs"] = len(study.mlp_losses)
     results["flow_best_epoch"] = study.flow_log.best_epoch
-    results["epistemic_gap_mean"] = float(study.scores.epistemic[gap].mean())
-    results["epistemic_train_mean"] = float(study.scores.epistemic[train_region].mean())
+    results["epistemic_gap_mean"] = float(epistemic[study.gap_mask()].mean())
+    results["epistemic_train_mean"] = float(epistemic[study.train_region_mask()].mean())
     return results
 
 
@@ -478,7 +460,6 @@ def cmd_toy(args) -> dict:
 
 
 def cmd_pca(args) -> dict:
-    _require(args.out_dim >= 1, "--out-dim", "at least 1", args.out_dim)
     x = fileio.read_features(args.features)
     with _usage("--out-dim: "):  # the bound depends on the file read
         model = pca_fit(x, args.out_dim, whiten="whiten" in args)
@@ -494,16 +475,34 @@ def cmd_pca(args) -> dict:
 # --- parser ----------------------------------------------------------------
 
 
-def _two_layers(text: str) -> tuple[int, int]:
-    """``--flow-hidden W`` as ``FlowArchitecture.hidden``: two layers of width W."""
-    try:
-        return (int(text),) * 2
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+def _parsed(convert, ok, rule: str):
+    """A parser type: the value ``convert`` makes of a flag's text, refused
+    with an ArgumentTypeError that states ``rule`` when ``convert`` raises
+    ValueError or ``ok`` is false of it."""
+    def parse(text: str):
+        with contextlib.suppress(ValueError):
+            if ok(value := convert(text)):
+                return value
+        raise argparse.ArgumentTypeError(f"expected {rule}, got {text!r}")
+    return parse
+
+
+def _count(least: int):  # a count the CLI reads itself, not an option field
+    return _parsed(int, lambda n: least <= n <= MAX_SIZE,
+                   f"an integer from {least} to {MAX_SIZE:,}")
+
+
+_size = _parsed(int, lambda n: n <= MAX_SIZE, f"an integer up to {MAX_SIZE:,}")
+# ``--flow-hidden W`` as ``FlowArchitecture.hidden``: two layers of width W
+_two_layers = _parsed(lambda text: (int(text),) * 2, lambda hidden: hidden[0] <= MAX_WIDTH,
+                      f"an integer up to {MAX_WIDTH:,}")
+_range = _parsed(lambda text: tuple(float(t) for t in text.split(":")),
+                 lambda r: len(r) == 2 and r[0] < r[1] and math.isfinite(r[1] - r[0]),
+                 "LO:HI with finite LO < HI and a finite HI - LO")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="luq", description="Uncertainty from the density of latent representations.  "
         "An argument @FILE stands for the arguments FILE holds, each line split as a shell "
         "splits it, # starting a comment; so write --output=@name for a path that begins "
@@ -519,20 +518,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--output", required=True)
     p_fit.add_argument("--prior",
                        help="categorical | uniform:LO:HI | betaprime[:A:B] | histogram[:BINS]")
-    p_fit.add_argument("--components", dest="n_components", type=int)
+    p_fit.add_argument("--components", dest="n_components", type=_size)
     p_fit.add_argument("--cov-reg", type=float)
     p_fit.add_argument("--covariance", dest="covariance_mode", choices=["full", "tied"])
-    p_fit.add_argument("--max-iter", type=int)
+    p_fit.add_argument("--max-iter", type=_size)
     p_fit.add_argument("--tol", type=float)
-    p_fit.add_argument("--pca", type=int)
+    p_fit.add_argument("--pca", type=_count(1))
     p_fit.add_argument("--whiten", action="store_true")
     p_fit.add_argument("--learning-rate", type=float)
     p_fit.add_argument("--weight-decay", type=float)
-    p_fit.add_argument("--batch-size", type=int)
-    p_fit.add_argument("--max-epochs", type=int)
-    p_fit.add_argument("--patience", type=int)
+    p_fit.add_argument("--batch-size", type=_size)
+    p_fit.add_argument("--max-epochs", type=_size)
+    p_fit.add_argument("--patience", type=_size)
     p_fit.add_argument("--val-fraction", type=float)
-    p_fit.add_argument("--flow-layers", dest="n_layers", type=int)
+    p_fit.add_argument("--flow-layers", dest="n_layers", type=_size)
     p_fit.add_argument("--flow-hidden", dest="hidden", type=_two_layers)
     p_fit.add_argument("--seed", type=int)
     p_fit.set_defaults(func=cmd_fit)
@@ -541,8 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--model", required=True)
     p_score.add_argument("--features", required=True)
     p_score.add_argument("--output", required=True)
-    p_score.add_argument("--grid", type=int)
-    p_score.add_argument("--grid-range",
+    p_score.add_argument("--grid", type=_count(2))
+    p_score.add_argument("--grid-range", type=_range,
                          help="LO:HI; write --grid-range=LO:HI when LO is negative")
     p_score.set_defaults(func=cmd_score)
 
@@ -551,8 +550,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--input", required=True)
     p_eval.add_argument("--output", required=True)
     p_eval.add_argument("--plot")
-    p_eval.add_argument("--percentile-step", type=float)
-    p_eval.add_argument("--thresholds",
+    p_eval.add_argument("--percentile-step", type=_parsed(
+        float, lambda step: 0.01 <= step <= 100.0, "a number in [0.01, 100]"))
+    p_eval.add_argument("--thresholds", type=_parsed(
+        lambda text: np.array([float(t) for t in text.split(",")]),
+        lambda values: np.isfinite(values).all(), "finite numbers"),
                         help="T1,T2,...; write --thresholds=T1,T2 when T1 is negative")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -561,22 +563,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_toy.add_argument("--out", required=True)
     p_toy.add_argument("--seed", type=int)
     p_toy.add_argument("--mass", dest="band_mass", type=float)
-    p_toy.add_argument("--grid", dest="grid_points", type=int)
-    p_toy.add_argument("--n-train", type=int)
-    p_toy.add_argument("--gap", help="LO:HI; write --gap=LO:HI when LO is negative")
+    p_toy.add_argument("--grid", dest="grid_points", type=_size)
+    p_toy.add_argument("--n-train", type=_size)
+    p_toy.add_argument("--gap", type=_range, help="LO:HI; write --gap=LO:HI when LO is negative")
     p_toy.add_argument("--noise", dest="noise_sigma", type=float)
-    p_toy.add_argument("--eval-points", type=int)
+    p_toy.add_argument("--eval-points", type=_size)
     p_toy.add_argument("--ensemble", action="store_true")
-    p_toy.add_argument("--components", dest="n_components", type=int)
+    p_toy.add_argument("--components", dest="n_components", type=_size)
     p_toy.add_argument("--cov-reg", type=float)
-    p_toy.add_argument("--per-class", dest="n_per_class", type=int)
+    p_toy.add_argument("--per-class", dest="n_per_class", type=_size)
     p_toy.add_argument("--cluster-sigma", dest="sigma", type=float)
     p_toy.add_argument("--plot", action="store_true")
     p_toy.set_defaults(func=cmd_toy)
 
     p_pca = add_parser("pca", help="fit PCA and write transformed features")
     p_pca.add_argument("--features", required=True)
-    p_pca.add_argument("--out-dim", type=int, required=True)
+    p_pca.add_argument("--out-dim", type=_count(1), required=True)
     p_pca.add_argument("--output", required=True)
     p_pca.add_argument("--whiten", action="store_true")
     p_pca.set_defaults(func=cmd_pca)
@@ -616,17 +618,15 @@ def _expand_files(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
         with _usage():
             thread_cap()
-        args = parser.parse_args(_expand_files(argv))
+        args = build_parser().parse_args(_expand_files(sys.argv[1:] if argv is None else argv))
         with warnings.catch_warnings():  # one line per warning; the caller's handler returns
             warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
             results = args.func(args)
-    except SystemExit as exc:  # argparse has printed its message or the help
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    except SystemExit:  # --help, printed; the parser's errors are UsageErrors
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

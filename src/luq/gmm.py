@@ -308,9 +308,11 @@ def fit_class_conditional(features, predicted_labels, opts: EmOptions,
 
     Classes with fewer rows than ``opts.n_components`` get their component
     count reduced to floor(count/2) (minimum 1) with a warning, mirroring
-    long-tail label distributions.  A class with no rows is a
-    ClassTooSmallError; a singular covariance (``cov_reg`` 0 on a constant
-    feature) is a NotPositiveDefiniteError that names the class.
+    long-tail label distributions.  ``classes`` declares the class set
+    (the labels present by default); a label outside it is a ValueError, as
+    in ``fit_categorical``.  A class with no rows is a ClassTooSmallError;
+    a singular covariance (``cov_reg`` 0 on a constant feature) is a
+    NotPositiveDefiniteError that names the class.
 
     The rows are split and checked, and the warnings raised, in the calling
     thread in class order; the fits then run concurrently on a
@@ -322,7 +324,10 @@ def fit_class_conditional(features, predicted_labels, opts: EmOptions,
     labels = np.asarray(predicted_labels).astype(np.int64).ravel()
     if labels.size != x.shape[0]:
         raise DimMismatchError(f"{labels.size} labels for {x.shape[0]} feature rows")
-    class_list = sorted({int(c) for c in (np.unique(labels) if classes is None else classes)})
+    present = {int(c) for c in np.unique(labels)}
+    class_list = sorted(present if classes is None else {int(c) for c in classes})
+    if not present <= set(class_list):
+        raise ValueError("labels contain ids outside the declared class set")
     fits = []
     for c in class_list:
         rows = x[labels == c]

@@ -139,8 +139,8 @@ def discrete_entropy(probabilities) -> float:
     p = np.asarray(probabilities, dtype=np.float64)
     if p.size == 0:
         raise EmptyInputError("entropy of an empty distribution")
-    if np.any(p < 0):
-        raise NotNormalizedError("negative probability")
+    if not np.all(p >= 0):  # NaN included
+        raise NotNormalizedError("negative or NaN probability")
     total = p.sum()
     if abs(total - 1.0) > 1e-9:
         raise NotNormalizedError(f"probabilities sum to {total!r}, not 1")

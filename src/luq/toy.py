@@ -155,8 +155,8 @@ def perturb(inputs, kind: str, sigma: float | None = None, seed: int = 0) -> np.
     """
     if kind != "gaussian_noise":
         raise BadKindError(f"unknown perturbation kind {kind!r}")
-    if sigma is None or sigma < 0:
-        raise ValueError("gaussian_noise needs sigma >= 0")
+    if sigma is None or not 0 <= sigma < np.inf:
+        raise ValueError(f"gaussian_noise needs a finite sigma >= 0, got {sigma}")
     x = np.asarray(inputs, dtype=np.float64)
     if sigma == 0:
         return x.copy()
@@ -240,8 +240,7 @@ class RegressionStudy:
         return (self.eval_x > lo) & (self.eval_x < hi)
 
     def train_region_mask(self) -> np.ndarray:
-        inside = (self.eval_x >= X_RANGE[0]) & (self.eval_x <= X_RANGE[1])
-        return inside & ~self.gap_mask()
+        return ~self.gap_mask()  # every eval input lies in X_RANGE
 
 
 REGRESSION_MLP_DIMS = (1, 50, 50, 50, 50, 1)

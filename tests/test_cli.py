@@ -4,6 +4,7 @@ import inspect
 import math
 import os
 import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -488,6 +489,105 @@ class TestOptionValues:
         assert sorted(tmp_path.iterdir()) == []
 
 
+    def test_refused_gap_names_gap(self, tmp_path, capsys):
+        # no evaluation input lies in this gap: the spec refuses the value set by --gap
+        out = tmp_path / "out"
+        assert run_cli("toy", "regression", "--out", str(out), "--gap=0.0001:0.0002") == 2
+        assert capsys.readouterr().err == (
+            "usage error: eval_points must put inputs both inside the gap and in the "
+            "training region, got 201 (from --gap)\n")
+        assert not out.exists()
+
+    def test_flags_refused_one_at_a_time_pass_together(self):
+        """The fields are set one at a time only to name a refused flag: a gap
+        that holds no input of the default grid passes beside a finer one."""
+        args = cli.build_parser().parse_args(["toy", "regression", "--out", "o",
+                                              "--gap=0.0001:0.0002", "--eval-points", "20001"])
+        assert cli._toy_spec(args)[0] == ToyRegressionSpec(gap=(0.0001, 0.0002),
+                                                           eval_points=20001)
+
+    def test_no_flags_is_one_usage_error_line(self, capsys):
+        assert run_cli("fit") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("usage error: the following arguments are required: "
+                                "--features, --predictions, --model, --output\n")
+
+    def test_help_exits_0(self, capsys):
+        assert run_cli("fit", "--help") == 0
+        assert capsys.readouterr().out.startswith("usage: luq fit")
+
+
+class TestSizeValues:
+    """Every integer flag but ``--seed`` is bounded as it is parsed, by
+    ``cli.MAX_SIZE`` (``--flow-hidden`` by ``cli.MAX_WIDTH``): a value numpy
+    could not even size an array for exits 2 and names its flag, and a value
+    the bound lets through fails to allocate (exit 3)."""
+
+    # the command before the flag, the flag
+    FLAGS = [
+        ("fit --model gmm", "--components"),
+        ("fit --model gmm", "--max-iter"),
+        ("fit --model gmm", "--pca"),
+        ("fit --model flow", "--batch-size"),
+        ("fit --model flow", "--max-epochs"),
+        ("fit --model flow", "--patience"),
+        ("fit --model flow", "--flow-layers"),
+        ("fit --model flow", "--flow-hidden"),
+        ("score", "--grid"),
+        ("toy regression", "--n-train"),
+        ("toy regression", "--eval-points"),
+        ("toy regression --n-train 10 --eval-points 5", "--grid"),
+        ("toy classification", "--per-class"),
+        ("toy classification", "--components"),
+        ("pca", "--out-dim"),
+    ]
+
+    @pytest.mark.parametrize("value", [10**20, 4 * 10**18])
+    @pytest.mark.parametrize("command, flag", FLAGS, ids=[" ".join(c) for c in FLAGS])
+    def test_too_large_for_an_array_exit_2(self, tmp_path, command, flag, value):
+        missing = str(tmp_path / "missing")
+        files = {
+            "fit": ["--features", missing, "--predictions", missing],
+            "score": ["--model", missing, "--features", missing],
+            "toy": ["--out", str(tmp_path / "out")],
+            "pca": ["--features", missing],
+        }[command.split()[0]]
+        output = [] if command.startswith("toy") else ["--output", str(tmp_path / "o")]
+        proc = subprocess.run([sys.executable, "-m", "luq", *command.split(), *files, *output,
+                               flag, str(value)],
+                              capture_output=True, env=subprocess_env(), text=True)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith(f"usage error: argument {flag}: expected an integer ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert sorted(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["toy", "regression", "--n-train", str(cli.MAX_SIZE)],
+        ["toy", "classification", "--per-class", str(cli.MAX_SIZE)],
+    ], ids=["n-train", "per-class"])
+    def test_toy_size_at_the_bound_exit_3(self, tmp_path, capsys, argv):
+        # the training data fail to allocate at once, without touching memory
+        assert run_cli(*argv, "--out", str(tmp_path / "out")) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: out of memory: ")
+        assert captured.out == ""
+
+    def test_flow_width_at_the_bound_exit_3(self, tmp_path, capsys):
+        # one latent: a subnet's first layer has no inputs, and its W x W
+        # second layer fails to allocate at once, without touching memory
+        fpath, ppath = tmp_path / "z.luq", tmp_path / "y.luq"
+        write_matrix(fpath, np.random.default_rng(0).normal(size=(40, 1)))
+        write_matrix(ppath, np.random.default_rng(1).normal(size=(40, 1)))
+        out = tmp_path / "m.luqm"
+        assert run_cli("fit", "--model", "flow", "--features", str(fpath), "--predictions",
+                       str(ppath), "--output", str(out), "--flow-hidden",
+                       str(cli.MAX_WIDTH)) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: out of memory: ")
+        assert not out.exists()
+
+
 class TestUnreadFlags:
     """A flag that only another ``--model``, toy kind or ``--mode`` reads
     exits 2 before any file is read or any directory made, naming the flag
@@ -499,7 +599,7 @@ class TestUnreadFlags:
         "fit --model gmm --flow-hidden 8": "--model gmm does not read --flow-hidden",
         "fit --model flow --components 2 --cov-reg 0":
             "--model flow does not read --components, --cov-reg",
-        "toy classification --gap bad": "toy classification does not read --gap",
+        "toy classification --gap 0.1:0.5": "toy classification does not read --gap",
         "toy classification --mass 0.3": "toy classification does not read --mass",
         "toy classification --grid 200": "toy classification does not read --grid",
         "toy classification --eval-points 31": "toy classification does not read --eval-points",
@@ -593,20 +693,21 @@ class TestNegativeOptionValues:
     the command line and in an argument file alike."""
 
     @pytest.mark.parametrize("argv, dest, value", [
-        (["toy", "regression", "--out", "o", "--gap=-0.5:0.5"], "gap", "-0.5:0.5"),
+        (["toy", "regression", "--out", "o", "--gap=-0.5:0.5"], "gap", (-0.5, 0.5)),
         (["score", "--model", "m", "--features", "f", "--output", "o",
-          "--grid-range=-2:9"], "grid_range", "-2:9"),
+          "--grid-range=-2:9"], "grid_range", (-2.0, 9.0)),
         (["eval", "--mode", "rmse", "--input", "i", "--output", "o",
-          "--thresholds=-70,-60"], "thresholds", "-70,-60"),
+          "--thresholds=-70,-60"], "thresholds", (-70.0, -60.0)),
     ], ids=["gap", "grid-range", "thresholds"])
     def test_equals_form_parses(self, argv, dest, value):
-        assert getattr(cli.build_parser().parse_args(argv), dest) == value
+        """The parser's type turns the text into the value the command reads."""
+        np.testing.assert_array_equal(getattr(cli.build_parser().parse_args(argv), dest), value)
 
     def test_argument_file_value_with_leading_minus(self, tmp_path):
         args = tmp_path / "run.args"
         args.write_text("--gap=-0.5:0.5\n")
         argv = cli._expand_files(["toy", "regression", "--out", "o", f"@{args}"])
-        assert cli.build_parser().parse_args(argv).gap == "-0.5:0.5"
+        assert cli.build_parser().parse_args(argv).gap == (-0.5, 0.5)
 
 
 class TestArgumentFiles:
@@ -710,6 +811,21 @@ def test_option_strings_are_unchanged():
             for name, p in subparsers().items()} == OPTION_STRINGS
 
 
+def test_readme_command_examples_parse():
+    """Each ``luq`` line of the README's "Command line" examples, its
+    continued lines joined, parses as shown; no command runs.  A renamed
+    flag or a tightened parser type fails here while the README shows the
+    old form."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command line\n", 1)[1].split("```bash\n", 1)[1]
+    lines = block.split("```", 1)[0].replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("luq ")]
+    assert [argv[0] for argv in commands] == ["fit", "fit", "score", "eval", "eval", "eval",
+                                              "toy", "toy", "pca"]
+    for argv in commands:
+        assert cli.build_parser().parse_args(argv).command == argv[0]
+
+
 class TestOptionObjects:
     """A ``fit``/``toy`` flag that sets a field of a library option object
     is named by the field, and no optional flag has a parser default, so
@@ -784,7 +900,8 @@ class TestOptionObjects:
     def test_flow_hidden_that_is_no_integer_exit_2(self, capsys):
         assert run_cli("fit", "--features", "f", "--predictions", "p", "--model", "flow",
                        "--output", "o", "--flow-hidden", "1.5") == 2
-        assert "argument --flow-hidden: invalid int value: '1.5'" in capsys.readouterr().err
+        assert ("usage error: argument --flow-hidden: expected an integer up to 31,622,776, "
+                "got '1.5'\n") == capsys.readouterr().err
 
     def test_toy_classification_starts_from_its_em_options(self):
         from luq.toy import CLASSIFICATION_EM
@@ -1033,11 +1150,13 @@ class TestScore:
         assert not out.exists()
         assert run_cli("score", "--model", str(model_path), "--features", str(fpath),
                        "--output", str(out), "--grid-range=-inf:30") == 2
-        assert "need finite LO < HI" in capsys.readouterr().err
+        assert ("usage error: argument --grid-range: expected LO:HI with finite LO < HI"
+                in capsys.readouterr().err)
         assert not out.exists()
         assert run_cli("score", "--model", str(model_path), "--features", str(fpath),
                        "--output", str(out), "--grid-range=-1e308:1e308") == 2
-        assert "--grid-range: need finite LO < HI with a finite HI - LO" in capsys.readouterr().err
+        assert ("argument --grid-range: expected LO:HI with finite LO < HI and a finite HI - LO, "
+                "got '-1e308:1e308'") in capsys.readouterr().err
         assert not out.exists()
         # a grid that overlaps the support scores (one whose end lies inside
         # the support cuts this flat posterior off: see the next test)
@@ -1210,7 +1329,8 @@ class TestEval:
         csv.write_text("error,uncertainty\n0.0,1.0\n2.0,10.0\n")
         assert run_cli("eval", "--mode", "rmse", "--input", str(csv), "--output",
                        str(tmp_path / "r.csv"), "--thresholds", thresholds) == 2
-        assert "usage error: --thresholds must be finite numbers" in capsys.readouterr().err
+        assert (f"usage error: argument --thresholds: expected finite numbers, got '{thresholds}'"
+                in capsys.readouterr().err)
 
     def test_plot_with_ood_exit_2(self, tmp_path):
         csv = tmp_path / "scores.csv"

@@ -28,6 +28,7 @@ from luq.gmm import (
     gmm_log_prob,
 )
 from luq.linalg import LOG_2PI, CholeskyFactor, cholesky, row_blocks
+from luq.priors import fit_categorical
 
 
 # the ids say what each mode fits: a covariance per component, or one tied across them
@@ -591,6 +592,15 @@ class TestFitClassConditional:
             fit_class_conditional(
                 x, np.zeros(3, dtype=int), EmOptions(n_components=1), classes=[0, 1]
             )
+
+    def test_label_outside_declared_classes_raises(self):
+        # the rows labelled 2 would be dropped; fit_categorical refuses them alike
+        x = np.random.default_rng(12).normal(size=(30, 1))
+        labels = np.array([0, 1, 2] * 10)
+        with pytest.raises(ValueError, match="outside the declared class set"):
+            fit_class_conditional(x, labels, EmOptions(n_components=1), classes=[0, 1])
+        with pytest.raises(ValueError, match="outside the declared class set"):
+            fit_categorical(labels, classes=[0, 1])
 
     def test_classes_sorted(self):
         rng = np.random.default_rng(11)

@@ -248,6 +248,11 @@ class TestDiscreteEntropy:
         with pytest.raises(NotNormalizedError):
             discrete_entropy([-0.2, 1.2])
 
+    def test_nan_probability_raises(self):
+        # NaN passes both a "< 0" test and a test of the sum's distance from 1
+        with pytest.raises(NotNormalizedError, match="NaN"):
+            discrete_entropy([np.nan, 1.0])
+
     def test_uniform_is_maximal(self):
         rng = np.random.default_rng(8)
         for _ in range(50):

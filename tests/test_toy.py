@@ -103,6 +103,11 @@ class TestPerturb:
         with pytest.raises(BadKindError):
             perturb(np.ones((2, 2)), "shear")
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -1.0])
+    def test_sigma_must_be_finite_and_non_negative(self, sigma):
+        with pytest.raises(ValueError, match="finite sigma >= 0"):
+            perturb(np.ones((2, 2)), "gaussian_noise", sigma=sigma)
+
 
 def one_hot_classifier(logit_bias):
     """Zero network whose head bias fixes the softmax output."""
