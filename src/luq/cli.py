@@ -67,11 +67,12 @@ class _Parser(argparse.ArgumentParser):
 
 @contextlib.contextmanager
 def _usage(prefix: str = "", suffix: str = ""):
-    """A ValueError raised in the block, which rejects an option value, is a
-    usage error with the message ``prefix`` + its own + ``suffix``."""
+    """A ValueError or parser type's error raised in the block, which
+    rejects an option value, is a usage error with the message ``prefix`` +
+    its own + ``suffix``."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise UsageError(f"{prefix}{exc}{suffix}") from exc
 
 
@@ -97,9 +98,7 @@ def _prior_spec(spec: str | None, model: str):
         if kind == "categorical":
             fit = lambda predictions: fit_categorical(predictions.astype(np.int64))
         elif kind == "histogram":
-            bins = {"bins": int(params[0])} if params else {}
-            if bins.get("bins", 1) < 1:
-                raise ValueError(f"BINS must be at least 1, got {bins['bins']}")
+            bins = {"bins": _count(1)(params[0])} if params else {}  # BINS, as a size flag
             fit = lambda predictions: fit_histogram(predictions, **bins)
         elif kind == "betaprime" and not params:
             fit = betaprime_fit_mom

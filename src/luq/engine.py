@@ -9,9 +9,10 @@ for scalar outputs.  A ``SupportGrid`` is its range and point count
 (lo, hi, n); its points and spacing follow from them.  The single-row
 ``epistemic_*`` and ``aleatoric_*`` functions are views of
 ``score_classification`` and ``score_regression``.  Both scorers run on
-worker threads (``_pool.worker_pool``): classification fills its
-log-joint in one task per class and block of rows, regression scores one
-block of latent rows per task.  Regression conditions the flow on the
+worker threads (``_pool.worker_pool``), whose tasks return their rows:
+classification takes log p(z|k) in one task per class and block of rows,
+regression scores one block of latent rows per task.  Only the calling
+thread writes the scores.  Regression conditions the flow on the
 support grid once per call, in chunks of ``GRID_CHUNK`` points
 (``flow.flow_condition``), and runs each latent row against those shared
 chunks.  The scores do not depend on the number of workers, bit for bit.
@@ -38,7 +39,7 @@ from .errors import (
     MassUnreachableError,
     MissingClassDensityError,
 )
-from .gmm import ClassConditionalGmm, Gmm, gmm_log_prob
+from .gmm import ClassConditionalGmm, gmm_log_prob
 from .linalg import as_matrix, row_blocks
 from .priors import CategoricalPrior, OutputPrior
 
@@ -145,19 +146,16 @@ def aleatoric_classification(d: ClassConditionalGmm, prior: CategoricalPrior, z)
     return float(s.aleatoric[0]), s.posterior[0]
 
 
-def _fill_log_joint(out: np.ndarray, g: Gmm, z: np.ndarray, log_prior: float) -> None:
-    out[:] = gmm_log_prob(g, z) + log_prior
-
-
 def score_classification(d: ClassConditionalGmm, prior: CategoricalPrior, z) -> UncertaintyScores:
     """Both classification scores for a batch, sharing one density pass
     over the (n, K) matrix of log p(z|k) + log p(k).
 
-    The width of ``z`` and the class densities are checked first.  The
-    matrix is then filled on a ``_pool.worker_pool``, one task per class and
-    block of rows, and the scores are taken from it in the calling thread.
-    Blocks start at multiples of ``BLOCK``; a tail under ``BLOCK / 2`` rows
-    joins the last block (``linalg.row_blocks``).  Each row is then computed bit for bit as in one
+    The width of ``z`` and the class densities are checked first.  Each
+    task on a ``_pool.worker_pool`` returns log p(z|k) of one class on one
+    block of rows; the calling thread adds log p(k), writes the block into
+    the matrix and takes the scores from it.  Blocks start at multiples of
+    ``BLOCK``; a tail under ``BLOCK / 2`` rows joins the last block
+    (``linalg.row_blocks``).  Each row is then computed bit for bit as in one
     pass over the batch, on any number of workers: the BLAS product steps
     through the rows in groups that divide ``BLOCK`` and takes a ragged
     last group apart, and a tiny block would take another path (one row is
@@ -169,14 +167,14 @@ def score_classification(d: ClassConditionalGmm, prior: CategoricalPrior, z) -> 
     z = as_matrix(z)
     if z.shape[1] != d.dim:
         raise DimMismatchError(f"expected vectors of length {d.dim}, got {z.shape}")
-    log_joint = np.empty((z.shape[0], len(prior.classes)))
     blocks = row_blocks(z.shape[0], BLOCK)
     with worker_pool(len(blocks) * len(prior.classes)) as pool:
-        futures = [pool.submit(_fill_log_joint, log_joint[lo:hi, i], d.per_class[c], z[lo:hi],
-                               prior.log_probs[i])
-                   for i, c in enumerate(prior.classes) for lo, hi in blocks]
-    for future in futures:
-        future.result()
+        futures = iter([pool.submit(gmm_log_prob, d.per_class[c], z[lo:hi])
+                        for c in prior.classes for lo, hi in blocks])
+    log_joint = np.empty((z.shape[0], len(prior.classes)))
+    for i, log_prior in enumerate(prior.log_probs):
+        for lo, hi in blocks:
+            log_joint[lo:hi, i] = next(futures).result() + log_prior
     epi, ent, post = _posterior_scores(log_joint)
     return UncertaintyScores(epistemic=epi, aleatoric=ent, posterior=post)
 
@@ -205,24 +203,23 @@ def prior_on_grid(prior: OutputPrior, grid: SupportGrid) -> np.ndarray:
     return log_prior_grid
 
 
-def _score_rows(out: UncertaintyScores, rows: range, z: np.ndarray, flow: ConditionalFlow,
-                conds, log_prior_grid: np.ndarray, w: np.ndarray, cuts: np.ndarray) -> None:
-    """Regression scores of the ``rows`` of ``z`` into the same rows of
-    ``out``.  Each row runs against every conditioned chunk of the grid in
-    turn."""
+def _score_rows(z: np.ndarray, flow: ConditionalFlow, conds, log_prior_grid: np.ndarray,
+                w: np.ndarray, cuts: np.ndarray, keep_posteriors: bool):
+    """The regression scores of the rows of ``z``: epistemic, aleatoric,
+    end ratios and, if ``keep_posteriors``, the posteriors (else None).  Each
+    row runs against every conditioned chunk of the grid in turn; one
+    posterior pass then takes the block's (rows, grid) log-joint."""
     from .flow import flow_log_prob
 
-    log_joint = np.empty(log_prior_grid.size)
-    for i in rows:
+    log_joint = np.empty((z.shape[0], log_prior_grid.size))
+    for i in range(z.shape[0]):
         lo = 0
         for cond in conds:
-            log_joint[lo:lo + cond.rows] = flow_log_prob(flow, z[i:i + 1], cond)
+            log_joint[i, lo:lo + cond.rows] = flow_log_prob(flow, z[i:i + 1], cond)
             lo += cond.rows
-        epi, ale, q = _posterior_scores((log_joint + log_prior_grid)[None, :], w)
-        out.epistemic[i], out.aleatoric[i] = epi[0], ale[0]
-        out.end_ratio[i] = cuts * q[0, [0, -1]] / np.max(q[0])
-        if out.posterior is not None:
-            out.posterior[i] = q[0]
+    epi, ale, q = _posterior_scores(log_joint + log_prior_grid, w)
+    ratio = cuts * q[:, [0, -1]] / np.max(q, axis=1, keepdims=True)
+    return epi, ale, ratio, q if keep_posteriors else None
 
 
 def score_regression(flow: ConditionalFlow, prior: OutputPrior, grid: SupportGrid,
@@ -233,8 +230,9 @@ def score_regression(flow: ConditionalFlow, prior: OutputPrior, grid: SupportGri
     points that start at multiples of it, a tail under ``GRID_CHUNK / 2``
     points joining the last (``linalg.row_blocks``).  The rows are then
     scored on a ``_pool.worker_pool``, one task per block of
-    ``REGRESSION_BLOCK`` rows; each row runs against the chunks with one
-    flow call each, so its scores do not depend on the worker count.  Pass
+    ``REGRESSION_BLOCK`` rows that returns the block's scores, which the
+    calling thread joins in row order; each row runs against the chunks with
+    one flow call each, so its scores do not depend on the worker count.  Pass
     ``keep_posteriors`` to retain the (n, grid) posterior densities.  A grid
     on which the prior density is zero everywhere is a ValueError
     (``prior_on_grid``).  Each row's ``end_ratio`` counts a grid end only
@@ -251,24 +249,20 @@ def score_regression(flow: ConditionalFlow, prior: OutputPrior, grid: SupportGri
     from .flow import flow_condition
 
     z = as_matrix(z)
-    n = z.shape[0]
     log_prior_grid = prior_on_grid(prior, grid)
     conds = [flow_condition(flow, grid.points[lo:hi, None])
              for lo, hi in row_blocks(grid.n, GRID_CHUNK)]
     beyond = prior.log_pdf(np.nextafter([grid.lo, grid.hi], [-np.inf, np.inf]))
     cuts = beyond > -np.inf  # the grid ends that cut the prior's support
     w = grid.trapezoid_weights()
-    out = UncertaintyScores(epistemic=np.empty(n), aleatoric=np.empty(n),
-                            posterior=np.empty((n, grid.n)) if keep_posteriors else None,
-                            end_ratio=np.empty((n, 2)))
-    starts = range(0, n, REGRESSION_BLOCK)
+    starts = range(0, max(z.shape[0], 1), REGRESSION_BLOCK)  # no rows: one empty task
     with worker_pool(len(starts)) as pool:
-        futures = [pool.submit(_score_rows, out, range(lo, min(lo + REGRESSION_BLOCK, n)), z,
-                               flow, conds, log_prior_grid, w, cuts)
-                   for lo in starts]
-    for future in futures:
-        future.result()
-    return out
+        futures = [pool.submit(_score_rows, z[lo:lo + REGRESSION_BLOCK], flow, conds,
+                               log_prior_grid, w, cuts, keep_posteriors) for lo in starts]
+    epi, ale, ratio, post = zip(*(future.result() for future in futures))
+    return UncertaintyScores(epistemic=np.concatenate(epi), aleatoric=np.concatenate(ale),
+                             posterior=np.concatenate(post) if keep_posteriors else None,
+                             end_ratio=np.concatenate(ratio))
 
 
 def epistemic_regression(flow: ConditionalFlow, prior: OutputPrior, grid: SupportGrid,

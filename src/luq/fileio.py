@@ -443,6 +443,9 @@ def read_model(path) -> ModelBundle:
             raise
         except (ValueError, LuqError) as exc:  # values that pass the checksum but no constructor
             raise DataFormatError(f"{sec.name}: {exc}") from exc
+        if sec.pos != len(payload):
+            raise DataFormatError(f"{sec.name}: {len(payload) - sec.pos} unread bytes at the "
+                                  f"end of the section (offset {sec.pos})")
     if r.pos != len(r.data):
         raise DataFormatError(
             f"{path}: {len(r.data) - r.pos} trailing bytes after the last section "

@@ -258,7 +258,8 @@ def run_regression_study(
     assumes a uniform output prior, and scores a dense x grid with both
     uncertainties plus a predictive confidence band.  A prediction outside
     ``PRIOR_RANGE``, where that prior is 0, is a LuqError raised before any
-    score or band is computed.
+    score or band is computed.  The support grid is made first, so one too
+    large to allocate fails before any training.
 
     With ``with_ensemble``, and when ``_pool.worker_count`` allows two
     threads, the regressor trains on a ``_pool.worker_pool`` thread beside
@@ -270,6 +271,8 @@ def run_regression_study(
     threads.
     """
     spec = spec or ToyRegressionSpec()
+    prior = UniformPrior(*PRIOR_RANGE)
+    grid = SupportGrid.from_range(*PRIOR_RANGE, spec.grid_points)
     eval_x = np.linspace(*X_RANGE, spec.eval_points)
     train_x, train_y = gen_regression_data(spec)
 
@@ -295,9 +298,6 @@ def run_regression_study(
     # posterior over outputs stays wider than the regressor's error
     flow, flow_log = flow_train(train_latents, train_preds, FlowTrainConfig(
         batch_size=spec.n_train, max_epochs=40, seed=spec.seed))
-
-    prior = UniformPrior(*PRIOR_RANGE)
-    grid = SupportGrid.from_range(*PRIOR_RANGE, spec.grid_points)
 
     eval_latents = latent_extract(model, model.n_hidden - 1, eval_x[:, None])
     predictions = mlp_predict(model, eval_x[:, None])[:, 0]

@@ -16,7 +16,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from luq import cli, fileio
+from luq import cli, fileio, toy
 from luq.engine import SupportGrid
 from luq.fileio import (
     ModelBundle,
@@ -569,6 +569,28 @@ class TestSizeValues:
     def test_toy_size_at_the_bound_exit_3(self, tmp_path, capsys, argv):
         # the training data fail to allocate at once, without touching memory
         assert run_cli(*argv, "--out", str(tmp_path / "out")) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: out of memory: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", [10**20, 4 * 10**18])
+    def test_histogram_bins_too_large_exit_2_before_any_read(self, tmp_path, capsys, value):
+        missing = str(tmp_path / "missing")
+        assert run_cli("fit", "--model", "flow", "--prior", f"histogram:{value}",
+                       "--features", missing, "--predictions", missing,
+                       "--output", str(tmp_path / "o")) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"usage error: --prior histogram:{value}: expected an integer "
+                                f"from 1 to {cli.MAX_SIZE:,}, got '{value}'\n")
+        assert captured.out == "" and sorted(tmp_path.iterdir()) == []
+
+    def test_toy_grid_at_the_bound_exit_3_before_training(self, tmp_path, capsys, monkeypatch):
+        def untrained(*args, **kwargs):
+            raise AssertionError("the regressor trained before the grid was made")
+
+        monkeypatch.setattr(toy, "mlp_train", untrained)
+        assert run_cli("toy", "regression", "--n-train", "10", "--eval-points", "5",
+                       "--grid", str(cli.MAX_SIZE), "--out", str(tmp_path / "out")) == 3
         captured = capsys.readouterr()
         assert captured.err.startswith("error: out of memory: ")
         assert captured.out == ""
@@ -1621,6 +1643,21 @@ def _repeated(tag, density="gmm", spoil=lambda bundle: None):
     return build
 
 
+def _padded(tag, density="gmm", spoil=lambda bundle: None):
+    """A failure-table case: a valid ``density`` model, changed by
+    ``spoil``, whose ``tag`` section ends in 8 bytes that its values leave
+    unread, under a checksum that holds."""
+    def build(tmp_path, blob_files):
+        sections = tuple((t, name, (lambda part, pack=pack: pack(part) + bytes(8))
+                          if t == tag else pack, unpack)
+                         for t, name, pack, unpack in fileio._SECTIONS)
+        label = tag.decode().strip()
+        with mock.patch.object(fileio, "_SECTIONS", sections):
+            argv, model, _ = _spoiled(density, spoil, label, None)(tmp_path, blob_files)
+        return argv, model, "8 unread bytes at the end of the section"
+    return build
+
+
 def _first_component(bundle):
     return bundle.class_gmms.per_class[0].components[0]
 
@@ -1629,8 +1666,12 @@ def _histogram_prior():
     return HistogramPrior(np.array([-3.0, 0.0, 3.0]), np.full(2, -np.log(6.0)))
 
 
-def _nan_pca_mean(bundle):
+def _add_pca(bundle):
     bundle.pca = PcaModel(np.zeros(2), np.eye(2), np.ones(2))
+
+
+def _nan_pca_mean(bundle):
+    _add_pca(bundle)
     bundle.pca.mean[0] = np.nan
 
 
@@ -1795,9 +1836,11 @@ class TestFailureTable:
         "repeated-prior-section": _repeated(fileio.SECTION_PRIOR),
         "repeated-gmm-section": _repeated(fileio.SECTION_GMMS),
         "repeated-flow-section": _repeated(fileio.SECTION_FLOW, "flow"),
-        "repeated-pca-section": _repeated(
-            fileio.SECTION_PCA, spoil=lambda b: setattr(b, "pca", PcaModel(
-                np.zeros(2), np.eye(2), np.ones(2)))),
+        "repeated-pca-section": _repeated(fileio.SECTION_PCA, spoil=_add_pca),
+        "unread-bytes-in-prior-section": _padded(fileio.SECTION_PRIOR, "flow"),
+        "unread-bytes-in-gmm-section": _padded(fileio.SECTION_GMMS),
+        "unread-bytes-in-flow-section": _padded(fileio.SECTION_FLOW, "flow"),
+        "unread-bytes-in-pca-section": _padded(fileio.SECTION_PCA, spoil=_add_pca),
         "repeated-prior-class": _spoiled(
             "gmm", _prior_spoiled(lambda: CategoricalPrior((0, 1, 2), np.log([0.25, 0.25, 0.5])),
                                   lambda p: object.__setattr__(p, "classes", (0, 0, 1))),

@@ -579,7 +579,7 @@ class TestRegressionWorkers:
 
     def test_many_workers_switching_fast(self, workers):
         # more workers than CPUs, switching threads every microsecond: each
-        # task writes only its own rows of the shared score arrays
+        # task returns its own rows, and the calling thread joins them in order
         grid = SupportGrid.from_range(-3.0, 3.0, 300)
         z = np.random.default_rng(7).normal(size=(8 * REGRESSION_BLOCK + 3, 3))
         want = chunked_regression_scores(z, grid)

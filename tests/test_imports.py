@@ -9,6 +9,7 @@ command loads ``shlex`` only to read an ``@FILE`` argument.
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -174,3 +175,29 @@ def test_gmm_commands_load_only_what_they_run(tmp_path):
     assert {"cli", "gmm", "engine"} <= score and not score & unused
     assert "concurrent.futures" in fit & score
     assert "shlex" not in fit | score  # given no @FILE
+
+
+def top_level_imports(source: str) -> set[str]:
+    """The top-level module names that ``source`` imports by absolute name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_the_test_extra_installs_what_the_tests_import():
+    # after ``pip install -e '.[test]'`` every test module can be collected
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    root = SRC.parent.parent
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    extra = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+             for req in project["optional-dependencies"]["test"]}
+    tests = root / "tests"
+    local = {p.stem for p in tests.glob("*.py")}
+    imported = set().union(*(top_level_imports(p.read_text(encoding="utf-8"))
+                             for p in tests.glob("*.py")))
+    allowed = set(sys.stdlib_module_names) | local | extra | {"numpy", "luq"}
+    assert {"numpy", "pytest"} <= imported and imported - allowed == set()
